@@ -57,8 +57,13 @@ class Trie:
         return out
 
     def is_antifactorial(self) -> bool:
-        words = self.words()
-        return not any(m != other and m in other for m in words for other in words)
+        """Whether no member occurs inside another, by the failure-link test
+        of :func:`_avoidance_tables`; linear in the trie size."""
+        try:
+            _avoidance_tables(self)
+        except ValueError:
+            return False
+        return True
 
     def to_json(self) -> dict:
         edges = []
@@ -76,11 +81,40 @@ class Trie:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "Trie":
-        alphabet = Alphabet(data["alphabet"])
-        transitions: list[dict[str, int]] = [{} for _ in range(int(data["states"]))]
-        for src, sym, dst in data["transitions"]:
-            transitions[int(src)][sym] = int(dst)
-        return cls(alphabet, transitions, set(int(s) for s in data["finals"]))
+        """Inverse of :meth:`to_json`.
+
+        Raises ``ValueError`` unless the data describe a tree rooted at state
+        0 whose finals are exactly its leaves (the root excepted: the trie of
+        the empty set is a lone non-final root).  Anything else would break
+        the prefix-free shape the failure-link test relies on.
+        """
+        try:
+            alphabet = Alphabet(data["alphabet"])
+            n = int(data["states"])
+            initial = int(data.get("initial", 0))
+            edges = [(int(src), sym, int(dst)) for src, sym, dst in data["transitions"]]
+            finals = {int(s) for s in data["finals"]}
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise ValueError(f"malformed trie JSON: {exc!r}") from None
+        if n < 1 or initial != 0:
+            raise ValueError("a trie has at least one state and its root is state 0")
+        targets = {dst for _, _, dst in edges}
+        if len(edges) != n - 1 or len(targets) != n - 1 or 0 in targets:
+            raise ValueError("every state but the root needs exactly one parent")
+        transitions: list[dict[str, int]] = [{} for _ in range(n)]
+        for src, sym, dst in edges:
+            alphabet.rank(sym)  # ValueError unless sym is one of its symbols
+            if not (0 <= src < n and 0 < dst < n) or sym in transitions[src]:
+                raise ValueError(f"transition {src} -{sym}-> {dst} is out of range or repeated")
+            transitions[src][sym] = dst
+        order = [0]
+        for state in order:
+            order.extend(transitions[state].values())
+        if len(order) != n:
+            raise ValueError("some states are not reachable from the root")
+        if finals != {s for s in range(1, n) if not transitions[s]}:
+            raise ValueError("the finals must be exactly the non-root leaves")
+        return cls(alphabet, transitions, finals)
 
 
 def build_trie(
@@ -89,8 +123,10 @@ def build_trie(
     """Trie of a finite set of nonempty words.
 
     Raises if one word is a proper prefix of another (the sink-state shape
-    cannot represent that) and, when ``antifactorial`` is set, if any word is
-    a proper factor of another -- the signature of an invalid antidictionary.
+    cannot represent that) and, when ``antifactorial`` is set, if any word
+    occurs inside another -- the signature of an invalid antidictionary --
+    which the failure-link test of :func:`_avoidance_tables` decides in
+    linear time.
     """
     unique = sorted(set(words), key=alphabet.sort_key)
     transitions: list[dict[str, int]] = [{}]
@@ -114,14 +150,54 @@ def build_trie(
         if transitions[state]:
             raise ValueError(f"{word!r} is a proper prefix of another member")
         sinks.add(state)
+    trie = Trie(alphabet, transitions, sinks)
     if antifactorial:
-        for m in unique:
-            for other in unique:
-                if m != other and m in other:
-                    raise ValueError(
-                        f"set is not antifactorial: {m!r} occurs inside {other!r}"
-                    )
-    return Trie(alphabet, transitions, sinks)
+        _avoidance_tables(trie)
+    return trie
+
+
+def _avoidance_tables(trie: Trie) -> tuple[list[int], list[int]]:
+    """Completed flat transition table and failure links of the avoidance
+    automaton of a trie, in one breadth-first pass.
+
+    Root transitions on absent letters become self-loops; every other state
+    keeps its trie edges (the child's failure link is the failure's
+    same-letter target), borrows missing edges from its failure link, and
+    sinks loop every letter back to themselves.  A failure link landing on a
+    sink means a member is a proper suffix of a prefix of another member,
+    i.e. occurs inside it; since the trie shape already rules out prefixes,
+    this is exactly the failure of antifactoriality, and it raises
+    ``ValueError``.
+    """
+    symbols = trie.alphabet.symbols
+    sigma = len(symbols)
+    sinks = trie.sinks
+    n = trie.n_states
+    # The root starts as all self-loops and, for this pass only, as its own
+    # failure link: its children then get the root as theirs.
+    flat = [0] * sigma + [-1] * ((n - 1) * sigma)
+    failure = [0] + [-1] * (n - 1)
+    queue = [0]
+    for p in queue:  # grows while it is read: breadth-first order
+        base = p * sigma
+        fail_base = failure[p] * sigma
+        row = trie.transitions[p]
+        is_sink = p in sinks
+        for i, sym in enumerate(symbols):
+            child = row.get(sym)
+            if child is not None:
+                link = flat[fail_base + i]
+                if link in sinks:
+                    raise ValueError("the set is not antifactorial: a member occurs inside another")
+                flat[base + i] = child
+                failure[child] = link
+                queue.append(child)
+            elif not is_sink:
+                flat[base + i] = flat[fail_base + i]
+            else:
+                flat[base + i] = p
+    failure[0] = -1
+    return flat, failure
 
 
 class Dfa:
@@ -180,7 +256,7 @@ class Dfa:
         return cls(alphabet, n_states, initial, finals, flat, fail)
 
     def step(self, state: int, symbol: str) -> int | None:
-        target = self.flat[state * len(self.alphabet) + self.alphabet.rank(symbol)]
+        target = int(self.flat[state * len(self.alphabet) + self.alphabet.rank(symbol)])
         return None if target < 0 else target
 
     def accepts(self, word: str) -> bool:
@@ -196,7 +272,7 @@ class Dfa:
     def out_edges(self, state: int) -> list[tuple[str, int]]:
         base = state * len(self.alphabet)
         return [
-            (sym, self.flat[base + i])
+            (sym, int(self.flat[base + i]))
             for i, sym in enumerate(self.alphabet.symbols)
             if self.flat[base + i] >= 0
         ]
@@ -207,7 +283,7 @@ class Dfa:
             base = state * sigma
             for i, sym in enumerate(self.alphabet.symbols):
                 if self.flat[base + i] >= 0:
-                    yield state, sym, self.flat[base + i]
+                    yield state, sym, int(self.flat[base + i])
 
     def reachable(self) -> list[int]:
         """States reachable from the initial state, in BFS order."""
@@ -260,7 +336,7 @@ class Dfa:
             "states": self.n_states,
             "initial": self.initial,
             "finals": sorted(self.finals),
-            "transitions": [[int(p), sym, int(q)] for p, sym, q in self.transitions()],
+            "transitions": [[p, sym, q] for p, sym, q in self.transitions()],
         }
         if self.failure is not None:
             data["failure"] = [
@@ -272,18 +348,24 @@ class Dfa:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "Dfa":
-        alphabet = Alphabet(data["alphabet"])
-        failure = None
-        if "failure" in data:
-            failure = {int(p): int(q) for p, q in data["failure"]}
-        return cls.from_edges(
-            alphabet,
-            int(data["states"]),
-            int(data["initial"]),
-            (int(s) for s in data["finals"]),
-            ((int(p), sym, int(q)) for p, sym, q in data["transitions"]),
-            failure,
-        )
+        """Inverse of :meth:`to_json`; malformed data raise ``ValueError``."""
+        try:
+            alphabet = Alphabet(data["alphabet"])
+            n = int(data["states"])
+            initial = int(data["initial"])
+            finals = [int(s) for s in data["finals"]]
+            edges = [(int(p), sym, int(q)) for p, sym, q in data["transitions"]]
+            failure = None
+            if "failure" in data:
+                failure = {int(p): int(q) for p, q in data["failure"]}
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise ValueError(f"malformed automaton JSON: {exc!r}") from None
+        states = [initial, *finals, *(s for p, _, q in edges for s in (p, q))]
+        if failure is not None:
+            states += [*failure.keys(), *failure.values()]
+        if not all(0 <= s < n for s in states):
+            raise ValueError(f"a state is outside 0..{n - 1}")
+        return cls.from_edges(alphabet, n, initial, finals, edges, failure)
 
     def __repr__(self) -> str:
         return (

@@ -85,8 +85,7 @@ def _cmd_reconstruct(args) -> int:
         with open(args.mfw) as handle:
             data = json.load(handle)
     mfws = MfwSet.from_json(data)
-    circular = args.circular or bool(data.get("circular"))
-    if circular:
+    if args.circular or mfws.kind == "circular":
         print(reconstruct_circular(mfws).linearization)
     else:
         print(reconstruct_word(mfws))

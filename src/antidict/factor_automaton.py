@@ -7,11 +7,11 @@ accepts.  The suffix automaton alone is *not* always minimal as a factor
 acceptor: in ``abbb`` the states reached by ``b`` and ``ab`` have identical
 futures and must be merged.  Because the transition graph is acyclic and all
 states accept, two states are equivalent exactly when their per-symbol
-successor classes coincide; processing states in decreasing order of
-longest-word length (a reverse topological order) settles the partition in
-one pass.  Million-state inputs take a vectorized route instead: group by raw
-successors, then coarsen with numpy until stable, which reaches the same
-fixpoint.
+successor classes coincide.  The partition is found with numpy: group by
+raw successors, then coarsen until stable.  When a deep merge cascade needs
+more rounds than a cap allows, one pass over the states in decreasing order
+of longest-word length (a reverse topological order) settles the same
+partition instead.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ import numpy as np
 from .automata import Dfa
 from .words import Alphabet
 
-# Below this state count the plain Python pass beats numpy call overhead.
-_VECTOR_THRESHOLD = 4096
 # Vectorized coarsening rounds before falling back to the stratified pass.
 _COARSEN_ROUND_CAP = 16
 
@@ -131,20 +129,19 @@ def _suffix_automaton(
 
 
 def _stratified_classes(
-    cols: list[list[int]], length: list[int], size: int, sigma: int
-) -> tuple[list[int], list[int], int]:
+    cols: list[list[int]], length: list[int], size: int
+) -> tuple[list[int], int]:
     """Single-pass equivalence classes, states taken by decreasing length.
 
     Every transition target is strictly longer than its source, so targets
-    are always classified first.  Returns ``(class of each state, deepest
-    member per class, class count)``.
+    are always classified first.  Returns ``(class of each state, class
+    count)``.
     """
     maxlen = max(length[:size])
     buckets: list[list[int]] = [[] for _ in range(maxlen + 1)]
     for s in range(size):
         buckets[length[s]].append(s)
     class_of = [-1] * size
-    reps: list[int] = []
     signatures: dict[int, int] = {}
     width = size + 1
     for stratum in range(maxlen, -1, -1):
@@ -153,13 +150,8 @@ def _stratified_classes(
             for col in cols:
                 t = col[s]
                 sig = sig * width + (class_of[t] + 1 if t >= 0 else 0)
-            cls = signatures.get(sig)
-            if cls is None:
-                cls = len(reps)
-                signatures[sig] = cls
-                reps.append(s)
-            class_of[s] = cls
-    return class_of, reps, len(reps)
+            class_of[s] = signatures.setdefault(sig, len(signatures))
+    return class_of, len(signatures)
 
 
 def _vectorized_classes(cols_np: list[np.ndarray], size: int) -> tuple[np.ndarray, int] | None:
@@ -195,44 +187,7 @@ def _vectorized_classes(cols_np: list[np.ndarray], size: int) -> tuple[np.ndarra
     return None
 
 
-def _assemble_small(
-    alphabet: Alphabet,
-    cols: list[list[int]],
-    link: list[int],
-    length: list[int],
-    size: int,
-) -> Dfa:
-    sigma = len(alphabet)
-    class_of, reps, n_classes = _stratified_classes(cols, length, size, sigma)
-
-    init = class_of[0]
-    if init != 0:
-        swap = {init: 0, 0: init}
-        class_of = [swap.get(c, c) for c in class_of]
-        reps[0], reps[init] = reps[init], reps[0]
-
-    flat = [-1] * (n_classes * sigma)
-    for cls in range(n_classes):
-        rep = reps[cls]
-        base = cls * sigma
-        for i, col in enumerate(cols):
-            t = col[rep]
-            if t >= 0:
-                flat[base + i] = class_of[t]
-
-    # Failure of a merged state: walk the deepest member's suffix links past
-    # any members of the same class; the first foreign class is the link.
-    failure = [-1] * n_classes
-    for cls in range(n_classes):
-        q = link[reps[cls]]
-        while q >= 0 and class_of[q] == cls:
-            q = link[q]
-        failure[cls] = class_of[q] if q >= 0 else -1
-
-    return Dfa(alphabet, n_classes, 0, range(n_classes), flat, failure)
-
-
-def _assemble_large(
+def _assemble(
     alphabet: Alphabet,
     cols: list[list[int]],
     link: list[int],
@@ -243,7 +198,7 @@ def _assemble_large(
     cols_np = [np.asarray(col[:size], dtype=np.int64) for col in cols]
     partition = _vectorized_classes(cols_np, size)
     if partition is None:  # pathologically deep merge cascade
-        class_of, _, n_classes = _stratified_classes(cols, length, size, sigma)
+        class_of, n_classes = _stratified_classes(cols, length, size)
         cls = np.asarray(class_of, dtype=np.int64)
     else:
         cls, n_classes = partition
@@ -310,6 +265,4 @@ def build_factor_automaton(word: str, alphabet: Alphabet | None = None) -> Dfa:
     alphabet.check_word(word)
     sigma = len(alphabet)
     cols, link, length, _endpos, size = _suffix_automaton(_encode(word, alphabet), sigma)
-    if size < _VECTOR_THRESHOLD:
-        return _assemble_small(alphabet, cols, link, length, size)
-    return _assemble_large(alphabet, cols, link, length, size)
+    return _assemble(alphabet, cols, link, length, size)

@@ -13,61 +13,23 @@ interesting part.
 
 from __future__ import annotations
 
-from .automata import Dfa, Trie, build_trie, strip_sinks
+from .automata import Dfa, Trie, _avoidance_tables, build_trie, strip_sinks
 from .mfw import mfw_circular
 from .words import Alphabet, CircularWord
 
 
 def l_automaton(trie: Trie) -> Dfa:
-    """Complete DFA of the words avoiding the trie's (antifactorial) language.
+    """Complete DFA of the words avoiding the trie's language.
 
-    Root transitions on absent letters become self-loops; in breadth-first
-    order every other state keeps its trie edges (the child's failure link is
-    the failure's same-letter target), borrows missing edges from its failure
-    link, and sinks loop every letter back to themselves.  Final states are
-    all non-sinks, so the result is complete over the alphabet.
+    Root transitions on absent letters become self-loops, every other state
+    borrows its missing edges from its failure link, and sinks become
+    absorbing traps; final states are all non-sinks.  Raises ``ValueError``
+    when the language is not antifactorial, which the same breadth-first
+    pass detects as a failure link landing on a sink.
     """
-    if not trie.is_antifactorial():
-        raise ValueError("the trie does not accept an antifactorial set")
-    alphabet = trie.alphabet
-    sigma = len(alphabet)
-    symbols = alphabet.symbols
+    flat, failure = _avoidance_tables(trie)
     n = trie.n_states
-    flat = [-1] * (n * sigma)
-    failure = [-1] * n
-    sinks = trie.sinks
-
-    root_row = trie.transitions[0]
-    queue: list[int] = []
-    for i, sym in enumerate(symbols):
-        child = root_row.get(sym)
-        if child is not None:
-            flat[i] = child
-            failure[child] = 0
-            queue.append(child)
-        else:
-            flat[i] = 0
-
-    head = 0
-    while head < len(queue):
-        p = queue[head]
-        head += 1
-        base = p * sigma
-        fail_base = failure[p] * sigma
-        row = trie.transitions[p]
-        is_sink = p in sinks
-        for i, sym in enumerate(symbols):
-            child = row.get(sym)
-            if child is not None:
-                flat[base + i] = child
-                failure[child] = flat[fail_base + i]
-                queue.append(child)
-            elif not is_sink:
-                flat[base + i] = flat[fail_base + i]
-            else:
-                flat[base + i] = p
-    finals = set(range(n)) - sinks
-    return Dfa(alphabet, n, 0, finals, flat, failure)
+    return Dfa(trie.alphabet, n, 0, set(range(n)) - trie.sinks, flat, failure)
 
 
 def circular_factor_dfa(cw: CircularWord | str, alphabet: Alphabet | None = None) -> Dfa:
@@ -83,5 +45,4 @@ def circular_factor_dfa(cw: CircularWord | str, alphabet: Alphabet | None = None
     if alphabet is None:
         alphabet = cw.alphabet
     mfws = mfw_circular(cw, alphabet)
-    trie = build_trie(mfws.words, alphabet, antifactorial=True)
-    return strip_sinks(l_automaton(trie))
+    return strip_sinks(l_automaton(build_trie(mfws.words, alphabet)))

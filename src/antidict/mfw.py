@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .factor_automaton import _VECTOR_THRESHOLD, _encode, _suffix_automaton
+from .automata import build_trie
+from .factor_automaton import _encode, _suffix_automaton
 from .words import (
     Alphabet,
     BRUTE_FORCE_WORD_LIMIT,
@@ -68,13 +69,8 @@ class MfwSet:
         return max((len(w) for w in self.words), default=0)
 
     def check_antifactorial(self) -> None:
-        """Raise unless no member is a proper factor of another."""
-        for m in self.words:
-            for other in self.words:
-                if m != other and m in other:
-                    raise ValueError(
-                        f"not antifactorial: {m!r} is a proper factor of {other!r}"
-                    )
+        """Raise ``ValueError`` unless no member is a proper factor of another."""
+        build_trie(self.words, self.alphabet, antifactorial=True)
 
     def to_json(self) -> dict:
         return {
@@ -86,9 +82,18 @@ class MfwSet:
 
     @classmethod
     def from_json(cls, data) -> "MfwSet":
-        alphabet = Alphabet(data["alphabet"])
-        kind = "circular" if data.get("circular") else "linear"
-        return cls.build(data["mfw"], alphabet, kind, data.get("word"))
+        """Inverse of :meth:`to_json`; malformed data raise ``ValueError``."""
+        try:
+            alphabet = Alphabet(data["alphabet"])
+            words, circular, source = data["mfw"], data.get("circular"), data.get("word")
+            "".join(words)  # TypeError unless every member is a string
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed antidictionary JSON: {exc!r}") from None
+        if not isinstance(words, list):
+            raise ValueError("'mfw' must be a list of strings")
+        if not (source is None or isinstance(source, str)):
+            raise ValueError("'word' must be a string or null")
+        return cls.build(words, alphabet, "circular" if circular else "linear", source)
 
     def __iter__(self):
         return iter(self.words)
@@ -105,26 +110,13 @@ def _forbidden_words(word, cols, link, length, endpos, size, symbols) -> list[st
 
     A site is a (state, letter) pair with the letter undefined at the state
     but defined at its suffix link; the emitted word is the state's shortest
-    word extended by the letter.  The shortest word has an occurrence ending
+    word extended by the letter.  The sites are located with vectorized
+    masks, one letter at a time.  The shortest word has an occurrence ending
     at the state's recorded text position, so it is sliced straight out of
-    the input instead of being rebuilt from parent edges.  Large automata
-    locate the sites with vectorized masks first.
+    the input instead of being rebuilt from parent edges.
     """
     sigma = len(symbols)
     out = [symbols[i] for i in range(sigma) if cols[i][0] < 0]
-    if size < _VECTOR_THRESHOLD:
-        for s in range(1, size):
-            fail = link[s]
-            start = endpos[s] - length[fail]
-            stop = endpos[s] + 1
-            shortest = None
-            for i in range(sigma):
-                col = cols[i]
-                if col[s] < 0 and col[fail] >= 0:
-                    if shortest is None:
-                        shortest = word[start:stop]
-                    out.append(shortest + symbols[i])
-        return out
     link_np = np.asarray(link[:size], dtype=np.int64)
     length_np = np.asarray(length[:size], dtype=np.int64)
     endpos_np = np.asarray(endpos[:size], dtype=np.int64)

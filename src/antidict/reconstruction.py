@@ -23,10 +23,10 @@ class ReconstructionError(ValueError):
 
 def _avoidance_core(mfws: MfwSet) -> Dfa:
     try:
-        trie = build_trie(mfws.words, mfws.alphabet, antifactorial=True)
+        complete = l_automaton(build_trie(mfws.words, mfws.alphabet))
     except ValueError as exc:
         raise ReconstructionError(str(exc)) from exc
-    return strip_sinks(l_automaton(trie))
+    return strip_sinks(complete)
 
 
 def _topological_order(dfa: Dfa) -> list[int] | None:

@@ -59,7 +59,7 @@ class Alphabet:
     def rank(self, symbol: str) -> int:
         try:
             return self._rank[symbol]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable non-symbol
             raise ValueError(f"symbol {symbol!r} is not in alphabet {self}") from None
 
     def sort_key(self, word: str) -> tuple[int, ...]:

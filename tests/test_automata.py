@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from antidict import (
     Alphabet,
@@ -68,6 +69,58 @@ class TestBuildTrie:
         assert back.n_states == trie.n_states
         assert sorted(back.words()) == sorted(trie.words())
         assert back.sinks == trie.sinks
+
+    def test_json_round_trip_of_empty_set(self):
+        back = Trie.from_json(build_trie([], AB).to_json())
+        assert back.n_states == 1 and back.sinks == set()
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            # the final state 1 has a child: not prefix-free
+            {"alphabet": "ab", "states": 3, "initial": 0, "finals": [1],
+             "transitions": [[0, "a", 1], [1, "b", 2]]},
+            {"alphabet": "ab", "states": 2, "finals": [1], "transitions": [[0, "a", 7]]},
+            {"alphabet": "ab", "states": 2, "finals": [1], "transitions": [[-1, "a", 1]]},
+            {"alphabet": "ab", "states": 2, "finals": [1], "transitions": [[0, "c", 1]]},
+            {"alphabet": "ab", "states": 2, "finals": [1], "transitions": [[0, ["a"], 1]]},
+            {"alphabet": "ab", "states": 2, "finals": [1], "transitions": [[1, "a", 0]]},
+            # two parents for state 1; then a loop unreachable from the root
+            {"alphabet": "ab", "states": 3, "finals": [1],
+             "transitions": [[0, "a", 1], [0, "b", 1]]},
+            {"alphabet": "ab", "states": 3, "finals": [1],
+             "transitions": [[0, "a", 1], [2, "a", 2]]},
+            {"alphabet": "ab", "states": 2, "initial": 1, "finals": [1],
+             "transitions": [[0, "a", 1]]},
+            {"alphabet": "ab", "states": 3, "finals": [], "transitions": []},
+            {"alphabet": "ab", "states": 2, "transitions": [[0, "a", 1]]},
+            [["alphabet", "ab"]],
+        ],
+    )
+    def test_json_rejects_non_trees(self, data):
+        with pytest.raises(ValueError):
+            Trie.from_json(data)
+
+
+@st.composite
+def prefix_free_sets(draw):
+    symbols = "abc"[: draw(st.integers(1, 3))]
+    words = draw(st.sets(st.text(symbols, min_size=1, max_size=6), max_size=8))
+    return Alphabet(symbols), [w for w in words if not any(w != o and w.startswith(o) for o in words)]
+
+
+class TestAntifactorialCriterion:
+    @settings(max_examples=400, deadline=None)
+    @given(prefix_free_sets())
+    def test_failure_links_agree_with_pairwise_definition(self, case):
+        alphabet, words = case
+        pairwise = not any(m != other and m in other for m in words for other in words)
+        assert build_trie(words, alphabet).is_antifactorial() == pairwise
+        if pairwise:
+            build_trie(words, alphabet, antifactorial=True)
+        else:
+            with pytest.raises(ValueError, match="antifactorial"):
+                build_trie(words, alphabet, antifactorial=True)
 
 
 class TestAccepts:
@@ -238,3 +291,28 @@ class TestDfaJson:
     def test_conflicting_edges_rejected(self):
         with pytest.raises(ValueError):
             Dfa.from_edges(AB, 2, 0, [0], [(0, "a", 0), (0, "a", 1)])
+
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            {"transitions": [[0, "a", 2]]},
+            {"transitions": [[-1, "a", 1]]},
+            {"transitions": [[0, ["a"], 1]]},
+            {"initial": 5},
+            {"finals": [0, 9]},
+            {"failure": [[1, 4]]},
+            {"states": "two"},
+            {"alphabet": None},
+        ],
+    )
+    def test_json_rejects_malformed(self, patch):
+        data = {"alphabet": "ab", "states": 2, "initial": 0, "finals": [0, 1],
+                "transitions": [[0, "a", 1]], "failure": [[1, 0]]}
+        Dfa.from_json(data)
+        with pytest.raises(ValueError):
+            Dfa.from_json(data | patch)
+
+    @pytest.mark.parametrize("data", [[1, 2], {"alphabet": "ab", "states": 1}, "dfa"])
+    def test_json_rejects_wrong_shape(self, data):
+        with pytest.raises(ValueError):
+            Dfa.from_json(data)

@@ -92,6 +92,21 @@ class TestLAutomatonCommand:
         code, _, err = run(capsys, "l-automaton", "--from-trie", str(path))
         assert code == 2 and "antifactorial" in err
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"alphabet": "ab", "states": 2, "initial": 0, "finals": [1],
+             "transitions": [[0, "a", 5]]},
+            {"alphabet": "ab", "states": 3, "initial": 0, "finals": [1],
+             "transitions": [[0, "a", 1], [1, "b", 2]]},
+        ],
+    )
+    def test_malformed_trie(self, capsys, tmp_path, data):
+        path = tmp_path / "trie.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run(capsys, "l-automaton", "--from-trie", str(path))
+        assert code == 2 and "error" in err
+
 
 class TestReconstructCommand:
     def test_linear_round_trip(self, capsys, tmp_path):
@@ -119,6 +134,13 @@ class TestReconstructCommand:
         path.write_text("{not json")
         code, _, err = run(capsys, "reconstruct", "--mfw", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("data", [{"mfw": ["aa"]}, ["aa", "ba"]])
+    def test_malformed_schema(self, capsys, tmp_path, data):
+        path = tmp_path / "mfw.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run(capsys, "reconstruct", "--mfw", str(path))
+        assert code == 2 and "error" in err
 
     def test_not_a_single_word(self, capsys, tmp_path):
         path = tmp_path / "mfw.json"

@@ -1,7 +1,6 @@
 import pytest
 
 import antidict.factor_automaton as fa_module
-import antidict.mfw as mfw_module
 from antidict import (
     Alphabet,
     build_factor_automaton,
@@ -10,7 +9,6 @@ from antidict import (
     fibonacci_word,
     isomorphic,
     minimize,
-    mfw_linear,
 )
 
 from .helpers import (
@@ -104,22 +102,14 @@ class TestEdgeCases:
 
 
 class TestVectorizedPathAgreement:
-    """The numpy route must produce exactly what the small-input route does."""
+    """The numpy coarsening and its round-cap fallback must agree."""
 
-    def test_forced_vectorized_assembly(self, monkeypatch):
+    def test_round_cap_fallback_agrees(self, monkeypatch):
         words = [w for w in all_words("ab", 7)] + ["abcacba", "aabbc"]
         reference = {w: build_factor_automaton(w) for w in words}
-        monkeypatch.setattr(fa_module, "_VECTOR_THRESHOLD", 1)
+        monkeypatch.setattr(fa_module, "_COARSEN_ROUND_CAP", 0)
         for w in words:
-            forced = build_factor_automaton(w)
-            assert isomorphic(forced, reference[w]), w
-
-    def test_forced_vectorized_emission(self, monkeypatch):
-        words = [w for w in all_words("ab", 7)] + ["abcacba", "aabbc"]
-        reference = {w: mfw_linear(w).as_set() for w in words}
-        monkeypatch.setattr(mfw_module, "_VECTOR_THRESHOLD", 1)
-        for w in words:
-            assert mfw_linear(w).as_set() == reference[w], w
+            assert isomorphic(build_factor_automaton(w), reference[w]), w
 
     def test_deep_merge_cascade_falls_back(self):
         # ab^(n-1) makes every prefix state merge into the suffix chain; at
@@ -127,3 +117,15 @@ class TestVectorizedPathAgreement:
         word = "a" + "b" * 3000
         dfa = build_factor_automaton(word, AB)
         assert dfa.n_states == len(word) + 1
+
+
+class TestPlainIntegers:
+    def test_step_out_edges_transitions(self):
+        # the ndarray-backed tables must not leak numpy scalars at any size
+        tiny = build_factor_automaton("abbb", AB)
+        large = build_factor_automaton(fibonacci_word(20), AB)
+        assert large.n_states > 4096
+        for dfa in (tiny, large):
+            assert type(dfa.step(0, "a")) is int
+            assert all(type(t) is int for _, t in dfa.out_edges(0))
+            assert all(type(p) is int and type(q) is int for p, _, q in dfa.transitions())

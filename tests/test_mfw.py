@@ -53,6 +53,21 @@ class TestMfwSet:
         assert back.alphabet == s.alphabet
         assert back.kind == "circular"
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"mfw": ["aa"]},
+            ["aa", "bb"],
+            {"alphabet": "ab", "mfw": "aa"},
+            {"alphabet": "ab", "mfw": ["aa", 3]},
+            {"alphabet": "ab", "mfw": ["aa"], "word": 7},
+            {"alphabet": 5, "mfw": []},
+        ],
+    )
+    def test_json_rejects_malformed(self, data):
+        with pytest.raises(ValueError):
+            MfwSet.from_json(data)
+
 
 class TestLinear:
     def test_running_example(self):
