@@ -1,15 +1,18 @@
 """Tries and DFAs with the generic machinery: minimization, equivalence,
 language enumeration, sink removal and DOT/JSON export.
 
-Transition functions are partial everywhere; completion with a dead state
-happens only inside :func:`minimize` and :func:`equivalent`.  A :class:`Dfa`
-keeps its transitions in one flat list indexed by ``state * sigma + rank``
-with ``-1`` marking a missing edge, which keeps million-state factor automata
-cheap without changing the desk-scale API.
+A :class:`Trie` and a :class:`Dfa` share one storage layout: the transitions
+sit in one flat table indexed by ``state * sigma + rank``, with ``-1``
+marking a missing edge.  That keeps million-state automata cheap, lets the
+avoidance construction start from a copy of the trie's table, and lets the
+walks over either read the table directly.  Transition functions are
+partial everywhere; completion with a dead state happens only inside
+:func:`minimize` and :func:`equivalent`.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate, compress
 from typing import Iterable, Iterator, Mapping
 
 from .words import Alphabet, LimitExceeded
@@ -18,19 +21,36 @@ from .words import Alphabet, LimitExceeded
 ENUMERATION_LIMIT = 1_000_000
 
 
+def _row_edges(flat, symbols: tuple[str, ...], state: int) -> list[tuple[str, int]]:
+    """The (symbol, target) edges leaving a state of a flat table, in
+    alphabet order."""
+    base = state * len(symbols)
+    return [(sym, int(flat[base + i])) for i, sym in enumerate(symbols) if flat[base + i] >= 0]
+
+
+def _table_edges(flat, symbols: tuple[str, ...], n_states: int) -> Iterator[tuple[int, str, int]]:
+    """Every (source, symbol, target) edge of a flat table, state by state."""
+    for state in range(n_states):
+        for sym, target in _row_edges(flat, symbols, state):
+            yield state, sym, target
+
+
 class Trie:
     """Tree-shaped acceptor of a finite language; members end at sink states.
 
-    State 0 is the root; ``transitions[s]`` maps a symbol to the child state.
-    Sinks carry no outgoing edges, so no accepted word may be a proper prefix
-    of another -- :func:`build_trie` enforces that.
+    State 0 is the root; ``flat[state * sigma + rank]`` is the child reached
+    on the symbol of that rank, or ``-1``.  Sinks carry no outgoing edges,
+    so no accepted word may be a proper prefix of another --
+    :func:`build_trie` enforces that.
     """
 
-    __slots__ = ("alphabet", "transitions", "sinks")
+    __slots__ = ("alphabet", "flat", "sinks")
 
-    def __init__(self, alphabet: Alphabet, transitions: list[dict[str, int]], sinks: set[int]):
+    def __init__(self, alphabet: Alphabet, flat: list[int], sinks: set[int]):
+        if not flat or len(flat) % len(alphabet):
+            raise ValueError("flat transition table has the wrong size")
         self.alphabet = alphabet
-        self.transitions = transitions
+        self.flat = flat
         self.sinks = sinks
 
     @property
@@ -39,21 +59,36 @@ class Trie:
 
     @property
     def n_states(self) -> int:
-        return len(self.transitions)
+        return len(self.flat) // len(self.alphabet)
 
     def words(self) -> list[str]:
-        """The accepted language, read off root-to-sink paths."""
+        """The accepted language, read off root-to-sink paths in alphabet
+        order.
+
+        One symbol path is kept for the whole depth-first walk and joined
+        only at sinks, so the cost is linear in the trie and the output.
+        """
+        symbols = self.alphabet.symbols
+        sigma = len(symbols)
+        flat, sinks = self.flat, self.sinks
+        backwards = tuple(reversed(list(enumerate(symbols))))
         out: list[str] = []
-        stack: list[tuple[int, str]] = [(0, "")]
+        # path[d] is the symbol entering the current state's ancestor at
+        # depth d (the root's entry is empty); no depth exceeds n_states - 1
+        path = [""] * self.n_states
+        stack: list[tuple[int, int, str]] = [(0, 0, "")]
         while stack:
-            state, prefix = stack.pop()
-            if state in self.sinks:
-                out.append(prefix)
+            state, depth, sym = stack.pop()
+            path[depth] = sym
+            if state in sinks:
+                out.append("".join(path[: depth + 1]))
                 continue
-            for sym in reversed(self.alphabet.symbols):
-                child = self.transitions[state].get(sym)
-                if child is not None:
-                    stack.append((child, prefix + sym))
+            base = state * sigma
+            depth += 1
+            for i, child_sym in backwards:  # popped back in alphabet order
+                child = flat[base + i]
+                if child >= 0:
+                    stack.append((child, depth, child_sym))
         return out
 
     def is_antifactorial(self) -> bool:
@@ -66,17 +101,13 @@ class Trie:
         return True
 
     def to_json(self) -> dict:
-        edges = []
-        for state, row in enumerate(self.transitions):
-            for sym in self.alphabet.symbols:
-                if sym in row:
-                    edges.append([state, sym, row[sym]])
+        symbols = self.alphabet.symbols
         return {
-            "alphabet": "".join(self.alphabet.symbols),
+            "alphabet": "".join(symbols),
             "states": self.n_states,
             "initial": 0,
             "finals": sorted(self.sinks),
-            "transitions": edges,
+            "transitions": [list(edge) for edge in _table_edges(self.flat, symbols, self.n_states)],
         }
 
     @classmethod
@@ -101,20 +132,22 @@ class Trie:
         targets = {dst for _, _, dst in edges}
         if len(edges) != n - 1 or len(targets) != n - 1 or 0 in targets:
             raise ValueError("every state but the root needs exactly one parent")
-        transitions: list[dict[str, int]] = [{} for _ in range(n)]
+        sigma = len(alphabet)
+        flat = [-1] * (n * sigma)
         for src, sym, dst in edges:
-            alphabet.rank(sym)  # ValueError unless sym is one of its symbols
-            if not (0 <= src < n and 0 < dst < n) or sym in transitions[src]:
+            slot = src * sigma + alphabet.rank(sym)  # ValueError unless sym is a symbol
+            if not (0 <= src < n and 0 < dst < n) or flat[slot] >= 0:
                 raise ValueError(f"transition {src} -{sym}-> {dst} is out of range or repeated")
-            transitions[src][sym] = dst
+            flat[slot] = dst
         order = [0]
         for state in order:
-            order.extend(transitions[state].values())
+            order.extend(t for t in flat[state * sigma : (state + 1) * sigma] if t >= 0)
         if len(order) != n:
             raise ValueError("some states are not reachable from the root")
-        if finals != {s for s in range(1, n) if not transitions[s]}:
+        leaves = {s for s in range(1, n) if max(flat[s * sigma : (s + 1) * sigma]) < 0}
+        if finals != leaves:
             raise ValueError("the finals must be exactly the non-root leaves")
-        return cls(alphabet, transitions, finals)
+        return cls(alphabet, flat, finals)
 
 
 def build_trie(
@@ -128,29 +161,34 @@ def build_trie(
     which the failure-link test of :func:`_avoidance_tables` decides in
     linear time.
     """
-    unique = sorted(set(words), key=alphabet.sort_key)
-    transitions: list[dict[str, int]] = [{}]
+    unique = list(set(words))
+    alphabet.sort(unique)
+    rank = alphabet._rank
+    sigma = len(alphabet)
+    empty_row = [-1] * sigma
+    flat = list(empty_row)
+    n_states = 1
     sinks: set[int] = set()
+    prev = None
     for word in unique:
         if not word:
             raise ValueError("the empty word cannot be a trie member")
         alphabet.check_word(word)
+        # In sorted order a member's extensions follow it directly, so the
+        # set is prefix-free exactly when no word extends its predecessor.
+        if prev is not None and word.startswith(prev):
+            raise ValueError(f"{word!r} extends another member: the set is not prefix-free")
+        prev = word
         state = 0
         for sym in word:
-            if state in sinks:
-                raise ValueError(
-                    f"{word!r} extends another member: the set is not prefix-free"
-                )
-            nxt = transitions[state].get(sym)
-            if nxt is None:
-                nxt = len(transitions)
-                transitions.append({})
-                transitions[state][sym] = nxt
-            state = nxt
-        if transitions[state]:
-            raise ValueError(f"{word!r} is a proper prefix of another member")
+            slot = state * sigma + rank[sym]
+            state = flat[slot]
+            if state < 0:
+                flat[slot] = state = n_states
+                n_states += 1
+                flat += empty_row
         sinks.add(state)
-    trie = Trie(alphabet, transitions, sinks)
+    trie = Trie(alphabet, flat, sinks)
     if antifactorial:
         _avoidance_tables(trie)
     return trie
@@ -158,7 +196,8 @@ def build_trie(
 
 def _avoidance_tables(trie: Trie) -> tuple[list[int], list[int]]:
     """Completed flat transition table and failure links of the avoidance
-    automaton of a trie, in one breadth-first pass.
+    automaton of a trie, in one breadth-first pass over a copy of the
+    trie's table.
 
     Root transitions on absent letters become self-loops; every other state
     keeps its trie edges (the child's failure link is the failure's
@@ -169,34 +208,39 @@ def _avoidance_tables(trie: Trie) -> tuple[list[int], list[int]]:
     this is exactly the failure of antifactoriality, and it raises
     ``ValueError``.
     """
-    symbols = trie.alphabet.symbols
-    sigma = len(symbols)
-    sinks = trie.sinks
+    sigma = len(trie.alphabet)
     n = trie.n_states
-    # The root starts as all self-loops and, for this pass only, as its own
-    # failure link: its children then get the root as theirs.
-    flat = [0] * sigma + [-1] * ((n - 1) * sigma)
-    failure = [0] + [-1] * (n - 1)
-    queue = [0]
+    flat = list(trie.flat)
+    is_sink = bytearray(n)
+    for s in trie.sinks:
+        is_sink[s] = 1
+    failure = [-1] * n
+    queue = []
+    for i in range(sigma):
+        child = flat[i]
+        if child < 0:
+            flat[i] = 0
+        else:
+            failure[child] = 0
+            queue.append(child)
+    # A row still holds its trie edges until its state is dequeued, since
+    # only the dequeued state's own row is written.
     for p in queue:  # grows while it is read: breadth-first order
         base = p * sigma
+        if is_sink[p]:
+            flat[base : base + sigma] = [p] * sigma
+            continue
         fail_base = failure[p] * sigma
-        row = trie.transitions[p]
-        is_sink = p in sinks
-        for i, sym in enumerate(symbols):
-            child = row.get(sym)
-            if child is not None:
-                link = flat[fail_base + i]
-                if link in sinks:
-                    raise ValueError("the set is not antifactorial: a member occurs inside another")
-                flat[base + i] = child
-                failure[child] = link
-                queue.append(child)
-            elif not is_sink:
+        for i in range(sigma):
+            child = flat[base + i]
+            if child < 0:
                 flat[base + i] = flat[fail_base + i]
             else:
-                flat[base + i] = p
-    failure[0] = -1
+                link = flat[fail_base + i]
+                if is_sink[link]:
+                    raise ValueError("the set is not antifactorial: a member occurs inside another")
+                failure[child] = link
+                queue.append(child)
     return flat, failure
 
 
@@ -270,20 +314,10 @@ class Dfa:
         return state in self.finals
 
     def out_edges(self, state: int) -> list[tuple[str, int]]:
-        base = state * len(self.alphabet)
-        return [
-            (sym, int(self.flat[base + i]))
-            for i, sym in enumerate(self.alphabet.symbols)
-            if self.flat[base + i] >= 0
-        ]
+        return _row_edges(self.flat, self.alphabet.symbols, state)
 
     def transitions(self) -> Iterator[tuple[int, str, int]]:
-        sigma = len(self.alphabet)
-        for state in range(self.n_states):
-            base = state * sigma
-            for i, sym in enumerate(self.alphabet.symbols):
-                if self.flat[base + i] >= 0:
-                    yield state, sym, int(self.flat[base + i])
+        return _table_edges(self.flat, self.alphabet.symbols, self.n_states)
 
     def reachable(self) -> list[int]:
         """States reachable from the initial state, in BFS order."""
@@ -509,35 +543,45 @@ def strip_sinks(dfa: Dfa) -> Dfa:
     These are the absorbing sinks a complete avoidance automaton parks
     forbidden continuations in; removing them leaves the natural partial
     automaton.  The initial state is never removed.  Failure links into a
-    removed state (none arise for antifactorial inputs) are dropped.
+    removed state (none arise for antifactorial inputs) are dropped.  Only
+    the non-final states are candidates, which for the output of
+    :func:`~antidict.l_automaton.l_automaton` are just the trie's sinks.
     """
-    sigma = len(dfa.alphabet)
-    doomed = set()
-    for s in range(dfa.n_states):
-        if s == dfa.initial or s in dfa.finals:
-            continue
-        base = s * sigma
-        if all(dfa.flat[base + i] in (-1, s) for i in range(sigma)):
-            doomed.add(s)
+    n, sigma = dfa.n_states, len(dfa.alphabet)
+    if len(dfa.finals) == n:
+        return dfa
+    flat = dfa.flat
+    doomed = [
+        s
+        for s in set(range(n)).difference(dfa.finals)
+        if s != dfa.initial and set(flat[s * sigma : (s + 1) * sigma]) <= {-1, s}
+    ]
     if not doomed:
         return dfa
-    keep = [s for s in range(dfa.n_states) if s not in doomed]
-    renum = {s: i for i, s in enumerate(keep)}
-    flat = [-1] * (len(keep) * sigma)
-    for new_id, s in enumerate(keep):
-        base = s * sigma
-        for i in range(sigma):
-            t = dfa.flat[base + i]
-            if t >= 0 and t not in doomed:
-                flat[new_id * sigma + i] = renum[t]
+    keep = bytearray(b"\x01") * n
+    for s in doomed:
+        keep[s] = 0
+    keep_slots = bytearray(n * sigma)  # keep, each entry repeated sigma times
+    for i in range(sigma):
+        keep_slots[i::sigma] = keep
+    # new_id[s] numbers the kept states in order and is -1 for removed ones;
+    # its extra last entry sends a missing edge or link (-1) to -1 as well
+    new_id = list(accumulate(keep, initial=-1))
+    new_id.append(new_id.pop(0))
+    for s in doomed:
+        new_id[s] = -1
+    renum = new_id.__getitem__
     failure = None
     if dfa.failure is not None:
-        failure = [
-            renum[dfa.failure[s]] if dfa.failure[s] >= 0 and dfa.failure[s] not in doomed else -1
-            for s in keep
-        ]
-    finals = {renum[s] for s in dfa.finals if s not in doomed}
-    return Dfa(dfa.alphabet, len(keep), renum[dfa.initial], finals, flat, failure)
+        failure = list(map(renum, compress(dfa.failure, keep)))
+    return Dfa(
+        dfa.alphabet,
+        n - len(doomed),
+        new_id[dfa.initial],
+        map(renum, dfa.finals),
+        list(map(renum, compress(flat, keep_slots))),
+        failure,
+    )
 
 
 def _dot_quote(text: str) -> str:
@@ -550,21 +594,11 @@ def export_dot(automaton: Trie | Dfa) -> str:
     States are labelled by BFS discovery order so output is stable across runs.
     """
     if isinstance(automaton, Trie):
-        alphabet = automaton.alphabet
-        initial = automaton.root
-        finals = automaton.sinks
-        n_states = automaton.n_states
-        out_edges = lambda s: sorted(
-            automaton.transitions[s].items(), key=lambda kv: alphabet.rank(kv[0])
-        )
-        failure = None
+        initial, finals, failure = automaton.root, automaton.sinks, None
     else:
-        alphabet = automaton.alphabet
-        initial = automaton.initial
-        finals = automaton.finals
-        n_states = automaton.n_states
-        out_edges = automaton.out_edges
-        failure = automaton.failure
+        initial, finals, failure = automaton.initial, automaton.finals, automaton.failure
+    n_states = automaton.n_states
+    flat, symbols = automaton.flat, automaton.alphabet.symbols
 
     renum = {initial: 0}
     order = [initial]
@@ -572,7 +606,7 @@ def export_dot(automaton: Trie | Dfa) -> str:
     while head < len(order):
         state = order[head]
         head += 1
-        for _, target in out_edges(state):
+        for _, target in _row_edges(flat, symbols, state):
             if target not in renum:
                 renum[target] = len(renum)
                 order.append(target)
@@ -587,7 +621,7 @@ def export_dot(automaton: Trie | Dfa) -> str:
         shape = "doublecircle" if state in finals else "circle"
         lines.append(f"  q{renum[state]} [shape={shape}, label={_dot_quote(str(renum[state]))}];")
     for state in order:
-        for sym, target in out_edges(state):
+        for sym, target in _row_edges(flat, symbols, state):
             lines.append(f"  q{renum[state]} -> q{renum[target]} [label={_dot_quote(sym)}];")
     if failure is not None:
         for state in order:

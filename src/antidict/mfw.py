@@ -53,12 +53,7 @@ class MfwSet:
         source: str | None = None,
     ) -> "MfwSet":
         unique = list(set(words))
-        symbols = alphabet.symbols
-        if symbols == tuple(sorted(symbols)):
-            unique.sort()
-        else:
-            table = str.maketrans({s: chr(i) for i, s in enumerate(symbols)})
-            unique.sort(key=lambda w: w.translate(table))
+        alphabet.sort(unique)
         unique.sort(key=len)  # stable: keeps the lexicographic order per length
         return cls(tuple(unique), alphabet, kind, source)
 

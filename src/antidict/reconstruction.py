@@ -29,25 +29,6 @@ def _avoidance_core(mfws: MfwSet) -> Dfa:
     return strip_sinks(complete)
 
 
-def _topological_order(dfa: Dfa) -> list[int] | None:
-    """Topological order of the states, or None if there is a cycle."""
-    indegree = [0] * dfa.n_states
-    for _, _, target in dfa.transitions():
-        indegree[target] += 1
-    ready = [s for s in range(dfa.n_states) if indegree[s] == 0]
-    order: list[int] = []
-    while ready:
-        state = ready.pop()
-        order.append(state)
-        for _, target in dfa.out_edges(state):
-            indegree[target] -= 1
-            if indegree[target] == 0:
-                ready.append(target)
-    if len(order) != dfa.n_states:
-        return None
-    return order
-
-
 def reconstruct_word(mfws: MfwSet) -> str:
     """The unique word whose antidictionary is the given set.
 
@@ -57,28 +38,50 @@ def reconstruct_word(mfws: MfwSet) -> str:
     mismatch, means the set belongs to no single word.
     """
     dfa = _avoidance_core(mfws)
-    order = _topological_order(dfa)
-    if order is None:
+    n, symbols, flat = dfa.n_states, dfa.alphabet.symbols, dfa.flat
+    sigma = len(symbols)
+    # Longest paths in topological order (Kahn's algorithm): a state's
+    # distance is final when its last incoming edge has been relaxed.
+    indegree = [0] * n
+    for target in flat:
+        if target >= 0:
+            indegree[target] += 1
+    ready = [s for s in range(n) if indegree[s] == 0]
+    dist = [-1] * n
+    # the last edge of a longest path into each state: its source and rank
+    best_from = [-1] * n
+    best_rank = [-1] * n
+    n_best = [0] * n
+    dist[dfa.initial] = 0
+    n_best[dfa.initial] = 1
+    done = 0
+    while ready:
+        state = ready.pop()
+        done += 1
+        longer = dist[state] + 1  # 0 when the initial state does not reach it
+        base = state * sigma
+        for i in range(sigma):
+            target = flat[base + i]
+            if target < 0:
+                continue
+            indegree[target] -= 1
+            if indegree[target] == 0:
+                ready.append(target)
+            if not longer:
+                continue
+            if longer > dist[target]:
+                dist[target] = longer
+                best_from[target] = state
+                best_rank[target] = i
+                n_best[target] = n_best[state]
+            elif longer == dist[target]:
+                n_best[target] = min(2, n_best[target] + n_best[state])
+    if done != n:
         raise ReconstructionError(
             "the avoiding language is infinite: not the antidictionary of a finite word"
         )
-    dist = [-1] * dfa.n_states
-    best_in: list[tuple[int, str] | None] = [None] * dfa.n_states
-    n_best = [0] * dfa.n_states
-    dist[dfa.initial] = 0
-    n_best[dfa.initial] = 1
-    for state in order:
-        if dist[state] < 0:
-            continue
-        for sym, target in dfa.out_edges(state):
-            if dist[state] + 1 > dist[target]:
-                dist[target] = dist[state] + 1
-                best_in[target] = (state, sym)
-                n_best[target] = n_best[state]
-            elif dist[state] + 1 == dist[target]:
-                n_best[target] = min(2, n_best[target] + n_best[state])
     top = max(dist)
-    ends = [s for s in range(dfa.n_states) if dist[s] == top]
+    ends = [s for s in range(n) if dist[s] == top]
     if len(ends) != 1 or n_best[ends[0]] != 1:
         raise ReconstructionError(
             "longest avoiding word is not unique: not the antidictionary of a single word"
@@ -86,9 +89,8 @@ def reconstruct_word(mfws: MfwSet) -> str:
     chars: list[str] = []
     state = ends[0]
     while state != dfa.initial:
-        prev, sym = best_in[state]
-        chars.append(sym)
-        state = prev
+        chars.append(symbols[best_rank[state]])
+        state = best_from[state]
     word = "".join(reversed(chars))
     if mfw_linear(word, mfws.alphabet).as_set() != mfws.as_set():
         raise ReconstructionError(
@@ -100,32 +102,35 @@ def reconstruct_word(mfws: MfwSet) -> str:
 def _find_cycle(dfa: Dfa) -> list[str] | None:
     """Edge labels of some cycle reachable from the initial state, via DFS."""
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = [WHITE] * dfa.n_states
-    on_path: dict[int, int] = {}
-    path_syms: list[str] = []
-    stack: list[tuple[int, list[tuple[str, int]]]] = [
-        (dfa.initial, dfa.out_edges(dfa.initial))
-    ]
+    symbols, flat = dfa.alphabet.symbols, dfa.flat
+    sigma = len(symbols)
+    color = bytearray(dfa.n_states)
+    depth = [0] * dfa.n_states  # position on the DFS stack of a gray state
+    # The DFS stack, and for each of its states one past the rank of the
+    # edge taken out of it: the ranks below the top spell the current path.
+    stack = [dfa.initial]
+    next_rank = [0]
     color[dfa.initial] = GRAY
-    on_path[dfa.initial] = 0
     while stack:
-        state, edges = stack[-1]
-        if not edges:
+        state = stack[-1]
+        base = state * sigma
+        i = next_rank[-1]
+        while i < sigma and flat[base + i] < 0:
+            i += 1
+        if i == sigma:
             stack.pop()
+            next_rank.pop()
             color[state] = BLACK
-            del on_path[state]
-            if path_syms:
-                path_syms.pop()
             continue
-        sym, target = edges.pop(0)
+        next_rank[-1] = i + 1
+        target = flat[base + i]
         if color[target] == GRAY:
-            start = on_path[target]
-            return path_syms[start:] + [sym]
+            return [symbols[r - 1] for r in next_rank[depth[target] :]]
         if color[target] == WHITE:
             color[target] = GRAY
-            on_path[target] = len(path_syms) + 1
-            path_syms.append(sym)
-            stack.append((target, dfa.out_edges(target)))
+            depth[target] = len(stack)
+            stack.append(target)
+            next_rank.append(0)
     return None
 
 

@@ -66,7 +66,23 @@ class Alphabet:
         """Key for lexicographic comparison under this alphabet's order."""
         return tuple(self._rank[c] for c in word)
 
+    def sort(self, words: list[str]) -> None:
+        """Sort words in place, lexicographically under this alphabet's order.
+
+        The same order as :meth:`sort_key`, compared at C speed: a plain sort
+        when the declaration order is the code-point order, otherwise a sort
+        on the words with every symbol translated to the character of its
+        rank.
+        """
+        if self.symbols == tuple(sorted(self.symbols)):
+            words.sort()
+        else:
+            table = str.maketrans({s: chr(i) for i, s in enumerate(self.symbols)})
+            words.sort(key=lambda w: w.translate(table))
+
     def check_word(self, word: str) -> None:
+        if set(word) <= self._rank.keys():
+            return
         for c in word:
             if c not in self._rank:
                 raise ValueError(f"symbol {c!r} of {word!r} is not in alphabet {self}")

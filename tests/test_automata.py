@@ -29,6 +29,45 @@ def figure_trie() -> Trie:
     return build_trie(["aa", "ba"], AB, antifactorial=True)
 
 
+FIB5 = ["bb", "aaa", "aabaa", "babab"]  # antidictionary of the rank-5 Fibonacci word
+
+# to_json and export_dot of figure_trie() and of the FIB5 trie, as the
+# dict-per-node trie storage wrote them
+PINNED_TRIE_OUTPUT = {
+    "figure": (
+        '{"alphabet": "ab", "states": 5, "initial": 0, "finals": [2, 4], "transitions": '
+        '[[0, "a", 1], [0, "b", 3], [1, "a", 2], [3, "a", 4]]}',
+        'digraph automaton {\n  rankdir=LR;\n  __start [shape=point, label=""];\n'
+        "  __start -> q0;\n"
+        '  q0 [shape=circle, label="0"];\n  q1 [shape=circle, label="1"];\n'
+        '  q2 [shape=circle, label="2"];\n  q3 [shape=doublecircle, label="3"];\n'
+        '  q4 [shape=doublecircle, label="4"];\n'
+        '  q0 -> q1 [label="a"];\n  q0 -> q2 [label="b"];\n'
+        '  q1 -> q3 [label="a"];\n  q2 -> q4 [label="a"];\n}\n',
+    ),
+    "fib5": (
+        '{"alphabet": "ab", "states": 13, "initial": 0, "finals": [3, 6, 11, 12], "transitions": '
+        '[[0, "a", 1], [0, "b", 7], [1, "a", 2], [2, "a", 3], [2, "b", 4], [4, "a", 5], '
+        '[5, "a", 6], [7, "a", 8], [7, "b", 12], [8, "b", 9], [9, "a", 10], [10, "b", 11]]}',
+        'digraph automaton {\n  rankdir=LR;\n  __start [shape=point, label=""];\n'
+        "  __start -> q0;\n"
+        '  q0 [shape=circle, label="0"];\n  q1 [shape=circle, label="1"];\n'
+        '  q2 [shape=circle, label="2"];\n  q3 [shape=circle, label="3"];\n'
+        '  q4 [shape=circle, label="4"];\n  q5 [shape=doublecircle, label="5"];\n'
+        '  q6 [shape=doublecircle, label="6"];\n  q7 [shape=circle, label="7"];\n'
+        '  q8 [shape=circle, label="8"];\n  q9 [shape=circle, label="9"];\n'
+        '  q10 [shape=circle, label="10"];\n  q11 [shape=doublecircle, label="11"];\n'
+        '  q12 [shape=doublecircle, label="12"];\n'
+        '  q0 -> q1 [label="a"];\n  q0 -> q2 [label="b"];\n'
+        '  q1 -> q3 [label="a"];\n  q2 -> q4 [label="a"];\n'
+        '  q2 -> q5 [label="b"];\n  q3 -> q6 [label="a"];\n'
+        '  q3 -> q7 [label="b"];\n  q4 -> q8 [label="b"];\n'
+        '  q7 -> q9 [label="a"];\n  q8 -> q10 [label="a"];\n'
+        '  q9 -> q11 [label="a"];\n  q10 -> q12 [label="b"];\n}\n',
+    ),
+}
+
+
 class TestBuildTrie:
     def test_two_word_example(self):
         trie = figure_trie()
@@ -41,9 +80,27 @@ class TestBuildTrie:
 
     def test_fifth_fibonacci_antidictionary(self):
         # 9 inner states plus 4 sinks
-        trie = build_trie(["bb", "aaa", "aabaa", "babab"], AB, antifactorial=True)
+        trie = build_trie(FIB5, AB, antifactorial=True)
         assert trie.n_states == 13
         assert len(trie.sinks) == 4
+
+    @pytest.mark.parametrize("name", sorted(PINNED_TRIE_OUTPUT))
+    def test_json_and_dot_are_pinned(self, name):
+        trie = figure_trie() if name == "figure" else build_trie(FIB5, AB, antifactorial=True)
+        json_text, dot = PINNED_TRIE_OUTPUT[name]
+        assert json.dumps(trie.to_json()) == json_text
+        assert export_dot(trie) == dot
+        assert export_dot(Trie.from_json(json.loads(json_text))) == dot
+
+    def test_words_of_a_deep_chain(self):
+        member = "ab" * 25_000 + "a" * 50_000  # depth 10^5
+        trie = build_trie([member, "b" * 3], AB)
+        assert trie.n_states == 10**5 + 3 + 1
+        assert trie.words() == [member, "bbb"]
+
+    def test_words_in_alphabet_order(self):
+        alphabet = Alphabet("ba")
+        assert build_trie(FIB5, alphabet).words() == ["bb", "babab", "aabaa", "aaa"]
 
     def test_prefix_violation(self):
         with pytest.raises(ValueError):
@@ -54,6 +111,10 @@ class TestBuildTrie:
     def test_empty_word_rejected(self):
         with pytest.raises(ValueError):
             build_trie(["", "a"], AB)
+
+    def test_symbol_outside_alphabet_rejected(self):
+        with pytest.raises(ValueError, match="not in alphabet"):
+            build_trie(["ab", "ac"], AB)
 
     def test_antifactorial_flag(self):
         build_trie(["b", "aa"], AB, antifactorial=True)
@@ -225,8 +286,17 @@ class TestStripSinks:
         assert strip_sinks(dfa) is dfa
 
     def test_fifth_fibonacci_pipeline(self):
-        trie = build_trie(["bb", "aaa", "aabaa", "babab"], AB, antifactorial=True)
+        trie = build_trie(FIB5, AB, antifactorial=True)
         assert strip_sinks(l_automaton(trie)).n_states == 9
+
+    def test_failure_links_renumbered(self):
+        # figure trie: states 2 and 4 are the sinks, so 3 becomes 2
+        full = l_automaton(figure_trie())
+        assert full.failure == [-1, 0, 1, 0, 1]
+        stripped = strip_sinks(full)
+        assert stripped.failure == [-1, 0, 0]
+        assert stripped.flat == [1, 2, -1, 2, -1, 2]
+        assert stripped.finals == {0, 1, 2}
 
     def test_initial_state_survives(self):
         dfa = Dfa.from_edges(AB, 1, 0, [], [(0, "a", 0), (0, "b", 0)])

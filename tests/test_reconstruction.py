@@ -1,10 +1,15 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from antidict import (
     Alphabet,
     CircularWord,
     MfwSet,
     ReconstructionError,
+    fibonacci_word,
+    is_primitive,
     mfw_circular,
     mfw_linear,
     reconstruct_circular,
@@ -83,3 +88,46 @@ class TestReconstructCircular:
                 continue
             seen.add(cw)
             assert reconstruct_circular(mfw_circular(cw, AB)) == cw, w
+
+
+def random_primitive_word(symbols: str, length: int, seed: int) -> str:
+    rng = random.Random(seed)
+    while True:
+        word = "".join(rng.choice(symbols) for _ in range(length))
+        if is_primitive(word):
+            return word
+
+
+class TestRoundTripAtScale:
+    def test_fibonacci_circular(self):
+        word = fibonacci_word(20)  # 6,765 symbols
+        assert reconstruct_circular(mfw_circular(word)) == CircularWord(word)
+
+    @pytest.mark.parametrize("symbols, length", [("ab", 2**12), ("acgt", 2**11)])
+    def test_random_linear(self, symbols, length):
+        word = random_primitive_word(symbols, length, seed=length)
+        assert reconstruct_word(mfw_linear(word, Alphabet(symbols))) == word
+
+
+@st.composite
+def words_over_ordered_alphabets(draw):
+    """A word, and an alphabet in a drawn order that may hold letters the
+    word does not use."""
+    symbols = "".join(draw(st.permutations("abcd"))[: draw(st.integers(1, 4))])
+    used = symbols[: draw(st.integers(1, len(symbols)))]
+    return draw(st.text(used, min_size=1, max_size=24)), Alphabet(symbols)
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(words_over_ordered_alphabets())
+    def test_linear(self, case):
+        word, alphabet = case
+        assert reconstruct_word(mfw_linear(word, alphabet)) == word
+
+    @settings(max_examples=300, deadline=None)
+    @given(words_over_ordered_alphabets())
+    def test_circular(self, case):
+        word, alphabet = case
+        cw = CircularWord(word, alphabet)
+        assert reconstruct_circular(mfw_circular(cw, alphabet)) == cw
