@@ -40,6 +40,9 @@ class TestReconstructWord:
         # avoiding {aa, ab, ba, bb} leaves {eps, a, b}: two longest words
         with pytest.raises(ReconstructionError, match="not unique"):
             reconstruct_word(MfwSet.build(["aa", "ab", "ba", "bb"], AB))
+        # the two longest words aba and bba end in the same state
+        with pytest.raises(ReconstructionError, match="not unique"):
+            reconstruct_word(MfwSet.build(["aa", "abb", "bab", "bbb"], AB))
 
     def test_non_antifactorial_rejected(self):
         with pytest.raises(ReconstructionError):
