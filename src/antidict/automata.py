@@ -12,7 +12,7 @@ partial everywhere; completion with a dead state happens only inside
 
 from __future__ import annotations
 
-from itertools import accumulate, compress
+from itertools import accumulate, compress, filterfalse
 from typing import Iterable, Iterator, Mapping
 
 from .words import Alphabet, LimitExceeded
@@ -553,7 +553,7 @@ def strip_sinks(dfa: Dfa) -> Dfa:
     flat = dfa.flat
     doomed = [
         s
-        for s in set(range(n)).difference(dfa.finals)
+        for s in filterfalse(dfa.finals.__contains__, range(n))
         if s != dfa.initial and set(flat[s * sigma : (s + 1) * sigma]) <= {-1, s}
     ]
     if not doomed:

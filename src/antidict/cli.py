@@ -177,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fib_check)
 
     p = sub.add_parser("verify", help="exhaustive small-case verification sweeps")
-    p.add_argument("--exhaustive", action="store_true", help="run the full corpus battery")
     p.add_argument("--maxlen", type=int, default=10, help="corpus length bound (default 10)")
     p.set_defaults(func=_cmd_verify)
 

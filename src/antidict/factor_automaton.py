@@ -2,16 +2,26 @@
 failure (longest-suffix) links.
 
 The construction is the classical online suffix-automaton build followed by a
-bottom-up merge of states that become indistinguishable once every state
-accepts.  The suffix automaton alone is *not* always minimal as a factor
-acceptor: in ``abbb`` the states reached by ``b`` and ``ab`` have identical
-futures and must be merged.  Because the transition graph is acyclic and all
-states accept, two states are equivalent exactly when their per-symbol
-successor classes coincide.  The partition is found with numpy: group by
-raw successors, then coarsen until stable.  When a deep merge cascade needs
-more rounds than a cap allows, one pass over the states in decreasing order
-of longest-word length (a reverse topological order) settles the same
-partition instead.
+merge of states that become indistinguishable once every state accepts.  The
+suffix automaton alone is *not* always minimal as a factor acceptor: in
+``abbb`` the states reached by ``b`` and ``ab`` have identical futures and
+must be merged.  Two facts about the suffix automaton (Blumer et al., "The
+smallest automaton recognizing the subwords of a text", TCS 40, 1985) make
+the merge one linear pass:
+
+- *Chain lemma.*  States with the same future have the same first end
+  position, so their end-position sets meet and one is a suffix-link
+  ancestor of the other.  Futures shrink down a chain and the root never
+  merges, so every class is a segment of one suffix-link chain, and one bit
+  per state, "``s`` has the future of ``link[s]``", decides the partition.
+- *Transition lemma.*  With ``q = link[s]``, a defined ``δ(s, c)`` makes
+  ``δ(q, c)`` either ``δ(s, c)`` or ``link[δ(s, c)]``.  So ``s`` merges
+  into ``q`` exactly when every letter leads both to one state, or leads
+  ``s`` to a state that merges into its own link.  Targets are longer than
+  their sources, so deciding states by decreasing length settles every bit.
+
+Each class is then the state nearest the root of its segment: transitions
+are read from it and its failure link is the class of its suffix link.
 """
 
 from __future__ import annotations
@@ -20,9 +30,6 @@ import numpy as np
 
 from .automata import Dfa
 from .words import Alphabet
-
-# Vectorized coarsening rounds before falling back to the stratified pass.
-_COARSEN_ROUND_CAP = 16
 
 
 def _encode(word: str, alphabet: Alphabet):
@@ -42,12 +49,14 @@ def _suffix_automaton(
 
     Returns ``(columns, suffix links, longest-word lengths, first ending
     positions, state count)`` where ``columns[c][state]`` is the transition
-    on symbol ``c`` (-1 when missing) and the first ending position is some
-    0-based text index at which every word of the state has an occurrence
-    ending.  State 0 is the initial state and every transition path from it
-    spells a factor of the input.  Tables are preallocated at the 2n+2 state
-    bound, so only the first ``state count`` entries are meaningful; the
-    binary case is unrolled since it carries the million-symbol workloads.
+    on symbol ``c`` (-1 when missing) and the first ending position is the
+    smallest 0-based text index at which the words of the state end (a clone
+    copies it from the state it splits, whose occurrences all come earlier;
+    the root's entry is 0).  State 0 is the initial state and every
+    transition path from it spells a factor of the input.  Tables are
+    preallocated at the 2n+2 state bound, so only the first ``state count``
+    entries are meaningful; the binary case is unrolled since it carries the
+    million-symbol workloads.
     """
     cap = 2 * len(coded) + 2
     cols = [[-1] * cap for _ in range(sigma)]
@@ -128,123 +137,66 @@ def _suffix_automaton(
     return cols, link, length, endpos, size
 
 
-def _stratified_classes(
-    cols: list[list[int]], length: list[int], size: int
-) -> tuple[list[int], int]:
-    """Single-pass equivalence classes, states taken by decreasing length.
-
-    Every transition target is strictly longer than its source, so targets
-    are always classified first.  Returns ``(class of each state, class
-    count)``.
-    """
-    maxlen = max(length[:size])
-    buckets: list[list[int]] = [[] for _ in range(maxlen + 1)]
-    for s in range(size):
-        buckets[length[s]].append(s)
-    class_of = [-1] * size
-    signatures: dict[int, int] = {}
-    width = size + 1
-    for stratum in range(maxlen, -1, -1):
-        for s in buckets[stratum]:
-            sig = 0
-            for col in cols:
-                t = col[s]
-                sig = sig * width + (class_of[t] + 1 if t >= 0 else 0)
-            class_of[s] = signatures.setdefault(sig, len(signatures))
-    return class_of, len(signatures)
-
-
-def _vectorized_classes(cols_np: list[np.ndarray], size: int) -> tuple[np.ndarray, int] | None:
-    """Equivalence classes by iterated coarsening, or None past the round cap.
-
-    States with identical raw successors merge immediately; afterwards each
-    round merges states whose successor classes coincide.  On an acyclic
-    all-accepting automaton the first stable round is exactly the Nerode
-    partition.  Signatures are chained through pairwise ``np.unique`` so the
-    int64 encoding never overflows.
-    """
-    single = len(cols_np) == 1
-    cur = cols_np[0] + 1
-    width = size + 2
-    for col in cols_np[1:]:
-        _, cur = np.unique(cur * width + (col + 1), return_inverse=True)
-    if single:
-        _, cur = np.unique(cur, return_inverse=True)
-    cls = cur
-    n = int(cls.max()) + 1
-    for _ in range(_COARSEN_ROUND_CAP):
-        ext = np.append(cls, -1)  # index -1 wraps here: missing target -> -1
-        width = n + 2
-        cur = ext[cols_np[0]] + 1
-        for col in cols_np[1:]:
-            _, cur = np.unique(cur * width + (ext[col] + 1), return_inverse=True)
-        if single:
-            _, cur = np.unique(cur, return_inverse=True)
-        m = int(cur.max()) + 1
-        if m == n:
-            return cur, m
-        cls, n = cur, m
-    return None
-
-
 def _assemble(
     alphabet: Alphabet,
     cols: list[list[int]],
     link: list[int],
     length: list[int],
+    endpos: list[int],
     size: int,
+    n: int,
 ) -> Dfa:
+    """Merge the suffix automaton into the minimal factor automaton.
+
+    ``s`` can merge into ``q = link[s]`` only if both have the same first
+    end position and every other end position of ``q`` lies in the tail
+    of the word covered by its longest repeated suffix (the suffix after
+    each must also follow an earlier end of ``s``).  numpy keeps those
+    candidates; the transition lemma decides them in one Python pass.
+    """
     sigma = len(alphabet)
-    cols_np = [np.asarray(col[:size], dtype=np.int64) for col in cols]
-    partition = _vectorized_classes(cols_np, size)
-    if partition is None:  # pathologically deep merge cascade
-        class_of, n_classes = _stratified_classes(cols, length, size)
-        cls = np.asarray(class_of, dtype=np.int64)
-    else:
-        cls, n_classes = partition
+    # the state of the whole word is made last, or just before its clone
+    last = size - 1 if length[size - 1] == n else size - 2
+    link_np = np.fromiter(link, np.int64, size)
+    endpos_np = np.fromiter(endpos, np.int64, size)
+    parent = link_np[1:]
+    same = endpos_np[1:] == endpos_np[parent]
+    # earliest end of each state outside its child of equal first end
+    earliest = np.full(size, n, dtype=np.int64)
+    others = np.flatnonzero(~same) + 1
+    np.minimum.at(earliest, link_np[others], endpos_np[others])
+    tail = n - 1 - length[link[last]]
+    cand = np.flatnonzero(same & (earliest[parent] >= tail)) + 1
 
-    length_np = np.asarray(length[:size], dtype=np.int64)
-    link_np = np.asarray(link[:size], dtype=np.int64)
+    merged = bytearray(size)
+    order = sorted(cand.tolist(), key=length.__getitem__, reverse=True)
+    for s in order:
+        q = link[s]
+        for col in cols:
+            t = col[s]
+            if t != col[q] and (t < 0 or not merged[t]):
+                break
+        else:
+            merged[s] = 1
 
-    # deepest member of every class; merges are rare, so singleton classes
-    # take the cheap scatter and only shared classes get sorted
-    deep = np.empty(n_classes, dtype=np.int64)
-    deep[cls] = np.arange(size, dtype=np.int64)
-    counts = np.bincount(cls, minlength=n_classes)
-    shared = counts > 1
-    if shared.any():
-        members = np.flatnonzero(shared[cls])
-        members = members[np.lexsort((length_np[members], cls[members]))]
-        member_cls = cls[members]
-        ends = np.append(np.flatnonzero(member_cls[1:] != member_cls[:-1]), members.size - 1)
-        deep[member_cls[ends]] = members[ends]
-
-    ext = np.append(cls, -1)
-    flat_np = np.empty(n_classes * sigma, dtype=np.int64)
-    for i, col in enumerate(cols_np):
-        flat_np[i::sigma] = ext[col[deep]]
-
-    own = np.arange(n_classes, dtype=np.int64)
-    cand = link_np[deep]
+    # a class is numbered by its top member, the one nearest the root, so
+    # the root stays 0; pointer jumping up merged links finds each top
+    is_top = np.frombuffer(merged, dtype=np.uint8) == 0
+    tops = np.flatnonzero(is_top)
+    n_classes = tops.size
+    top = np.where(is_top, np.arange(size), link_np)
     while True:
-        alive = cand >= 0
-        same = np.zeros(n_classes, dtype=bool)
-        same[alive] = cls[cand[alive]] == own[alive]
-        if not same.any():
+        up = top[top]
+        if np.array_equal(up, top):
             break
-        cand[same] = link_np[cand[same]]
-    fail_np = ext[cand]
+        top = up
+    cls = (np.cumsum(is_top) - 1)[top]
 
-    init = int(cls[0])
-    if init != 0:
-        perm = np.arange(n_classes, dtype=np.int64)
-        perm[[0, init]] = perm[[init, 0]]
-        perm_ext = np.append(perm, -1)
-        flat_np = perm_ext[flat_np].reshape(n_classes, sigma)
-        flat_np[[0, init]] = flat_np[[init, 0]]
-        flat_np = flat_np.reshape(-1)
-        fail_np = perm_ext[fail_np]
-        fail_np[[0, init]] = fail_np[[init, 0]]
+    ext = np.append(cls, -1)  # index -1 wraps here: missing target -> -1
+    flat_np = np.empty(n_classes * sigma, dtype=np.int64)
+    for i, col in enumerate(cols):
+        flat_np[i::sigma] = ext[np.fromiter(col, np.int64, size)[tops]]
+    fail_np = ext[link_np[tops]]
 
     # ndarrays index like the flat list contract expects; skip the copy
     return Dfa(alphabet, n_classes, 0, range(n_classes), flat_np, fail_np)
@@ -264,5 +216,5 @@ def build_factor_automaton(word: str, alphabet: Alphabet | None = None) -> Dfa:
         alphabet = Alphabet.of_word(word)
     alphabet.check_word(word)
     sigma = len(alphabet)
-    cols, link, length, _endpos, size = _suffix_automaton(_encode(word, alphabet), sigma)
-    return _assemble(alphabet, cols, link, length, size)
+    cols, link, length, endpos, size = _suffix_automaton(_encode(word, alphabet), sigma)
+    return _assemble(alphabet, cols, link, length, endpos, size, len(word))

@@ -13,6 +13,8 @@ interesting part.
 
 from __future__ import annotations
 
+from itertools import filterfalse
+
 from .automata import Dfa, Trie, _avoidance_tables, build_trie, strip_sinks
 from .mfw import mfw_circular
 from .words import Alphabet, CircularWord
@@ -29,7 +31,8 @@ def l_automaton(trie: Trie) -> Dfa:
     """
     flat, failure = _avoidance_tables(trie)
     n = trie.n_states
-    return Dfa(trie.alphabet, n, 0, set(range(n)) - trie.sinks, flat, failure)
+    finals = frozenset(filterfalse(trie.sinks.__contains__, range(n)))
+    return Dfa(trie.alphabet, n, 0, finals, flat, failure)
 
 
 def circular_factor_dfa(cw: CircularWord | str, alphabet: Alphabet | None = None) -> Dfa:

@@ -170,13 +170,13 @@ class TestFibCheckCommand:
 
 class TestVerifyCommand:
     def test_small_sweep(self, capsys):
-        code, out, _ = run(capsys, "verify", "--exhaustive", "--maxlen", "6")
+        code, out, _ = run(capsys, "verify", "--maxlen", "6")
         assert code == 0
         assert "all 7 checks passed" in out
         assert out.count("PASS") == 7
 
     def test_maxlen_cap(self, capsys):
-        code, _, err = run(capsys, "verify", "--exhaustive", "--maxlen", "30")
+        code, _, err = run(capsys, "verify", "--maxlen", "30")
         assert code == 2 and "error" in err
 
 

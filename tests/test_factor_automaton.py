@@ -1,14 +1,20 @@
-import pytest
+import random
 
-import antidict.factor_automaton as fa_module
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from antidict import (
     Alphabet,
     build_factor_automaton,
+    build_trie,
     equivalent,
     factor_set,
     fibonacci_word,
     isomorphic,
+    l_automaton,
+    mfw_linear,
     minimize,
+    strip_sinks,
 )
 
 from .helpers import (
@@ -101,20 +107,45 @@ class TestEdgeCases:
             build_factor_automaton("abc", AB)
 
 
-class TestVectorizedPathAgreement:
-    """The numpy coarsening and its round-cap fallback must agree."""
+@st.composite
+def words_with_merges(draw):
+    """Words ``x + u + y + u`` and ``x + c^k``: a repeated suffix lets
+    suffix-automaton states merge into their suffix links."""
+    symbols = "abcd"[: draw(st.integers(1, 4))]
+    x = draw(st.text(symbols, max_size=12))
+    if draw(st.booleans()):
+        u = draw(st.text(symbols, min_size=1, max_size=12))
+        y = draw(st.text(symbols, max_size=4))
+        word = x + u + y + u
+    else:
+        word = x + draw(st.sampled_from(symbols)) * draw(st.integers(1, 28))
+    return word, Alphabet(symbols)
 
-    def test_round_cap_fallback_agrees(self, monkeypatch):
-        words = [w for w in all_words("ab", 7)] + ["abcacba", "aabbc"]
-        reference = {w: build_factor_automaton(w) for w in words}
-        monkeypatch.setattr(fa_module, "_COARSEN_ROUND_CAP", 0)
-        for w in words:
-            assert isomorphic(build_factor_automaton(w), reference[w]), w
 
-    def test_deep_merge_cascade_falls_back(self):
-        # ab^(n-1) makes every prefix state merge into the suffix chain; at
-        # this size the vectorized route hits its round cap and restratifies
-        word = "a" + "b" * 3000
+class TestSuffixLinkMerges:
+    """States merge into their suffix links exactly where futures agree."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(words_with_merges())
+    def test_repeated_suffixes_against_minimized_prefix_tree(self, case):
+        word, alphabet = case
+        direct = build_factor_automaton(word, alphabet)
+        oracle = minimize(prefix_acceptor(factor_set(word), alphabet))
+        assert direct.n_states == oracle.n_states
+        assert equivalent(direct, oracle)
+        check_failure_semantics(direct, len(word))
+
+    def test_long_repeated_suffix_matches_avoidance_route(self):
+        rng = random.Random(12)
+        word = "".join(rng.choice("ab") for _ in range(2**12 - 200))
+        word += word[1000:1200]
+        mfws = mfw_linear(word, AB)
+        rebuilt = strip_sinks(l_automaton(build_trie(mfws.words, AB)))
+        assert isomorphic(build_factor_automaton(word, AB), rebuilt)
+
+    def test_deep_merge_cascade(self):
+        # every prefix state of ab^(n-1) merges into the suffix chain
+        word = "a" + "b" * 10**5
         dfa = build_factor_automaton(word, AB)
         assert dfa.n_states == len(word) + 1
 
