@@ -1,0 +1,73 @@
+"""Loader of the compiled kernels in ``_kernel.c``.
+
+The C source is compiled on first use with the platform ``cc`` and loaded
+through ctypes.  The shared library is cached in the package's
+``__pycache__`` under a name made of a hash of the source and the
+interpreter's cache tag, so an edited source or another interpreter builds
+afresh and every later process loads the cached file.  The hash is the one
+CPython checks hash-based ``.pyc`` files with (``importlib.util.source_hash``):
+``hashlib`` would map OpenSSL, about 3.5 MiB of resident memory, into every
+process that builds a suffix automaton.  Nothing compiles at install time or
+at import; a missing or failing compiler raises ``ImportError`` carrying its
+message.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import os
+import sys
+import tempfile
+from functools import cache
+from pathlib import Path
+
+import numpy as np
+
+SOURCE = Path(__file__).with_name("_kernel.c")
+CFLAGS = ("-O2", "-shared", "-fPIC", "-std=c99")
+
+
+def build(cache_dir: Path) -> ctypes.CDLL:
+    """The kernel library in ``cache_dir``, compiled there first if absent.
+
+    The compiler writes to a temporary name that is then renamed into place,
+    so a process racing this one loads either nothing or a whole file.
+    """
+    import subprocess
+    from importlib.util import source_hash
+
+    digest = source_hash(SOURCE.read_bytes()).hex()
+    path = Path(cache_dir) / f"_kernel-{digest}.{sys.implementation.cache_tag}.so"
+    if not path.exists():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix="_kernel-", suffix=".so.tmp", dir=path.parent)
+        os.close(fd)
+        try:
+            try:
+                proc = subprocess.run(
+                    ["cc", *CFLAGS, "-o", tmp, str(SOURCE)], capture_output=True, text=True
+                )
+            except OSError as exc:
+                raise ImportError(f"antidict needs a C compiler 'cc' on first use: {exc}") from None
+            if proc.returncode != 0:
+                raise ImportError(f"cc failed to build {SOURCE.name}:\n{proc.stderr}")
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    # ndpointer checks dtype, rank and layout of every array passed
+    codes = np.ctypeslib.ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS")
+    table = np.ctypeslib.ndpointer(np.int32, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
+    lib = ctypes.CDLL(str(path))
+    lib.suffix_automaton.argtypes = [codes, ctypes.c_int64, ctypes.c_int32, table]
+    lib.suffix_automaton.restype = ctypes.c_int32
+    lib.least_rotation.argtypes = [codes, ctypes.c_int64]
+    lib.least_rotation.restype = ctypes.c_int64
+    return lib
+
+
+@cache
+def kernel() -> ctypes.CDLL:
+    """The kernel library of this package, built once per source and
+    interpreter, loaded once per process."""
+    return build(Path(__file__).parent / "__pycache__")

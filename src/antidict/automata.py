@@ -35,6 +35,14 @@ def _table_edges(flat, symbols: tuple[str, ...], n_states: int) -> Iterator[tupl
             yield state, sym, target
 
 
+def _state_id(value) -> int:
+    """A state id or count read from JSON; anything but an int (a float or
+    bool included) raises ``ValueError`` instead of being truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"state ids and counts must be integers, got {value!r}")
+    return value
+
+
 class Trie:
     """Tree-shaped acceptor of a finite language; members end at sink states.
 
@@ -121,11 +129,11 @@ class Trie:
         """
         try:
             alphabet = Alphabet(data["alphabet"])
-            n = int(data["states"])
-            initial = int(data.get("initial", 0))
-            edges = [(int(src), sym, int(dst)) for src, sym, dst in data["transitions"]]
-            finals = {int(s) for s in data["finals"]}
-        except (KeyError, TypeError, OverflowError) as exc:
+            n = _state_id(data["states"])
+            initial = _state_id(data.get("initial", 0))
+            edges = [(_state_id(src), sym, _state_id(dst)) for src, sym, dst in data["transitions"]]
+            finals = {_state_id(s) for s in data["finals"]}
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed trie JSON: {exc!r}") from None
         if n < 1 or initial != 0:
             raise ValueError("a trie has at least one state and its root is state 0")
@@ -385,14 +393,14 @@ class Dfa:
         """Inverse of :meth:`to_json`; malformed data raise ``ValueError``."""
         try:
             alphabet = Alphabet(data["alphabet"])
-            n = int(data["states"])
-            initial = int(data["initial"])
-            finals = [int(s) for s in data["finals"]]
-            edges = [(int(p), sym, int(q)) for p, sym, q in data["transitions"]]
+            n = _state_id(data["states"])
+            initial = _state_id(data["initial"])
+            finals = [_state_id(s) for s in data["finals"]]
+            edges = [(_state_id(p), sym, _state_id(q)) for p, sym, q in data["transitions"]]
             failure = None
             if "failure" in data:
-                failure = {int(p): int(q) for p, q in data["failure"]}
-        except (KeyError, TypeError, OverflowError) as exc:
+                failure = {_state_id(p): _state_id(q) for p, q in data["failure"]}
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed automaton JSON: {exc!r}") from None
         states = [initial, *finals, *(s for p, _, q in edges for s in (p, q))]
         if failure is not None:

@@ -65,13 +65,20 @@ def _cmd_automaton(args) -> int:
     return 0
 
 
+def _read_json(path: str):
+    """JSON from a file, or from stdin for ``-``; nesting too deep for the
+    parser is bad input like any other malformed JSON."""
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path) as handle:
+            return json.load(handle)
+    except RecursionError:
+        raise ValueError(f"JSON in {path!r} is nested too deeply") from None
+
+
 def _cmd_l_automaton(args) -> int:
-    if args.from_trie == "-":
-        data = json.load(sys.stdin)
-    else:
-        with open(args.from_trie) as handle:
-            data = json.load(handle)
-    dfa = l_automaton(Trie.from_json(data))
+    dfa = l_automaton(Trie.from_json(_read_json(args.from_trie)))
     if args.strip_sinks:
         dfa = strip_sinks(dfa)
     _emit_automaton(dfa, args)
@@ -79,12 +86,7 @@ def _cmd_l_automaton(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    if args.mfw == "-":
-        data = json.load(sys.stdin)
-    else:
-        with open(args.mfw) as handle:
-            data = json.load(handle)
-    mfws = MfwSet.from_json(data)
+    mfws = MfwSet.from_json(_read_json(args.mfw))
     if args.circular or mfws.kind == "circular":
         print(reconstruct_circular(mfws).linearization)
     else:

@@ -18,12 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .automata import build_trie
-from .factor_automaton import _encode, _suffix_automaton
+from .factor_automaton import _suffix_automaton
 from .words import (
     Alphabet,
     BRUTE_FORCE_WORD_LIMIT,
     CircularWord,
     LimitExceeded,
+    _encode,
     circular_factor_set,
     factor_set,
 )
@@ -100,32 +101,39 @@ class MfwSet:
         return word in self.words
 
 
-def _forbidden_words(word, cols, link, length, endpos, size, symbols) -> list[str]:
-    """Read the minimal forbidden factors off a suffix automaton.
+def _forbidden_words(
+    word: str,
+    symbols: tuple[str, ...],
+    trans: np.ndarray,
+    link: np.ndarray,
+    length: np.ndarray,
+    endpos: np.ndarray,
+    max_len: int | None = None,
+) -> list[str]:
+    """Read the minimal forbidden factors of a word off the tables of its
+    suffix automaton, keeping those of length at most ``max_len`` when it is
+    given.
 
     A site is a (state, letter) pair with the letter undefined at the state
     but defined at its suffix link; the emitted word is the state's shortest
-    word extended by the letter.  The sites are located with vectorized
-    masks, one letter at a time.  The shortest word has an occurrence ending
-    at the state's recorded text position, so it is sliced straight out of
-    the input instead of being rebuilt from parent edges.
+    word, of length ``length[link[s]] + 1``, extended by the letter.  States
+    whose words would be too long are dropped and the sites located with one
+    vectorized mask before any string is made.  The shortest word has an
+    occurrence ending at the state's recorded text position, so it is sliced
+    straight out of the input instead of being rebuilt from parent edges.
     """
-    sigma = len(symbols)
-    out = [symbols[i] for i in range(sigma) if cols[i][0] < 0]
-    link_np = np.asarray(link[:size], dtype=np.int64)
-    length_np = np.asarray(length[:size], dtype=np.int64)
-    endpos_np = np.asarray(endpos[:size], dtype=np.int64)
-    inner_links = link_np[1:]
-    starts_all = endpos_np - length_np[link_np]
-    stops_all = endpos_np + 1
-    for i in range(sigma):
-        col = np.asarray(cols[i][:size], dtype=np.int64)
-        sites = np.flatnonzero((col[1:] < 0) & (col[inner_links] >= 0)) + 1
-        sym = symbols[i]
-        for s, start, stop in zip(
-            sites.tolist(), starts_all[sites].tolist(), stops_all[sites].tolist()
-        ):
-            out.append(word[start:stop] + sym)
+    out = [symbols[c] for c in np.flatnonzero(trans[0] < 0).tolist()]
+    states = np.arange(1, link.size)
+    parents = link[1:]
+    if max_len is not None:
+        fits = length[parents] + 2 <= max_len
+        states, parents = states[fits], parents[fits]
+    rows, letters = np.nonzero((trans[states] < 0) & (trans[parents] >= 0))
+    sites = states[rows]
+    starts = endpos[sites] - length[link[sites]]
+    stops = endpos[sites] + 1
+    for start, stop, c in zip(starts.tolist(), stops.tolist(), letters.tolist()):
+        out.append(word[start:stop] + symbols[c])
     return out
 
 
@@ -141,11 +149,10 @@ def mfw_linear(word: str, alphabet: Alphabet | None = None) -> MfwSet:
     if alphabet is None:
         alphabet = Alphabet.of_word(word)
     alphabet.check_word(word)
-    symbols = alphabet.symbols
     if not word:
-        return MfwSet.build(symbols, alphabet, "linear", word)
-    cols, link, length, endpos, size = _suffix_automaton(_encode(word, alphabet), len(alphabet))
-    forbidden = _forbidden_words(word, cols, link, length, endpos, size, symbols)
+        return MfwSet.build(alphabet.symbols, alphabet, "linear", word)
+    tables = _suffix_automaton(_encode(word, alphabet), len(alphabet))
+    forbidden = _forbidden_words(word, alphabet.symbols, *tables)
     return MfwSet.build(forbidden, alphabet, "linear", word)
 
 
@@ -194,9 +201,10 @@ def mfw_circular(cw: CircularWord | str, alphabet: Alphabet | None = None) -> Mf
         alphabet = cw.alphabet
     w = cw.linearization
     alphabet.check_word(w)
-    doubled = mfw_linear(w + w, alphabet)
-    keep = [v for v in doubled.words if len(v) <= len(w)]
-    return MfwSet.build(keep, alphabet, "circular", w)
+    ww = w + w
+    tables = _suffix_automaton(_encode(ww, alphabet), len(alphabet))
+    forbidden = _forbidden_words(ww, alphabet.symbols, *tables, max_len=len(w))
+    return MfwSet.build(forbidden, alphabet, "circular", w)
 
 
 def mfw_circular_bruteforce(

@@ -14,6 +14,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from ._kernel import kernel
+
 # Largest word accepted by the quadratic all-substrings enumerations.
 FACTOR_ENUMERATION_LIMIT = 1024
 # Largest word accepted by the O(n^2) sliding-window balance scan.
@@ -106,6 +108,16 @@ class Alphabet:
         return f"Alphabet({''.join(self.symbols)!r})"
 
 
+def _encode(word: str, alphabet: Alphabet) -> np.ndarray:
+    """Rank codes of a word whose symbols are all in the alphabet, as an
+    int32 array: translated as bytes when the alphabet is ASCII."""
+    symbols = "".join(alphabet.symbols)
+    if symbols.isascii():
+        table = bytes.maketrans(symbols.encode(), bytes(range(len(symbols))))
+        return np.frombuffer(word.encode().translate(table), np.uint8).astype(np.int32)
+    return np.fromiter(map(alphabet._rank.__getitem__, word), np.int32, len(word))
+
+
 def reversal(word: str) -> str:
     """The word read from right to left."""
     return word[::-1]
@@ -140,14 +152,14 @@ def factor_set(word: str, max_len: int | None = None) -> set[str]:
 
 
 def primitive_root(word: str) -> str:
-    """Shortest ``v`` such that the word is a power of ``v``."""
+    """Shortest ``v`` such that the word is a power of ``v``.
+
+    The first return of the word inside its square, at index ``p > 0``, is
+    its smallest period that divides its length, so ``word[:p]`` is the root.
+    """
     if not word:
         raise ValueError("the empty word has no primitive root")
-    n = len(word)
-    for d in range(1, n + 1):
-        if n % d == 0 and word[:d] * (n // d) == word:
-            return word[:d]
-    raise AssertionError("unreachable: every word is a power of itself")
+    return word[: (word + word).find(word, 1)]
 
 
 def is_primitive(word: str) -> bool:
@@ -163,32 +175,16 @@ def rotations(word: str) -> list[str]:
 def canonical_rotation(word: str, alphabet: Alphabet | None = None) -> str:
     """Lexicographically least rotation under the alphabet order.
 
-    Booth-style two-pointer scan, linear time; the result is the canonical
-    representative used for circular-word equality.
+    Two-pointer scan over the rank codes, linear time, run by the compiled
+    kernel; the result is the canonical representative used for
+    circular-word equality.
     """
     if not word:
         raise ValueError("the empty word has no rotations")
     if alphabet is None:
         alphabet = Alphabet.of_word(word)
     alphabet.check_word(word)
-    rank = alphabet._rank
-    coded = [rank[c] for c in word]
-    coded += coded
-    n = len(word)
-    i, j, k = 0, 1, 0
-    while i < n and j < n and k < n:
-        a, b = coded[i + k], coded[j + k]
-        if a == b:
-            k += 1
-            continue
-        if a > b:
-            i += k + 1
-        else:
-            j += k + 1
-        if i == j:
-            j += 1
-        k = 0
-    start = min(i, j)
+    start = kernel().least_rotation(_encode(word, alphabet), len(word))
     return word[start:] + word[:start]
 
 

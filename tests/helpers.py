@@ -120,3 +120,53 @@ def check_failure_semantics(dfa: Dfa, max_len: int, all_representatives: bool = 
                 break
         assert expected is not None, (word, state)
         assert dfa.failure[state] == expected, (word, state, dfa.failure[state], expected)
+
+
+def suffix_automaton_reference(coded, sigma: int):
+    """Online suffix-automaton construction in plain Python, over rank codes.
+
+    The reference the compiled kernel is checked against, table for table.
+    Returns ``(columns, suffix links, longest-word lengths, first ending
+    positions, state count)``, with ``columns[c][state]`` the transition on
+    rank ``c`` (-1 when missing); only the first ``state count`` entries of
+    each table are meaningful.
+    """
+    cap = 2 * len(coded) + 2
+    cols = [[-1] * cap for _ in range(sigma)]
+    link = [-1] * cap
+    length = [0] * cap
+    endpos = [0] * cap
+    last = 0
+    size = 1
+    for pos, c in enumerate(coded):
+        col = cols[c]
+        cur = size
+        size += 1
+        length[cur] = length[last] + 1
+        endpos[cur] = pos
+        p = last
+        while p >= 0 and col[p] < 0:
+            col[p] = cur
+            p = link[p]
+        if p < 0:
+            link[cur] = 0
+        else:
+            q = col[p]
+            split_len = length[p] + 1
+            if split_len == length[q]:
+                link[cur] = q
+            else:
+                clone = size
+                size += 1
+                length[clone] = split_len
+                endpos[clone] = endpos[q]
+                link[clone] = link[q]
+                for column in cols:
+                    column[clone] = column[q]
+                while p >= 0 and col[p] == q:
+                    col[p] = clone
+                    p = link[p]
+                link[q] = clone
+                link[cur] = clone
+        last = cur
+    return cols, link, length, endpos, size

@@ -156,6 +156,11 @@ class TestBuildTrie:
             {"alphabet": "ab", "states": 3, "finals": [], "transitions": []},
             {"alphabet": "ab", "states": 2, "transitions": [[0, "a", 1]]},
             [["alphabet", "ab"]],
+            # state ids that are not integers are not truncated
+            {"alphabet": "ab", "states": 3, "finals": [1, 2],
+             "transitions": [[0, "a", 1], [0, "b", 2.5]]},
+            {"alphabet": "ab", "states": 2.0, "finals": [1], "transitions": [[0, "a", 1]]},
+            {"alphabet": "ab", "states": 2, "finals": [True], "transitions": [[0, "a", 1]]},
         ],
     )
     def test_json_rejects_non_trees(self, data):
@@ -373,6 +378,11 @@ class TestDfaJson:
             {"failure": [[1, 4]]},
             {"states": "two"},
             {"alphabet": None},
+            {"transitions": [[0, "a", 1.5]]},
+            {"states": 2.0},
+            {"initial": False},
+            {"finals": [0, 1.0]},
+            {"failure": [[True, 0]]},
         ],
     )
     def test_json_rejects_malformed(self, patch):

@@ -107,6 +107,31 @@ class TestLAutomatonCommand:
         code, _, err = run(capsys, "l-automaton", "--from-trie", str(path))
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            {"transitions": [[0, "a", 1], [0, "b", 2.5]]},
+            {"transitions": [[0, "a", 1], [0, "b", 2.0]]},
+            {"initial": False},
+        ],
+    )
+    def test_state_ids_must_be_integers(self, capsys, tmp_path, patch):
+        data = {"alphabet": "ab", "states": 3, "initial": 0, "finals": [1, 2],
+                "transitions": [[0, "a", 1], [0, "b", 2]]}
+        path = tmp_path / "trie.json"
+        path.write_text(json.dumps(data))
+        code, _, _ = run(capsys, "l-automaton", "--from-trie", str(path))
+        assert code == 0
+        path.write_text(json.dumps(data | patch))
+        code, _, err = run(capsys, "l-automaton", "--from-trie", str(path))
+        assert code == 2 and "integers" in err
+
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, _, err = run(capsys, "l-automaton", "--from-trie", str(path))
+        assert code == 2 and "nested too deeply" in err
+
 
 class TestReconstructCommand:
     def test_linear_round_trip(self, capsys, tmp_path):
@@ -141,6 +166,12 @@ class TestReconstructCommand:
         path.write_text(json.dumps(data))
         code, _, err = run(capsys, "reconstruct", "--mfw", str(path))
         assert code == 2 and "error" in err
+
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, _, err = run(capsys, "reconstruct", "--mfw", str(path))
+        assert code == 2 and "nested too deeply" in err
 
     def test_not_a_single_word(self, capsys, tmp_path):
         path = tmp_path / "mfw.json"

@@ -155,6 +155,16 @@ class TestCircular:
             seen.add(cw)
             assert mfw_circular(cw, AB).as_set() == mfw_circular_bruteforce(cw, AB).as_set(), w
 
+    def test_doubled_word_filtered_to_the_word_length(self):
+        for symbols, bound in (("ab", 10), ("abc", 6)):
+            alphabet = Alphabet(symbols)
+            for w in all_words(symbols, bound):
+                cw = CircularWord(w, alphabet)
+                v = cw.linearization
+                doubled = mfw_linear(v + v, alphabet).words
+                expected = tuple(m for m in doubled if len(m) <= len(v))
+                assert mfw_circular(cw, alphabet).words == expected, w
+
     def test_definition_with_membership_oracle(self):
         for w in ("aabbabb", "aabab", "aaababbb"):
             cw = CircularWord(w)

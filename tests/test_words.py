@@ -103,6 +103,11 @@ class TestPrimitivity:
         with pytest.raises(ValueError):
             primitive_root("")
 
+    def test_root_against_definition(self):
+        for w in all_words("abc", 8):
+            root = next(w[:d] for d in range(1, len(w) + 1) if w[:d] * (len(w) // d) == w)
+            assert primitive_root(w) == root, w
+
     def test_distinct_rotation_count(self):
         for w in all_words("ab", 10):
             assert is_primitive(w) == (len(set(rotations(w))) == len(w))
@@ -129,6 +134,13 @@ class TestCanonicalRotation:
     def test_respects_alphabet_order(self):
         assert canonical_rotation("ab", Alphabet("ba")) == "ba"
         assert canonical_rotation("aab", Alphabet("ba")) == "baa"
+
+    @pytest.mark.parametrize("symbols, bound", [("cab", 7), ("βaγ", 6)])
+    def test_against_min_of_rotations_in_alphabet_order(self, symbols, bound):
+        alphabet = Alphabet(symbols)
+        for w in all_words(symbols, bound):
+            least = min(rotations(w), key=lambda r: [symbols.index(c) for c in r])
+            assert canonical_rotation(w, alphabet) == least, w
 
     def test_empty(self):
         with pytest.raises(ValueError):
