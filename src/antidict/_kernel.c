@@ -1,8 +1,8 @@
 /* Compiled kernels of antidict, loaded through ctypes by _kernel.py.
  *
- * Both functions read a word as rank codes: code[i] is the rank of its i-th
- * symbol in the alphabet order, 0 <= code[i] < sigma.  The caller checks
- * sizes and dtypes; nothing here allocates.
+ * Words arrive as rank codes: code[i] is the rank of the i-th symbol in the
+ * alphabet order, 0 <= code[i] < sigma.  The caller checks sizes and dtypes
+ * and allocates every table; nothing here allocates.
  */
 
 #include <stdint.h>
@@ -92,4 +92,118 @@ int64_t least_rotation(const int32_t *code, int64_t n)
         k = 0;
     }
     return i < j ? i : j;
+}
+
+/* Node count of the trie of k words sorted in alphabet order, the i-th word
+ * being code[bounds[i] .. bounds[i+1]): 1 + sum of |m_i| - lcp(m_{i-1}, m_i),
+ * since in sorted order each word shares with the trie built so far exactly
+ * its common prefix with its predecessor.  An equal neighbour adds nothing.
+ * Returns -1 - i when word i properly extends word i - 1: the set is not
+ * prefix-free (in sorted order every extension of a word follows it
+ * directly, so neighbours are all that need testing). */
+int64_t trie_size(const int32_t *code, const int64_t *bounds, int64_t k)
+{
+    int64_t size = 1;
+    for (int64_t i = 0; i < k; i++) {
+        int64_t start = bounds[i], stop = bounds[i + 1], common = 0;
+        if (i > 0) {
+            int64_t prev = bounds[i - 1], prev_len = start - prev;
+            while (common < prev_len && start + common < stop &&
+                   code[prev + common] == code[start + common])
+                common++;
+            if (common == prev_len && stop - start > prev_len)
+                return -1 - i;
+        }
+        size += stop - start - common;
+    }
+    return size;
+}
+
+/* Inserts the k sorted, prefix-free words that trie_size measured into
+ * flat, a table of as many rows as it counted, sigma entries a row:
+ * flat[s*sigma + c] is the child of state s on rank c, or -1.  State 0 is
+ * the root and states are numbered in insertion order.  sinks[i] receives
+ * the state word i ends at (one state for equal words). */
+void trie(const int32_t *code, const int64_t *bounds, int64_t k, int32_t sigma,
+          int32_t *flat, int32_t *sinks)
+{
+    int32_t size = 1;
+    for (int32_t c = 0; c < sigma; c++)
+        flat[c] = -1;
+    for (int64_t i = 0; i < k; i++) {
+        int32_t state = 0;
+        for (int64_t j = bounds[i]; j < bounds[i + 1]; j++) {
+            int32_t *slot = flat + (int64_t)state * sigma + code[j];
+            if (*slot < 0) {
+                int32_t *row = flat + (int64_t)size * sigma;
+                for (int32_t c = 0; c < sigma; c++)
+                    row[c] = -1;
+                *slot = size++;
+            }
+            state = *slot;
+        }
+        sinks[i] = state;
+    }
+}
+
+/* Whether the row of a non-root state has no edge but self-loops: a sink
+ * of the trie, before (no edge at all) or after (every letter loops back)
+ * breadth-first completion.  Every other state keeps its trie children,
+ * which are numbered after it. */
+static int is_sink(const int32_t *flat, int32_t sigma, int32_t s)
+{
+    const int32_t *row = flat + (int64_t)s * sigma;
+    for (int32_t c = 0; c < sigma; c++)
+        if (row[c] >= 0 && row[c] != s)
+            return 0;
+    return 1;
+}
+
+/* Completes in place the table of a trie of n states whose sinks are its
+ * non-root leaves, into the avoidance automaton of its members (Aho and
+ * Corasick, CACM 18, 1975; Crochemore, Mignosi and Restivo, IPL 67, 1998).
+ * Breadth first from the root: a missing root edge becomes a self-loop;
+ * any other state keeps its trie edges, setting each child's failure link
+ * to its own failure's same-letter target, and borrows its missing edges
+ * from its failure; a sink loops every letter back to itself.  failure[0]
+ * is -1 and queue is scratch room for n states.  Returns 0; -1 as soon as
+ * a failure link lands on a sink, since a member then occurs inside
+ * another and the set is not antifactorial; -2 when the table is no tree
+ * (a state with two parents, the root as a child or a state outside
+ * 0..n-1), so that no state is queued twice.  The tables are left half
+ * written on failure. */
+int32_t avoidance(int32_t *flat, int64_t n, int32_t sigma, int32_t *failure,
+                  int32_t *queue)
+{
+    int64_t head = 0, tail = 0;
+    for (int64_t s = 1; s < n; s++)
+        failure[s] = -2; /* not reached yet */
+    failure[0] = -1;
+    queue[tail++] = 0;
+    /* a row keeps its trie edges until its state is dequeued: only the
+     * dequeued state's own row is written */
+    while (head < tail) {
+        int32_t p = queue[head++];
+        int32_t *row = flat + (int64_t)p * sigma;
+        if (p > 0 && is_sink(flat, sigma, p)) {
+            for (int32_t c = 0; c < sigma; c++)
+                row[c] = p;
+            continue;
+        }
+        const int32_t *fail_row = flat + (int64_t)(p > 0 ? failure[p] : 0) * sigma;
+        for (int32_t c = 0; c < sigma; c++) {
+            int32_t child = row[c], link = p > 0 ? fail_row[c] : 0;
+            if (child < 0) {
+                row[c] = link;
+                continue;
+            }
+            if (child >= n || failure[child] != -2)
+                return -2;
+            if (link > 0 && is_sink(flat, sigma, link))
+                return -1;
+            failure[child] = link;
+            queue[tail++] = child;
+        }
+    }
+    return 0;
 }

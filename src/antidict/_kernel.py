@@ -25,6 +25,8 @@ import numpy as np
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 CFLAGS = ("-O2", "-shared", "-fPIC", "-std=c99")
+# Largest state count the int32 tables of the kernel can number.
+MAX_STATES = 2**31 - 1
 
 
 def build(cache_dir: Path) -> ctypes.CDLL:
@@ -57,12 +59,19 @@ def build(cache_dir: Path) -> ctypes.CDLL:
                 os.unlink(tmp)
     # ndpointer checks dtype, rank and layout of every array passed
     codes = np.ctypeslib.ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS")
+    bounds = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
     table = np.ctypeslib.ndpointer(np.int32, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
+    int32, int64 = ctypes.c_int32, ctypes.c_int64
     lib = ctypes.CDLL(str(path))
-    lib.suffix_automaton.argtypes = [codes, ctypes.c_int64, ctypes.c_int32, table]
-    lib.suffix_automaton.restype = ctypes.c_int32
-    lib.least_rotation.argtypes = [codes, ctypes.c_int64]
-    lib.least_rotation.restype = ctypes.c_int64
+    for name, argtypes, restype in (
+        ("suffix_automaton", [codes, int64, int32, table], int32),
+        ("least_rotation", [codes, int64], int64),
+        ("trie_size", [codes, bounds, int64], int64),
+        ("trie", [codes, bounds, int64, int32, table, table], None),
+        ("avoidance", [table, int64, int32, table, table], int32),
+    ):
+        function = getattr(lib, name)
+        function.argtypes, function.restype = argtypes, restype
     return lib
 
 

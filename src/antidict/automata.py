@@ -3,11 +3,12 @@ language enumeration, sink removal and DOT/JSON export.
 
 A :class:`Trie` and a :class:`Dfa` share one storage layout: the transitions
 sit in one flat table indexed by ``state * sigma + rank``, with ``-1``
-marking a missing edge.  That keeps million-state automata cheap, lets the
-avoidance construction start from a copy of the trie's table, and lets the
-walks over either read the table directly.  Transition functions are
-partial everywhere; completion with a dead state happens only inside
-:func:`minimize` and :func:`equivalent`.
+marking a missing edge.  That keeps million-state automata cheap and lets
+the walks over either read the table directly.  A trie's table is an int32
+array built by the compiled kernel (``_kernel.c``), which also completes a
+copy of it, breadth first, into the avoidance automaton's table and failure
+links.  Transition functions are partial everywhere; completion with a dead
+state happens only inside :func:`minimize` and :func:`equivalent`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,10 @@ from __future__ import annotations
 from itertools import accumulate, compress, filterfalse
 from typing import Iterable, Iterator, Mapping
 
-from .words import Alphabet, LimitExceeded
+import numpy as np
+
+from ._kernel import MAX_STATES, kernel
+from .words import Alphabet, LimitExceeded, _encode
 
 # Cap on the number of words one language enumeration may touch.
 ENUMERATION_LIMIT = 1_000_000
@@ -47,15 +51,17 @@ class Trie:
     """Tree-shaped acceptor of a finite language; members end at sink states.
 
     State 0 is the root; ``flat[state * sigma + rank]`` is the child reached
-    on the symbol of that rank, or ``-1``.  Sinks carry no outgoing edges,
-    so no accepted word may be a proper prefix of another --
+    on the symbol of that rank, or ``-1``, in one int32 array.  The sinks
+    are exactly the leaves other than the root: they carry no outgoing
+    edges, so no accepted word may be a proper prefix of another --
     :func:`build_trie` enforces that.
     """
 
     __slots__ = ("alphabet", "flat", "sinks")
 
-    def __init__(self, alphabet: Alphabet, flat: list[int], sinks: set[int]):
-        if not flat or len(flat) % len(alphabet):
+    def __init__(self, alphabet: Alphabet, flat, sinks: set[int]):
+        flat = np.asarray(flat, dtype=np.int32)
+        if flat.ndim != 1 or not flat.size or flat.size % len(alphabet):
             raise ValueError("flat transition table has the wrong size")
         self.alphabet = alphabet
         self.flat = flat
@@ -67,7 +73,7 @@ class Trie:
 
     @property
     def n_states(self) -> int:
-        return len(self.flat) // len(self.alphabet)
+        return self.flat.size // len(self.alphabet)
 
     def words(self) -> list[str]:
         """The accepted language, read off root-to-sink paths in alphabet
@@ -78,7 +84,7 @@ class Trie:
         """
         symbols = self.alphabet.symbols
         sigma = len(symbols)
-        flat, sinks = self.flat, self.sinks
+        flat, sinks = self.flat.tolist(), self.sinks
         backwards = tuple(reversed(list(enumerate(symbols))))
         out: list[str] = []
         # path[d] is the symbol entering the current state's ancestor at
@@ -115,7 +121,9 @@ class Trie:
             "states": self.n_states,
             "initial": 0,
             "finals": sorted(self.sinks),
-            "transitions": [list(edge) for edge in _table_edges(self.flat, symbols, self.n_states)],
+            "transitions": [
+                list(edge) for edge in _table_edges(self.flat.tolist(), symbols, self.n_states)
+            ],
         }
 
     @classmethod
@@ -161,51 +169,49 @@ class Trie:
 def build_trie(
     words: Iterable[str], alphabet: Alphabet, *, antifactorial: bool = False
 ) -> Trie:
-    """Trie of a finite set of nonempty words.
+    """Trie of a finite set of nonempty words, built by the compiled kernel.
 
     Raises if one word is a proper prefix of another (the sink-state shape
     cannot represent that) and, when ``antifactorial`` is set, if any word
     occurs inside another -- the signature of an invalid antidictionary --
     which the failure-link test of :func:`_avoidance_tables` decides in
-    linear time.
+    linear time.  The table is sized exactly before it is filled: sorted,
+    each word adds the symbols after its common prefix with its predecessor.
     """
-    unique = list(set(words))
-    alphabet.sort(unique)
-    rank = alphabet._rank
-    sigma = len(alphabet)
-    empty_row = [-1] * sigma
-    flat = list(empty_row)
-    n_states = 1
-    sinks: set[int] = set()
-    prev = None
-    for word in unique:
-        if not word:
-            raise ValueError("the empty word cannot be a trie member")
-        alphabet.check_word(word)
-        # In sorted order a member's extensions follow it directly, so the
-        # set is prefix-free exactly when no word extends its predecessor.
-        if prev is not None and word.startswith(prev):
-            raise ValueError(f"{word!r} extends another member: the set is not prefix-free")
-        prev = word
-        state = 0
-        for sym in word:
-            slot = state * sigma + rank[sym]
-            state = flat[slot]
-            if state < 0:
-                flat[slot] = state = n_states
-                n_states += 1
-                flat += empty_row
-        sinks.add(state)
-    trie = Trie(alphabet, flat, sinks)
+    members = list(words)
+    alphabet.sort(members)
+    if members and not members[0]:
+        raise ValueError("the empty word cannot be a trie member")
+    joined = "".join(members)
+    if not set(joined) <= alphabet._rank.keys():
+        for word in members:  # name the first member holding a stray symbol
+            alphabet.check_word(word)
+    code = _encode(joined, alphabet)
+    bounds = np.zeros(len(members) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, members), np.int64, len(members)), out=bounds[1:])
+    lib = kernel()
+    size = lib.trie_size(code, bounds, len(members))
+    if size < 0:  # word -1 - size extends its sorted predecessor
+        raise ValueError(
+            f"{members[-1 - size]!r} extends another member: the set is not prefix-free"
+        )
+    if size > MAX_STATES:
+        raise LimitExceeded(
+            f"a trie of {size} states is more than the {MAX_STATES} its tables can number"
+        )
+    flat = np.empty(size * len(alphabet), dtype=np.int32)
+    sinks = np.empty(len(members), dtype=np.int32)
+    lib.trie(code, bounds, len(members), len(alphabet), flat, sinks)
+    trie = Trie(alphabet, flat, set(sinks.tolist()))
     if antifactorial:
         _avoidance_tables(trie)
     return trie
 
 
-def _avoidance_tables(trie: Trie) -> tuple[list[int], list[int]]:
+def _avoidance_tables(trie: Trie) -> tuple[np.ndarray, np.ndarray]:
     """Completed flat transition table and failure links of the avoidance
-    automaton of a trie, in one breadth-first pass over a copy of the
-    trie's table.
+    automaton of a trie, as int32 arrays, filled by the compiled kernel in
+    one breadth-first pass over a copy of the trie's table.
 
     Root transitions on absent letters become self-loops; every other state
     keeps its trie edges (the child's failure link is the failure's
@@ -214,41 +220,17 @@ def _avoidance_tables(trie: Trie) -> tuple[list[int], list[int]]:
     sink means a member is a proper suffix of a prefix of another member,
     i.e. occurs inside it; since the trie shape already rules out prefixes,
     this is exactly the failure of antifactoriality, and it raises
-    ``ValueError``.
+    ``ValueError``, as does a table that is not a tree (a state with two
+    parents, the root as a child or a state out of range).
     """
-    sigma = len(trie.alphabet)
     n = trie.n_states
-    flat = list(trie.flat)
-    is_sink = bytearray(n)
-    for s in trie.sinks:
-        is_sink[s] = 1
-    failure = [-1] * n
-    queue = []
-    for i in range(sigma):
-        child = flat[i]
-        if child < 0:
-            flat[i] = 0
-        else:
-            failure[child] = 0
-            queue.append(child)
-    # A row still holds its trie edges until its state is dequeued, since
-    # only the dequeued state's own row is written.
-    for p in queue:  # grows while it is read: breadth-first order
-        base = p * sigma
-        if is_sink[p]:
-            flat[base : base + sigma] = [p] * sigma
-            continue
-        fail_base = failure[p] * sigma
-        for i in range(sigma):
-            child = flat[base + i]
-            if child < 0:
-                flat[base + i] = flat[fail_base + i]
-            else:
-                link = flat[fail_base + i]
-                if is_sink[link]:
-                    raise ValueError("the set is not antifactorial: a member occurs inside another")
-                failure[child] = link
-                queue.append(child)
+    flat = trie.flat.copy()
+    failure = np.empty(n, dtype=np.int32)
+    status = kernel().avoidance(flat, n, len(trie.alphabet), failure, np.empty(n, dtype=np.int32))
+    if status == -2:
+        raise ValueError("the transition table is not a tree rooted at state 0")
+    if status < 0:
+        raise ValueError("the set is not antifactorial: a member occurs inside another")
     return flat, failure
 
 
@@ -601,12 +583,13 @@ def export_dot(automaton: Trie | Dfa) -> str:
 
     States are labelled by BFS discovery order so output is stable across runs.
     """
+    flat, symbols = automaton.flat, automaton.alphabet.symbols
     if isinstance(automaton, Trie):
         initial, finals, failure = automaton.root, automaton.sinks, None
+        flat = flat.tolist()
     else:
         initial, finals, failure = automaton.initial, automaton.finals, automaton.failure
     n_states = automaton.n_states
-    flat, symbols = automaton.flat, automaton.alphabet.symbols
 
     renum = {initial: 0}
     order = [initial]

@@ -29,13 +29,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._kernel import kernel
+from ._kernel import MAX_STATES, kernel
 from .automata import Dfa
 from .words import Alphabet, LimitExceeded, _encode
-
-
-# Largest state count the int32 tables of the kernel can number.
-MAX_STATES = 2**31 - 1
 
 
 def _suffix_automaton(

@@ -14,6 +14,7 @@ doubled word filtered to length at most ``|w|``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -28,6 +29,15 @@ from .words import (
     circular_factor_set,
     factor_set,
 )
+
+
+# Most symbols the members of one computed antidictionary may hold together.
+# Every member is a Python string, so a word whose antidictionary is long in
+# total -- a.b^(n-1), circular or squared, has about n^2/2 symbols -- would
+# otherwise fill memory.  Random binary and acgt words of 10^6 symbols need
+# about 1.6 and 2.0 * 10^7, the circular Fibonacci word of rank 30 about
+# 3.0 * 10^6.
+MAX_MEMBER_SYMBOLS = 2**26
 
 
 @dataclass(frozen=True)
@@ -53,8 +63,10 @@ class MfwSet:
         kind: str = "linear",
         source: str | None = None,
     ) -> "MfwSet":
-        unique = list(set(words))
-        alphabet.sort(unique)
+        members = list(words)
+        alphabet.sort(members)
+        # equal members are neighbours now; groupby keeps one of each
+        unique = [word for word, _ in groupby(members)]
         unique.sort(key=len)  # stable: keeps the lexicographic order per length
         return cls(tuple(unique), alphabet, kind, source)
 
@@ -121,6 +133,8 @@ def _forbidden_words(
     vectorized mask before any string is made.  The shortest word has an
     occurrence ending at the state's recorded text position, so it is sliced
     straight out of the input instead of being rebuilt from parent edges.
+    Raises ``LimitExceeded`` before slicing when the members would hold more
+    than ``MAX_MEMBER_SYMBOLS`` symbols together.
     """
     out = [symbols[c] for c in np.flatnonzero(trans[0] < 0).tolist()]
     states = np.arange(1, link.size)
@@ -132,6 +146,12 @@ def _forbidden_words(
     sites = states[rows]
     starts = endpos[sites] - length[link[sites]]
     stops = endpos[sites] + 1
+    total = len(out) + int((stops - starts).sum(dtype=np.int64)) + sites.size
+    if total > MAX_MEMBER_SYMBOLS:
+        raise LimitExceeded(
+            f"the antidictionary's {len(out) + sites.size} members would hold {total} "
+            f"symbols, more than the cap of {MAX_MEMBER_SYMBOLS}"
+        )
     for start, stop, c in zip(starts.tolist(), stops.tolist(), letters.tolist()):
         out.append(word[start:stop] + symbols[c])
     return out

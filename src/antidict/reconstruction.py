@@ -11,8 +11,8 @@ that is not of the expected form fails loudly instead of corrupting.
 
 from __future__ import annotations
 
-from .automata import Dfa, build_trie, strip_sinks
-from .l_automaton import l_automaton
+from .automata import Dfa, build_trie
+from .l_automaton import _stripped_l_automaton
 from .mfw import MfwSet, mfw_circular, mfw_linear
 from .words import CircularWord
 
@@ -23,10 +23,9 @@ class ReconstructionError(ValueError):
 
 def _avoidance_core(mfws: MfwSet) -> Dfa:
     try:
-        complete = l_automaton(build_trie(mfws.words, mfws.alphabet))
+        return _stripped_l_automaton(build_trie(mfws.words, mfws.alphabet))
     except ValueError as exc:
         raise ReconstructionError(str(exc)) from exc
-    return strip_sinks(complete)
 
 
 def reconstruct_word(mfws: MfwSet) -> str:

@@ -64,17 +64,13 @@ class Alphabet:
         except (KeyError, TypeError):  # TypeError: an unhashable non-symbol
             raise ValueError(f"symbol {symbol!r} is not in alphabet {self}") from None
 
-    def sort_key(self, word: str) -> tuple[int, ...]:
-        """Key for lexicographic comparison under this alphabet's order."""
-        return tuple(self._rank[c] for c in word)
-
     def sort(self, words: list[str]) -> None:
-        """Sort words in place, lexicographically under this alphabet's order.
+        """Sort words in place, lexicographically under this alphabet's order
+        (symbol ranks compared left to right, a proper prefix first).
 
-        The same order as :meth:`sort_key`, compared at C speed: a plain sort
-        when the declaration order is the code-point order, otherwise a sort
-        on the words with every symbol translated to the character of its
-        rank.
+        Compared at C speed: a plain sort when the declaration order is the
+        code-point order, otherwise a sort on the words with every symbol
+        translated to the character of its rank.
         """
         if self.symbols == tuple(sorted(self.symbols)):
             words.sort()

@@ -170,3 +170,64 @@ def suffix_automaton_reference(coded, sigma: int):
                 link[cur] = clone
         last = cur
     return cols, link, length, endpos, size
+
+
+def trie_reference(words, alphabet: Alphabet):
+    """Trie insertion in plain Python, the reference the kernel's ``trie`` is
+    checked against.
+
+    Inserts the distinct words in alphabet order, numbering states as they
+    are made.  Returns ``(flat table, sinks)`` in the layout of ``Trie``;
+    the words must be nonempty and prefix-free.
+    """
+    sigma = len(alphabet)
+    flat = [-1] * sigma
+    n_states = 1
+    sinks = set()
+    for word in sorted(set(words), key=lambda w: [alphabet.rank(c) for c in w]):
+        state = 0
+        for sym in word:
+            slot = state * sigma + alphabet.rank(sym)
+            state = flat[slot]
+            if state < 0:
+                flat[slot] = state = n_states
+                n_states += 1
+                flat += [-1] * sigma
+        sinks.add(state)
+    return flat, sinks
+
+
+def avoidance_reference(flat, sinks, sigma: int):
+    """Breadth-first completion of a trie table in plain Python, the
+    reference the kernel's ``avoidance`` is checked against.
+
+    Returns the completed table and the failure links; raises
+    ``ValueError`` when a failure link lands on a sink (the members are not
+    antifactorial).
+    """
+    flat = list(flat)
+    failure = [-1] * (len(flat) // sigma)
+    queue = []
+    for i in range(sigma):
+        if flat[i] < 0:
+            flat[i] = 0
+        else:
+            failure[flat[i]] = 0
+            queue.append(flat[i])
+    for p in queue:  # grows while it is read: breadth-first order
+        base = p * sigma
+        if p in sinks:
+            flat[base : base + sigma] = [p] * sigma
+            continue
+        fail_base = failure[p] * sigma
+        for i in range(sigma):
+            child = flat[base + i]
+            if child < 0:
+                flat[base + i] = flat[fail_base + i]
+            else:
+                link = flat[fail_base + i]
+                if link in sinks:
+                    raise ValueError("a failure link lands on a sink")
+                failure[child] = link
+                queue.append(child)
+    return flat, failure

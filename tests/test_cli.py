@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from antidict import Alphabet, build_trie
+from antidict import Alphabet, build_trie, mfw
 from antidict.cli import main
 
 AB = Alphabet("ab")
@@ -42,6 +42,13 @@ class TestMfwCommand:
         code, _, err = run(capsys, "mfw", "aabbabb", "--alphabet", "a")
         assert code == 2
         assert "error" in err
+
+    def test_member_symbol_cap_is_input_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(mfw, "MAX_MEMBER_SYMBOLS", 10**4)
+        for argv in (("mfw", "--circular"), ("automaton", "--circular", "--stats")):
+            code, out, err = run(capsys, *argv, "a" + "b" * 200)
+            assert code == 2 and out == ""
+            assert "more than the cap" in err
 
 
 class TestAutomatonCommand:

@@ -1,15 +1,31 @@
-"""The compiled suffix-automaton kernel against the plain-Python reference,
-and the build and guards around it."""
+"""The compiled kernels against the plain-Python references, and the build
+and guards around them."""
 
+import re
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from antidict import Alphabet, LimitExceeded, build_factor_automaton, mfw_linear
-from antidict import _kernel, factor_automaton
+from antidict import (
+    Alphabet,
+    CircularWord,
+    LimitExceeded,
+    Trie,
+    build_factor_automaton,
+    build_trie,
+    l_automaton,
+    mfw_circular,
+    mfw_linear,
+    strip_sinks,
+)
+from antidict import _kernel, automata, factor_automaton
+from antidict.automata import _avoidance_tables
 from antidict.factor_automaton import _suffix_automaton
+from antidict.l_automaton import _stripped_l_automaton
 from antidict.words import _encode
 
-from .helpers import all_words, suffix_automaton_reference
+from .helpers import all_words, avoidance_reference, suffix_automaton_reference, trie_reference
 
 
 def assert_same_tables(word: str, alphabet: Alphabet) -> None:
@@ -95,3 +111,120 @@ class TestStateBound:
             mfw_linear("abcabc")
         monkeypatch.setattr(factor_automaton, "MAX_STATES", 14)
         assert build_factor_automaton("abcabc").n_states == 7
+
+
+def assert_same_avoidance(words, alphabet: Alphabet) -> None:
+    """The kernel's trie and completed tables equal the references, and the
+    stripped builder equals ``strip_sinks(l_automaton(trie))``; the words
+    must be prefix-free and antifactorial."""
+    trie = build_trie(words, alphabet)
+    flat, sinks = trie_reference(words, alphabet)
+    assert trie.flat.dtype == np.int32, words
+    assert trie.flat.tolist() == flat, words
+    assert trie.sinks == sinks, words
+    completed, failure = _avoidance_tables(trie)
+    ref_completed, ref_failure = avoidance_reference(flat, sinks, len(alphabet))
+    assert completed.tolist() == ref_completed, words
+    assert failure.tolist() == ref_failure, words
+    built = _stripped_l_automaton(trie)
+    reference = strip_sinks(l_automaton(trie))
+    assert (built.n_states, built.initial) == (reference.n_states, reference.initial), words
+    assert built.flat == reference.flat, words
+    assert built.failure == reference.failure, words
+    assert built.finals == reference.finals, words
+    assert type(built.flat) is type(built.failure) is list
+
+
+def prefix_free(words) -> bool:
+    return not any(u != v and v.startswith(u) for u in words for v in words)
+
+
+def antifactorial(words) -> bool:
+    return not any(u != v and u in v for u in words for v in words)
+
+
+class TestTrieAndAvoidance:
+    @pytest.mark.parametrize("symbols, bound", [("ab", 12), ("abc", 8), ("acgt", 6)])
+    def test_every_small_antidictionary(self, symbols, bound):
+        alphabet = Alphabet(symbols)
+        necklaces = set()
+        for word in all_words(symbols, bound):
+            assert_same_avoidance(mfw_linear(word, alphabet).words, alphabet)
+            necklaces.add(CircularWord(word, alphabet).linearization)
+        for word in necklaces:
+            assert_same_avoidance(mfw_circular(word, alphabet).words, alphabet)
+
+    def test_alphabet_orders(self):
+        for alphabet in (Alphabet("cab"), Alphabet("γaβ")):
+            symbols = "".join(alphabet.symbols)
+            for word in all_words(symbols, 6):
+                assert_same_avoidance(mfw_linear(word, alphabet).words, alphabet)
+                assert_same_avoidance(mfw_circular(word, alphabet).words, alphabet)
+
+    def test_empty_set_and_repeated_members(self):
+        assert_same_avoidance([], Alphabet("ab"))
+        assert_same_avoidance(["ab", "ba", "ab", "aa", "ba"], Alphabet("ab"))
+        assert build_trie(["ab", "ab"], Alphabet("ab")).n_states == 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_sets(self, data):
+        symbols = data.draw(st.permutations("abcdé"))[: data.draw(st.integers(1, 5))]
+        alphabet = Alphabet(symbols)
+        words = data.draw(st.lists(st.text("".join(symbols), min_size=1, max_size=12), max_size=12))
+        if not prefix_free(words):
+            with pytest.raises(ValueError, match="extends another member: the set is not prefix-free"):
+                build_trie(words, alphabet)
+        elif antifactorial(words):
+            assert_same_avoidance(words, alphabet)
+        else:
+            with pytest.raises(ValueError):
+                avoidance_reference(*trie_reference(words, alphabet), len(alphabet))
+            with pytest.raises(ValueError, match="not antifactorial"):
+                _avoidance_tables(build_trie(words, alphabet))
+
+    def test_exact_messages(self):
+        ab = Alphabet("ab")
+        cases = [
+            (["a", "ab"], "'ab' extends another member: the set is not prefix-free"),
+            (["ab", "b", "a"], "'ab' extends another member: the set is not prefix-free"),
+            (["", "a"], "the empty word cannot be a trie member"),
+            (["ab", "ac"], "symbol 'c' of 'ac' is not in alphabet Alphabet('ab')"),
+        ]
+        for words, message in cases:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build_trie(words, ab)
+        message = "the set is not antifactorial: a member occurs inside another"
+        for call in (
+            lambda: build_trie(["b", "ab"], ab, antifactorial=True),
+            lambda: l_automaton(build_trie(["aba", "ba"], ab)),
+            lambda: _stripped_l_automaton(build_trie(["aba", "ba"], ab)),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
+
+    def test_table_is_sized_exactly(self):
+        # the circular antidictionary of a.b^(n-1): n members, about n^2/2
+        # symbols, and a trie of 3n - 1 nodes
+        n = 300
+        mfws = mfw_circular("a" + "b" * (n - 1))
+        assert len(mfws) == n
+        trie = build_trie(mfws.words, mfws.alphabet)
+        assert trie.n_states == 3 * n - 1
+        assert trie.flat.size == (3 * n - 1) * 2
+
+    def test_tables_that_are_no_tree_are_refused(self):
+        # two parents, a state out of range, the root as a child
+        ab = Alphabet("ab")
+        for flat in ([1, 1, -1, -1], [2, -1, -1, -1], [1, -1, 0, -1]):
+            with pytest.raises(ValueError, match="not a tree"):
+                l_automaton(Trie(ab, flat, {1}))
+        assert l_automaton(Trie(ab, [1, 2, -1, -1, -1, -1], {1, 2})).n_states == 3
+
+    def test_guard_fires_before_allocating(self, monkeypatch):
+        # the trie of {aa, ab, b} has 5 states
+        monkeypatch.setattr(automata, "MAX_STATES", 4)
+        with pytest.raises(LimitExceeded):
+            build_trie(["aa", "ab", "b"], Alphabet("ab"))
+        monkeypatch.setattr(automata, "MAX_STATES", 5)
+        assert build_trie(["aa", "ab", "b"], Alphabet("ab")).n_states == 5

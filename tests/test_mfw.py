@@ -8,6 +8,7 @@ from antidict import (
     LimitExceeded,
     MfwSet,
     check_cardinality_bounds,
+    circular_factor_dfa,
     circular_factor_membership,
     factor_set,
     mfw_circular,
@@ -16,6 +17,7 @@ from antidict import (
     mfw_linear_bruteforce,
     rotations,
 )
+from antidict import mfw
 
 from .helpers import all_words, words_avoiding
 
@@ -53,6 +55,12 @@ class TestMfwSet:
         assert back.alphabet == s.alphabet
         assert back.kind == "circular"
 
+    def test_json_repeated_member_comes_back_once(self):
+        members = ["bb", "aaa", "bb", "aabaa", "aaa", "bb"]
+        data = {"alphabet": "ab", "circular": True, "mfw": members}
+        assert MfwSet.from_json(data).words == ("bb", "aaa", "aabaa")
+        assert data["mfw"] == ["bb", "aaa", "bb", "aabaa", "aaa", "bb"]  # not sorted in place
+
     @pytest.mark.parametrize(
         "data",
         [
@@ -67,6 +75,31 @@ class TestMfwSet:
     def test_json_rejects_malformed(self, data):
         with pytest.raises(ValueError):
             MfwSet.from_json(data)
+
+
+class TestMemberSymbolCap:
+    def test_cap_is_exact(self, monkeypatch):
+        word = "a" + "b" * 40
+        for compute in (mfw_linear, mfw_circular):
+            total = sum(map(len, compute(word)))
+            monkeypatch.setattr(mfw, "MAX_MEMBER_SYMBOLS", total)
+            assert sum(map(len, compute(word))) == total
+            monkeypatch.setattr(mfw, "MAX_MEMBER_SYMBOLS", total - 1)
+            with pytest.raises(LimitExceeded, match="more than the cap"):
+                compute(word)
+            monkeypatch.undo()
+
+    def test_quadratic_family_refused(self, monkeypatch):
+        # a.b^k, circular or squared, has about k^2/2 member symbols
+        monkeypatch.setattr(mfw, "MAX_MEMBER_SYMBOLS", 10**4)
+        word = "a" + "b" * 200
+        with pytest.raises(LimitExceeded):
+            mfw_circular(word)
+        with pytest.raises(LimitExceeded):
+            mfw_linear(word * 2)
+        with pytest.raises(LimitExceeded):
+            circular_factor_dfa(word)
+        assert mfw_linear(word).as_set() == {"aa", "ba", "b" * 201}
 
 
 class TestLinear:

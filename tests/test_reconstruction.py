@@ -8,6 +8,8 @@ from antidict import (
     CircularWord,
     MfwSet,
     ReconstructionError,
+    check_cardinality_bounds,
+    circular_factor_dfa,
     fibonacci_word,
     is_primitive,
     mfw_circular,
@@ -110,6 +112,17 @@ class TestRoundTripAtScale:
     def test_random_linear(self, symbols, length):
         word = random_primitive_word(symbols, length, seed=length)
         assert reconstruct_word(mfw_linear(word, Alphabet(symbols))) == word
+
+    @pytest.mark.parametrize("symbols", ["ab", "acgt"])
+    def test_random_necklace_of_100000_symbols(self, symbols):
+        # the state and cardinality bounds and both round trips; untimed
+        alphabet = Alphabet(symbols)
+        word = random_primitive_word(symbols, 10**5, seed=len(symbols))
+        cw = CircularWord(word, alphabet)
+        assert circular_factor_dfa(cw, alphabet).n_states <= 2 * len(word) - 1
+        assert check_cardinality_bounds(cw, alphabet).passed
+        assert reconstruct_circular(mfw_circular(cw, alphabet)) == cw
+        assert reconstruct_word(mfw_linear(word, alphabet)) == word
 
 
 @st.composite

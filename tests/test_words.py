@@ -26,7 +26,9 @@ class TestAlphabet:
     def test_order_is_declaration_order(self):
         ab = Alphabet("ba")
         assert ab.rank("b") == 0 and ab.rank("a") == 1
-        assert ab.sort_key("ab") == (1, 0)
+        words = ["ab", "a", "ba", "b", "bb"]
+        ab.sort(words)
+        assert words == ["b", "bb", "ba", "a", "ab"]
 
     def test_rejects_bad_symbols(self):
         with pytest.raises(ValueError):
