@@ -70,6 +70,57 @@ int32_t suffix_automaton(const int32_t *code, int64_t n, int32_t sigma,
     return size;
 }
 
+/* Minimal forbidden factors of the word of a suffix automaton, as sites
+ * (Crochemore, Mignosi and Restivo, IPL 67, 1998).  tables, cap and size
+ * are those of suffix_automaton.  A site is a state s and a rank c undefined
+ * at s but defined at link[s] (at the root: undefined); its member is the
+ * shortest word of s, of length len[link[s]] + 1 and ending at endpos[s],
+ * followed by c.
+ *
+ * The walk is breadth first from the root, children taken in rank order,
+ * so states leave the queue in shortlex order of their shortest words and
+ * each state's sites are written as it leaves: members arrive by length,
+ * then lexicographically in rank order, the root's absent letters first.
+ * No seen table is needed: t is first reached from p exactly when
+ * len[link[t]] is the length of p's shortest word.  The walk stops at the
+ * first state whose members would be longer than max_len.
+ *
+ * out holds size queue entries, then three entries a site: the shortest
+ * word's text slice start and stop, and c.  There are at most
+ * size*(sigma-1) + 1 sites, since every site is a missing transition and
+ * every state but the root has an incoming one.  Returns the site count. */
+int64_t forbidden_sites(const int32_t *tables, int64_t cap, int32_t size,
+                        int32_t sigma, int64_t max_len, int32_t *out)
+{
+    const int32_t *trans = tables, *link = trans + cap * sigma,
+                  *len = link + cap, *endpos = len + cap;
+    int32_t *queue = out, *site = out + size;
+    int64_t head = 0, tail = 0, k = 0;
+    queue[tail++] = 0;
+    while (head < tail) {
+        int32_t p = queue[head++];
+        int32_t shortest = p > 0 ? len[link[p]] + 1 : 0;
+        if ((int64_t)shortest + 1 > max_len)
+            break;
+        int32_t stop = p > 0 ? endpos[p] + 1 : 0;
+        const int32_t *row = trans + (int64_t)p * sigma;
+        const int32_t *up = trans + (int64_t)(p > 0 ? link[p] : 0) * sigma;
+        for (int32_t c = 0; c < sigma; c++) {
+            int32_t t = row[c];
+            if (t >= 0) {
+                if (len[link[t]] == shortest)
+                    queue[tail++] = t;
+            } else if (p == 0 || up[c] >= 0) {
+                site[3 * k] = stop - shortest;
+                site[3 * k + 1] = stop;
+                site[3 * k + 2] = c;
+                k++;
+            }
+        }
+    }
+    return k;
+}
+
 /* Start of the least rotation of a nonempty word of length n, by the
  * two-pointer scan: candidates i and j agree on k symbols; at the first
  * difference the larger one, and every start it skipped over, is out. */

@@ -65,6 +65,7 @@ def build(cache_dir: Path) -> ctypes.CDLL:
     lib = ctypes.CDLL(str(path))
     for name, argtypes, restype in (
         ("suffix_automaton", [codes, int64, int32, table], int32),
+        ("forbidden_sites", [codes, int64, int32, int32, int64, table], int64),
         ("least_rotation", [codes, int64], int64),
         ("trie_size", [codes, bounds, int64], int64),
         ("trie", [codes, bounds, int64, int32, table, table], None),

@@ -25,18 +25,35 @@ from .reconstruction import ReconstructionError, reconstruct_circular, reconstru
 from .words import Alphabet, CircularWord, LimitExceeded
 
 VERIFY_MAXLEN_CAP = 13
+# argv caps one argument at 128 KiB on Linux, so long words come from a file
+INPUT_HELP = "read the word from a file ('-' = stdin) instead of the argument"
 
 
 def _alphabet_for(word: str, symbols: str | None) -> Alphabet:
     return Alphabet(symbols) if symbols else Alphabet.of_word(word)
 
 
+def _word_of(args) -> str:
+    """The word given as the argument or, with ``--input``, read from a file
+    or from stdin for ``-``, trailing line breaks dropped; exactly one of the
+    two must be given."""
+    if (args.word is None) == (args.input is None):
+        raise ValueError("give the word either as an argument or with --input, not both")
+    if args.input is None:
+        return args.word
+    if args.input == "-":
+        return sys.stdin.read().rstrip("\r\n")
+    with open(args.input) as handle:
+        return handle.read().rstrip("\r\n")
+
+
 def _cmd_mfw(args) -> int:
-    alphabet = _alphabet_for(args.word, args.alphabet)
+    word = _word_of(args)
+    alphabet = _alphabet_for(word, args.alphabet)
     if args.circular:
-        result = mfw_circular(CircularWord(args.word, alphabet), alphabet)
+        result = mfw_circular(CircularWord(word, alphabet), alphabet)
     else:
-        result = mfw_linear(args.word, alphabet)
+        result = mfw_linear(word, alphabet)
     if args.json:
         print(json.dumps(result.to_json()))
     else:
@@ -56,11 +73,12 @@ def _emit_automaton(dfa, args) -> None:
 
 
 def _cmd_automaton(args) -> int:
-    alphabet = _alphabet_for(args.word, args.alphabet)
+    word = _word_of(args)
+    alphabet = _alphabet_for(word, args.alphabet)
     if args.circular:
-        dfa = circular_factor_dfa(CircularWord(args.word, alphabet), alphabet)
+        dfa = circular_factor_dfa(CircularWord(word, alphabet), alphabet)
     else:
-        dfa = build_factor_automaton(args.word, alphabet)
+        dfa = build_factor_automaton(word, alphabet)
     _emit_automaton(dfa, args)
     return 0
 
@@ -140,14 +158,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mfw", help="antidictionary of a word")
-    p.add_argument("word")
+    p.add_argument("word", nargs="?")
+    p.add_argument("--input", metavar="PATH", help=INPUT_HELP)
     p.add_argument("--alphabet", help="alphabet symbols in order (default: letters of the word)")
     p.add_argument("--circular", action="store_true", help="treat the word as circular")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_mfw)
 
     p = sub.add_parser("automaton", help="factor automaton of a word")
-    p.add_argument("word")
+    p.add_argument("word", nargs="?")
+    p.add_argument("--input", metavar="PATH", help=INPUT_HELP)
     p.add_argument("--alphabet")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--linear", action="store_true", help="linear word (default)")

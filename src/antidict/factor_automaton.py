@@ -34,22 +34,14 @@ from .automata import Dfa
 from .words import Alphabet, LimitExceeded, _encode
 
 
-def _suffix_automaton(
-    code: np.ndarray, sigma: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Suffix automaton of a rank-coded word, built by the compiled kernel.
+def _suffix_automaton_buffer(code: np.ndarray, sigma: int) -> tuple[np.ndarray, int, int]:
+    """The kernel's suffix automaton of a rank-coded word, as the one int32
+    buffer it fills, the row capacity ``cap`` = 2n+2 of its four tables and
+    the state count.
 
-    ``code`` is the int32 array of :func:`~antidict.words._encode`.  Returns
-    int32 arrays ``(trans, link, length, endpos)`` with one row per state,
-    state 0 the initial one: ``trans[s, c]`` is the transition on rank ``c``
-    (-1 when missing; the rows are views of one flat ``s * sigma + c``
-    table), ``link`` the suffix link (-1 at the root), ``length`` the length
-    of the state's longest word and ``endpos`` the smallest 0-based text
-    index at which its words end (a clone copies it from the state it
-    splits, whose occurrences all come earlier; the root's entry is 0).
-    Every transition path from state 0 spells a factor of the input.  Raises
-    ``LimitExceeded`` before allocating when the 2n+2 state bound would not
-    fit the int32 tables.
+    ``code`` is the int32 array of :func:`~antidict.words._encode`.  Raises
+    ``LimitExceeded`` before allocating when the state bound would not fit
+    the int32 tables.
     """
     cap = 2 * code.size + 2
     if cap > MAX_STATES:
@@ -58,7 +50,25 @@ def _suffix_automaton(
             f"more than the {MAX_STATES} its tables can number"
         )
     tables = np.empty(cap * (sigma + 3), dtype=np.int32)
-    size = kernel().suffix_automaton(code, code.size, sigma, tables)
+    return tables, cap, kernel().suffix_automaton(code, code.size, sigma, tables)
+
+
+def _suffix_automaton(
+    code: np.ndarray, sigma: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Suffix automaton of a rank-coded word, built by the compiled kernel.
+
+    Returns int32 arrays ``(trans, link, length, endpos)`` with one row per
+    state, state 0 the initial one: ``trans[s, c]`` is the transition on
+    rank ``c`` (-1 when missing; the rows are views of one flat
+    ``s * sigma + c`` table), ``link`` the suffix link (-1 at the root),
+    ``length`` the length of the state's longest word and ``endpos`` the
+    smallest 0-based text index at which its words end (a clone copies it
+    from the state it splits, whose occurrences all come earlier; the root's
+    entry is 0).  Every transition path from state 0 spells a factor of the
+    input.  The views share the buffer of :func:`_suffix_automaton_buffer`.
+    """
+    tables, cap, size = _suffix_automaton_buffer(code, sigma)
     link, length, endpos = tables[cap * sigma :].reshape(3, cap)[:, :size]
     return tables[: size * sigma].reshape(size, sigma), link, length, endpos
 

@@ -8,7 +8,11 @@ a suffix automaton: a state's shortest word ``x`` extended by a letter ``b``
 is minimal forbidden exactly when ``b`` is undefined at the state but
 defined at its suffix link (the tail of ``x`` lands on the suffix link
 precisely because ``x`` is shortest).  The circular set is the set of the
-doubled word filtered to length at most ``|w|``.
+doubled word filtered to length at most ``|w|``.  Both fast routes walk the
+automaton breadth first in the compiled kernel, which emits every member
+once and already in :class:`MfwSet` order, so neither sorts; the
+brute-force routes and other foreign input go through :meth:`MfwSet.build`,
+which does.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from itertools import groupby
 import numpy as np
 
 from .automata import build_trie
-from .factor_automaton import _suffix_automaton
+from ._kernel import kernel
+from .factor_automaton import _suffix_automaton_buffer
 from .words import (
     Alphabet,
     BRUTE_FORCE_WORD_LIMIT,
@@ -44,10 +49,13 @@ MAX_MEMBER_SYMBOLS = 2**26
 class MfwSet:
     """An antidictionary: the sorted set of minimal forbidden factors.
 
-    ``kind`` records which pipeline produced it (``"linear"`` or
-    ``"circular"``) and ``source`` the word it was computed from; both are
-    informative only.  Words are ordered by length, then lexicographically
-    under the alphabet order.
+    ``words`` are ordered by length, then lexicographically under the
+    alphabet order, each once.  The constructor takes them as they are:
+    :func:`mfw_linear` and :func:`mfw_circular` emit their members in that
+    order, while :meth:`build` sorts and deduplicates words from any other
+    source.  ``kind`` records which pipeline produced the set
+    (``"linear"`` or ``"circular"``) and ``source`` the word it was computed
+    from; both are informative only.
     """
 
     words: tuple[str, ...]
@@ -63,6 +71,8 @@ class MfwSet:
         kind: str = "linear",
         source: str | None = None,
     ) -> "MfwSet":
+        """The set of ``words``, in any order and possibly repeated: sorted
+        by length, then in alphabet order, with equal words kept once."""
         members = list(words)
         alphabet.sort(members)
         # equal members are neighbours now; groupby keeps one of each
@@ -113,48 +123,50 @@ class MfwSet:
         return word in self.words
 
 
-def _forbidden_words(
-    word: str,
-    symbols: tuple[str, ...],
-    trans: np.ndarray,
-    link: np.ndarray,
-    length: np.ndarray,
-    endpos: np.ndarray,
-    max_len: int | None = None,
-) -> list[str]:
-    """Read the minimal forbidden factors of a word off the tables of its
-    suffix automaton, keeping those of length at most ``max_len`` when it is
-    given.
+def _forbidden_sites(
+    code: np.ndarray, sigma: int, max_len: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sites of the minimal forbidden factors of length at most ``max_len``
+    of a rank-coded word, in :class:`MfwSet` order, found by the kernel's
+    breadth-first walk of the word's suffix automaton.
 
-    A site is a (state, letter) pair with the letter undefined at the state
-    but defined at its suffix link; the emitted word is the state's shortest
-    word, of length ``length[link[s]] + 1``, extended by the letter.  States
-    whose words would be too long are dropped and the sites located with one
-    vectorized mask before any string is made.  The shortest word has an
-    occurrence ending at the state's recorded text position, so it is sliced
-    straight out of the input instead of being rebuilt from parent edges.
-    Raises ``LimitExceeded`` before slicing when the members would hold more
-    than ``MAX_MEMBER_SYMBOLS`` symbols together.
+    Returns int32 arrays ``(starts, stops, letters)``: the member of site
+    ``i`` is the word's slice ``starts[i]:stops[i]`` (the shortest word of
+    its state, empty at the root) followed by the letter of rank
+    ``letters[i]``.
     """
-    out = [symbols[c] for c in np.flatnonzero(trans[0] < 0).tolist()]
-    states = np.arange(1, link.size)
-    parents = link[1:]
-    if max_len is not None:
-        fits = length[parents] + 2 <= max_len
-        states, parents = states[fits], parents[fits]
-    rows, letters = np.nonzero((trans[states] < 0) & (trans[parents] >= 0))
-    sites = states[rows]
-    starts = endpos[sites] - length[link[sites]]
-    stops = endpos[sites] + 1
-    total = len(out) + int((stops - starts).sum(dtype=np.int64)) + sites.size
+    tables, cap, size = _suffix_automaton_buffer(code, sigma)
+    # the queue, then at most size*(sigma-1) + 1 site triples (see the kernel)
+    out = np.empty(size + 3 * (size * (sigma - 1) + 1), dtype=np.int32)
+    count = kernel().forbidden_sites(tables, cap, size, sigma, max_len, out)
+    starts, stops, letters = out[size : size + 3 * count].reshape(count, 3).T
+    return starts, stops, letters
+
+
+def _forbidden_words(word: str, alphabet: Alphabet, max_len: int | None = None) -> list[str]:
+    """The minimal forbidden factors of a word, of length at most
+    ``max_len`` when it is given, each once and in :class:`MfwSet` order.
+
+    Each member's shortest-word part has an occurrence ending at its
+    state's recorded text position, so it is sliced straight out of the
+    input instead of being rebuilt from parent edges.  Raises
+    ``LimitExceeded`` before slicing when the members would hold more than
+    ``MAX_MEMBER_SYMBOLS`` symbols together.
+    """
+    if max_len is None:
+        max_len = len(word) + 1  # no member of a linear word is longer
+    starts, stops, letters = _forbidden_sites(_encode(word, alphabet), len(alphabet), max_len)
+    total = int((stops - starts).sum(dtype=np.int64)) + letters.size
     if total > MAX_MEMBER_SYMBOLS:
         raise LimitExceeded(
-            f"the antidictionary's {len(out) + sites.size} members would hold {total} "
+            f"the antidictionary's {letters.size} members would hold {total} "
             f"symbols, more than the cap of {MAX_MEMBER_SYMBOLS}"
         )
-    for start, stop, c in zip(starts.tolist(), stops.tolist(), letters.tolist()):
-        out.append(word[start:stop] + symbols[c])
-    return out
+    symbols = alphabet.symbols
+    return [
+        word[start:stop] + symbols[c]
+        for start, stop, c in zip(starts.tolist(), stops.tolist(), letters.tolist())
+    ]
 
 
 def mfw_linear(word: str, alphabet: Alphabet | None = None) -> MfwSet:
@@ -169,11 +181,7 @@ def mfw_linear(word: str, alphabet: Alphabet | None = None) -> MfwSet:
     if alphabet is None:
         alphabet = Alphabet.of_word(word)
     alphabet.check_word(word)
-    if not word:
-        return MfwSet.build(alphabet.symbols, alphabet, "linear", word)
-    tables = _suffix_automaton(_encode(word, alphabet), len(alphabet))
-    forbidden = _forbidden_words(word, alphabet.symbols, *tables)
-    return MfwSet.build(forbidden, alphabet, "linear", word)
+    return MfwSet(tuple(_forbidden_words(word, alphabet)), alphabet, "linear", word)
 
 
 def mfw_linear_bruteforce(word: str, alphabet: Alphabet | None = None) -> MfwSet:
@@ -221,10 +229,8 @@ def mfw_circular(cw: CircularWord | str, alphabet: Alphabet | None = None) -> Mf
         alphabet = cw.alphabet
     w = cw.linearization
     alphabet.check_word(w)
-    ww = w + w
-    tables = _suffix_automaton(_encode(ww, alphabet), len(alphabet))
-    forbidden = _forbidden_words(ww, alphabet.symbols, *tables, max_len=len(w))
-    return MfwSet.build(forbidden, alphabet, "circular", w)
+    forbidden = _forbidden_words(w + w, alphabet, max_len=len(w))
+    return MfwSet(tuple(forbidden), alphabet, "circular", w)
 
 
 def mfw_circular_bruteforce(

@@ -172,6 +172,31 @@ def suffix_automaton_reference(coded, sigma: int):
     return cols, link, length, endpos, size
 
 
+def forbidden_sites_reference(coded, sigma: int, max_len: int):
+    """Sites of the minimal forbidden factors of length at most ``max_len``,
+    read off :func:`suffix_automaton_reference` by a full scan and a sort.
+
+    A site is a state and a rank undefined there but defined at the suffix
+    link (at the root: undefined); its member is the state's shortest word,
+    ``coded[start:stop]``, followed by the rank.  Returns the ``(start,
+    stop, rank)`` triples sorted by the shortest word's length, then the
+    shortest word as a tuple of ranks, then the rank.
+    """
+    cols, link, length, endpos, size = suffix_automaton_reference(coded, sigma)
+    keyed = []
+    for s in range(size):
+        shortest = length[link[s]] + 1 if s else 0
+        if shortest + 1 > max_len:
+            continue
+        stop = endpos[s] + 1 if s else 0
+        start = stop - shortest
+        for c, col in enumerate(cols):
+            if col[s] < 0 and (s == 0 or col[link[s]] >= 0):
+                keyed.append(((shortest, tuple(coded[start:stop]), c), (start, stop, c)))
+    keyed.sort()
+    return [site for _, site in keyed]
+
+
 def trie_reference(words, alphabet: Alphabet):
     """Trie insertion in plain Python, the reference the kernel's ``trie`` is
     checked against.

@@ -1,9 +1,10 @@
 import io
 import json
+import random
 
 import pytest
 
-from antidict import Alphabet, build_trie, mfw
+from antidict import Alphabet, build_factor_automaton, build_trie, mfw, mfw_linear
 from antidict.cli import main
 
 AB = Alphabet("ab")
@@ -78,6 +79,51 @@ class TestAutomatonCommand:
         data = json.loads(out)
         assert data["states"] == 3
         assert data["finals"] == [0, 1, 2]
+
+
+class TestWordInput:
+    """``--input PATH|-`` carries words past argv's 128 KiB per-argument cap."""
+
+    @pytest.fixture(scope="class")
+    def long_word(self):
+        rng = random.Random(131)
+        return "".join(rng.choice("ab") for _ in range(140_000))  # > 128 KiB
+
+    def test_long_word_from_file(self, capsys, tmp_path, long_word):
+        path = tmp_path / "word.txt"
+        path.write_text(long_word + "\n")
+        code, out, _ = run(capsys, "mfw", "--input", str(path), "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["word"] == long_word
+        assert tuple(data["mfw"]) == mfw_linear(long_word).words
+
+    def test_long_word_from_stdin(self, capsys, monkeypatch, long_word):
+        monkeypatch.setattr("sys.stdin", io.StringIO(long_word + "\n"))
+        code, out, _ = run(capsys, "automaton", "--input", "-", "--stats")
+        assert code == 0
+        assert out.strip() == f"states={build_factor_automaton(long_word).n_states}"
+
+    def test_circular_from_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("aabbabb\r\n"))
+        code, out, _ = run(capsys, "mfw", "--input", "-", "--circular")
+        assert code == 0
+        assert out.split() == ["aaa", "aba", "bbb", "aabbaa", "babbab"]
+
+    @pytest.mark.parametrize("command", ["mfw", "automaton"])
+    def test_word_and_input_both_or_neither(self, capsys, tmp_path, command):
+        path = tmp_path / "word.txt"
+        path.write_text("abaab")
+        for argv in ((command, "abaab", "--input", str(path)), (command,)):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert "either as an argument or with --input" in err
+
+    @pytest.mark.parametrize("command", ["mfw", "automaton"])
+    def test_missing_file(self, capsys, tmp_path, command):
+        code, out, err = run(capsys, command, "--input", str(tmp_path / "absent.txt"))
+        assert code == 2 and out == ""
+        assert "No such file" in err
 
 
 class TestLAutomatonCommand:

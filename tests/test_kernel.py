@@ -23,9 +23,16 @@ from antidict import _kernel, automata, factor_automaton
 from antidict.automata import _avoidance_tables
 from antidict.factor_automaton import _suffix_automaton
 from antidict.l_automaton import _stripped_l_automaton
+from antidict.mfw import _forbidden_sites
 from antidict.words import _encode
 
-from .helpers import all_words, avoidance_reference, suffix_automaton_reference, trie_reference
+from .helpers import (
+    all_words,
+    avoidance_reference,
+    forbidden_sites_reference,
+    suffix_automaton_reference,
+    trie_reference,
+)
 
 
 def assert_same_tables(word: str, alphabet: Alphabet) -> None:
@@ -111,6 +118,63 @@ class TestStateBound:
             mfw_linear("abcabc")
         monkeypatch.setattr(factor_automaton, "MAX_STATES", 14)
         assert build_factor_automaton("abcabc").n_states == 7
+
+
+def assert_same_sites(word: str, alphabet: Alphabet, max_len: int) -> None:
+    coded = _encode(word, alphabet)
+    starts, stops, letters = _forbidden_sites(coded, len(alphabet), max_len)
+    sites = list(zip(starts.tolist(), stops.tolist(), letters.tolist()))
+    assert sites == forbidden_sites_reference(coded.tolist(), len(alphabet), max_len), (word, max_len)
+
+
+class TestForbiddenSites:
+    """The breadth-first walk's sites, in order, against a full scan of the
+    reference suffix automaton sorted by shortest word and letter."""
+
+    @pytest.mark.parametrize("symbols, bound", [("ab", 10), ("abc", 6), ("acgt", 5)])
+    def test_every_small_word(self, symbols, bound):
+        alphabet = Alphabet(symbols)
+        for word in all_words(symbols, bound):
+            assert_same_sites(word, alphabet, len(word) + 1)
+            assert_same_sites(word + word, alphabet, len(word))  # the circular route
+
+    def test_alphabet_orders_and_missing_letters(self):
+        for alphabet in (Alphabet("ba"), Alphabet("cab"), Alphabet("γaβ")):
+            symbols = "".join(alphabet.symbols)
+            for word in all_words(symbols, 6):
+                assert_same_sites(word, alphabet, len(word) + 1)
+                assert_same_sites(word + word, alphabet, len(word))
+        for word in ("", "ca", "bbbbbb", "dadd"):
+            assert_same_sites(word, Alphabet("abcd"), len(word) + 1)
+
+    def test_cap_at_every_length(self):
+        # the walk stops at the first state whose members are too long
+        for word in ("abaab", "aabbabb", "abcacba", "a" + "b" * 9):
+            alphabet = Alphabet.of_word(word)
+            for max_len in range(1, 2 * len(word) + 3):
+                assert_same_sites(word + word, alphabet, max_len)
+
+    def test_circular_cap_is_exact(self):
+        # the circular words abaab and aaaab each have a member of length |w|
+        for word, longest in (("abaab", "aabaa"), ("aaaab", "aaaaa")):
+            alphabet = Alphabet("ab")
+            ww = _encode(word + word, alphabet)
+            for max_len, present in ((len(word), True), (len(word) - 1, False)):
+                starts, stops, letters = _forbidden_sites(ww, 2, max_len)
+                members = {
+                    (word + word)[a:b] + alphabet.symbols[c]
+                    for a, b, c in zip(starts.tolist(), stops.tolist(), letters.tolist())
+                }
+                assert (longest in members) is present, (word, max_len)
+                assert max(map(len, members)) <= max_len
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_words(self, data):
+        symbols = data.draw(st.permutations("abcdé"))[: data.draw(st.integers(1, 5))]
+        word = data.draw(st.text("".join(symbols), max_size=120))
+        max_len = data.draw(st.integers(1, len(word) + 2))
+        assert_same_sites(word, Alphabet(symbols), max_len)
 
 
 def assert_same_avoidance(words, alphabet: Alphabet) -> None:

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from antidict import (
     Alphabet,
@@ -129,10 +130,11 @@ class TestLinear:
             mfw_linear("abc", AB)
 
     def test_against_brute_force(self):
+        # whole tuples: the fast route emits its members already in order
         for w in all_words("ab", 9):
-            assert mfw_linear(w, AB).as_set() == mfw_linear_bruteforce(w, AB).as_set(), w
+            assert mfw_linear(w, AB).words == mfw_linear_bruteforce(w, AB).words, w
         for w in all_words("abc", 5):
-            assert mfw_linear(w, ABC).as_set() == mfw_linear_bruteforce(w, ABC).as_set(), w
+            assert mfw_linear(w, ABC).words == mfw_linear_bruteforce(w, ABC).words, w
 
     def test_brute_force_guard(self):
         with pytest.raises(LimitExceeded):
@@ -186,7 +188,7 @@ class TestCircular:
             if cw.reduced or cw in seen:
                 continue
             seen.add(cw)
-            assert mfw_circular(cw, AB).as_set() == mfw_circular_bruteforce(cw, AB).as_set(), w
+            assert mfw_circular(cw, AB).words == mfw_circular_bruteforce(cw, AB).words, w
 
     def test_doubled_word_filtered_to_the_word_length(self):
         for symbols, bound in (("ab", 10), ("abc", 6)):
@@ -214,6 +216,37 @@ class TestCircular:
         # tight for Fibonacci words, not tight for aabbab
         assert mfw_circular("abaab").max_length() == 5
         assert mfw_circular("aabbab").max_length() == 4
+
+
+class TestOrder:
+    """Both fast routes emit ``MfwSet.build``'s order without sorting: their
+    tuples equal the sorted brute-force output, order included."""
+
+    @staticmethod
+    def assert_ordered(word: str, alphabet: Alphabet) -> None:
+        assert mfw_linear(word, alphabet).words == mfw_linear_bruteforce(word, alphabet).words, word
+        assert mfw_circular(word, alphabet).words == mfw_circular_bruteforce(word, alphabet).words, word
+
+    @pytest.mark.parametrize(
+        "symbols, bound", [("ba", 8), ("cab", 5), ("acgt", 4), ("βaγ", 5)]
+    )
+    def test_alphabet_orders(self, symbols, bound):
+        alphabet = Alphabet(symbols)
+        for w in all_words(symbols, bound):
+            self.assert_ordered(w, alphabet)
+
+    def test_letters_missing_from_the_word(self):
+        for w in ("a", "ca", "bbbb", "dadd", "acca"):
+            self.assert_ordered(w, Alphabet("abcd"))
+            self.assert_ordered(w, Alphabet("dcba"))
+        assert mfw_linear("", Alphabet("ba")).words == ("b", "a")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_words(self, data):
+        symbols = data.draw(st.permutations("abcdé"))[: data.draw(st.integers(1, 5))]
+        word = data.draw(st.text("".join(symbols), min_size=1, max_size=14))
+        self.assert_ordered(word, Alphabet(symbols))
 
 
 class TestCardinalityBounds:
