@@ -70,6 +70,8 @@ def build(cache_dir: Path) -> ctypes.CDLL:
         ("trie_size", [codes, bounds, int64], int64),
         ("trie", [codes, bounds, int64, int32, table, table], None),
         ("avoidance", [table, int64, int32, table, table], int32),
+        ("longest_path", [codes, int64, int32, table], int64),
+        ("find_cycle", [codes, int64, int32, table], int64),
     ):
         function = getattr(lib, name)
         function.argtypes, function.restype = argtypes, restype

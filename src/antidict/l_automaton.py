@@ -7,8 +7,9 @@ Crochemore, Mignosi and Restivo ("Automata and forbidden words", IPL 67,
 and turns the sinks into absorbing traps, yielding a complete automaton
 whose non-sink states accept exactly the words containing no member of
 ``M``.  The compiled kernel builds both the trie and this completion; the
-stripped automaton the library's routes use is renumbered from the
-kernel's tables in numpy.  The output is deliberately *not* minimized: for
+stripped automaton of :func:`circular_factor_dfa` is renumbered from the
+kernel's tables in numpy, while the reconstructions read the completed
+table in the kernel itself.  The output is deliberately *not* minimized: for
 the antidictionary of a single linear or primitive circular word it is
 already minimal after sink removal, and for other inputs (``{aa, ba}`` is
 the classic witness) the redundancy is the interesting part.
@@ -46,9 +47,8 @@ def _stripped_l_automaton(trie: Trie) -> Dfa:
 
     The sinks are dropped and the other states renumbered in order, in
     numpy; edges into a sink become missing edges.  The tables go to
-    ``Dfa`` as plain lists, which the reconstruction walks and
-    ``Dfa.accepts`` read fastest.  Raises ``ValueError`` like
-    :func:`l_automaton`.
+    ``Dfa`` as plain lists, which ``Dfa.accepts`` reads fastest.  Raises
+    ``ValueError`` like :func:`l_automaton`.
     """
     flat, failure = _avoidance_tables(trie)
     keep = np.ones(trie.n_states, dtype=bool)

@@ -114,6 +114,13 @@ def _encode(word: str, alphabet: Alphabet) -> np.ndarray:
     return np.fromiter(map(alphabet._rank.__getitem__, word), np.int32, len(word))
 
 
+def _decode(code: np.ndarray, alphabet: Alphabet) -> str:
+    """The word of an array of rank codes, the inverse of :func:`_encode`:
+    gathered as UTF-32 code points in one pass."""
+    points = np.array([ord(s) for s in alphabet.symbols], dtype="<u4")
+    return points[code].tobytes().decode("utf-32-le")
+
+
 def reversal(word: str) -> str:
     """The word read from right to left."""
     return word[::-1]

@@ -256,3 +256,99 @@ def avoidance_reference(flat, sinks, sigma: int):
                 failure[child] = link
                 queue.append(child)
     return flat, failure
+
+
+def longest_path_reference(dfa: Dfa) -> str:
+    """The unique longest word read from the initial state of a stripped
+    avoidance automaton, by longest paths in Kahn's order in plain Python:
+    the reference the kernel's ``longest_path`` is checked against.
+
+    Raises ``ValueError`` naming the language "infinite" when the automaton
+    has a cycle, and the longest word "not unique" when two paths tie.
+    """
+    n, symbols, flat = dfa.n_states, dfa.alphabet.symbols, dfa.flat
+    sigma = len(symbols)
+    # a state's distance is final when its last incoming edge has been relaxed
+    indegree = [0] * n
+    for target in flat:
+        if target >= 0:
+            indegree[target] += 1
+    ready = [s for s in range(n) if indegree[s] == 0]
+    dist = [-1] * n
+    # the last edge of a longest path into each state: its source and rank
+    best_from = [-1] * n
+    best_rank = [-1] * n
+    n_best = [0] * n
+    dist[dfa.initial] = 0
+    n_best[dfa.initial] = 1
+    done = 0
+    while ready:
+        state = ready.pop()
+        done += 1
+        longer = dist[state] + 1  # 0 when the initial state does not reach it
+        base = state * sigma
+        for i in range(sigma):
+            target = flat[base + i]
+            if target < 0:
+                continue
+            indegree[target] -= 1
+            if indegree[target] == 0:
+                ready.append(target)
+            if not longer:
+                continue
+            if longer > dist[target]:
+                dist[target] = longer
+                best_from[target] = state
+                best_rank[target] = i
+                n_best[target] = n_best[state]
+            elif longer == dist[target]:
+                n_best[target] = min(2, n_best[target] + n_best[state])
+    if done != n:
+        raise ValueError("the avoiding language is infinite")
+    top = max(dist)
+    ends = [s for s in range(n) if dist[s] == top]
+    if len(ends) != 1 or n_best[ends[0]] != 1:
+        raise ValueError("longest avoiding word is not unique")
+    chars = []
+    state = ends[0]
+    while state != dfa.initial:
+        chars.append(symbols[best_rank[state]])
+        state = best_from[state]
+    return "".join(reversed(chars))
+
+
+def find_cycle_reference(dfa: Dfa) -> str | None:
+    """The labels of the first cycle an iterative depth-first search from
+    the initial state closes, edges taken in alphabet order, or ``None``:
+    the reference the kernel's ``find_cycle`` is checked against."""
+    WHITE, GRAY, BLACK = 0, 1, 2
+    symbols, flat = dfa.alphabet.symbols, dfa.flat
+    sigma = len(symbols)
+    color = bytearray(dfa.n_states)
+    depth = [0] * dfa.n_states  # position on the DFS stack of a gray state
+    # The DFS stack, and for each of its states one past the rank of the
+    # edge taken out of it: the ranks below the top spell the current path.
+    stack = [dfa.initial]
+    next_rank = [0]
+    color[dfa.initial] = GRAY
+    while stack:
+        state = stack[-1]
+        base = state * sigma
+        i = next_rank[-1]
+        while i < sigma and flat[base + i] < 0:
+            i += 1
+        if i == sigma:
+            stack.pop()
+            next_rank.pop()
+            color[state] = BLACK
+            continue
+        next_rank[-1] = i + 1
+        target = flat[base + i]
+        if color[target] == GRAY:
+            return "".join(symbols[r - 1] for r in next_rank[depth[target] :])
+        if color[target] == WHITE:
+            color[target] = GRAY
+            depth[target] = len(stack)
+            stack.append(target)
+            next_rank.append(0)
+    return None

@@ -1,6 +1,7 @@
 """The compiled kernels against the plain-Python references, and the build
 and guards around them."""
 
+import itertools
 import re
 
 import numpy as np
@@ -11,6 +12,7 @@ from antidict import (
     Alphabet,
     CircularWord,
     LimitExceeded,
+    MfwSet,
     Trie,
     build_factor_automaton,
     build_trie,
@@ -24,12 +26,15 @@ from antidict.automata import _avoidance_tables
 from antidict.factor_automaton import _suffix_automaton
 from antidict.l_automaton import _stripped_l_automaton
 from antidict.mfw import _forbidden_sites
+from antidict.reconstruction import _cycle_word, _longest_word
 from antidict.words import _encode
 
 from .helpers import (
     all_words,
     avoidance_reference,
+    find_cycle_reference,
     forbidden_sites_reference,
+    longest_path_reference,
     suffix_automaton_reference,
     trie_reference,
 )
@@ -292,3 +297,82 @@ class TestTrieAndAvoidance:
             build_trie(["aa", "ab", "b"], Alphabet("ab"))
         monkeypatch.setattr(automata, "MAX_STATES", 5)
         assert build_trie(["aa", "ab", "b"], Alphabet("ab")).n_states == 5
+
+
+def walk_outcome(walk, *args) -> str:
+    """The word a walk reads, or the class of the error it raises."""
+    try:
+        word = walk(*args)
+    except ValueError as exc:
+        return next(kind for kind in ("infinite", "not unique", "acyclic") if kind in str(exc))
+    return "acyclic" if word is None else word
+
+
+def assert_same_walks(words, alphabet: Alphabet) -> None:
+    """The kernel's longest-path and cycle walks read what the references
+    read on the stripped automaton; the words must be antifactorial."""
+    mfws = MfwSet.build(words, alphabet)
+    dfa = _stripped_l_automaton(build_trie(words, alphabet))
+    assert walk_outcome(_longest_word, mfws) == walk_outcome(longest_path_reference, dfa), words
+    assert walk_outcome(_cycle_word, mfws) == walk_outcome(find_cycle_reference, dfa), words
+
+
+def antifactorial_core(words) -> list[str]:
+    """The words, shortest first, that contain no shorter word kept before."""
+    kept: list[str] = []
+    for word in sorted(set(words), key=len):
+        if not any(u in word for u in kept):
+            kept.append(word)
+    return kept
+
+
+class TestWalks:
+    """Reading the word back: the kernel's walks on the completed avoidance
+    table against the reference walks on the stripped automaton."""
+
+    @pytest.mark.parametrize("symbols, bound", [("ab", 10), ("abc", 6), ("ba", 8), ("cab", 5)])
+    def test_every_small_antidictionary(self, symbols, bound):
+        alphabet = Alphabet(symbols)
+        for word in all_words(symbols, bound):
+            assert_same_walks(mfw_linear(word, alphabet).words, alphabet)
+            assert_same_walks(mfw_circular(word, alphabet).words, alphabet)
+
+    def test_named_sets(self):
+        ab = Alphabet("ab")
+        cases = [
+            (["aa", "abb", "bab", "bbb"], "not unique", "acyclic"),  # aba and bba tie
+            (["aa", "ab", "bba", "bbb"], "not unique", "acyclic"),  # ba and bb tie
+            (["aa", "ba"], "infinite", "b"),
+            ([], "infinite", "a"),
+            (["a"], "infinite", "b"),
+            (["a", "b"], "", "acyclic"),
+            (["b", "aa"], "a", "acyclic"),
+        ]
+        for words, longest, cycle in cases:
+            mfws = MfwSet.build(words, ab)
+            assert walk_outcome(_longest_word, mfws) == longest, words
+            assert walk_outcome(_cycle_word, mfws) == cycle, words
+            assert_same_walks(words, ab)
+        assert walk_outcome(_cycle_word, MfwSet.build([], Alphabet("ba"))) == "b"
+
+    def test_every_small_binary_set(self):
+        # every antifactorial set of up to four binary words of length <= 3
+        ab = Alphabet("ab")
+        for k in range(5):
+            for words in itertools.combinations(all_words("ab", 3), k):
+                if antifactorial(words):
+                    assert_same_walks(words, ab)
+
+    def test_letters_missing_from_the_word(self):
+        for word in ("a", "ca", "dadd", "bbbbbb"):
+            alphabet = Alphabet("abcd")
+            assert_same_walks(mfw_linear(word, alphabet).words, alphabet)
+            assert_same_walks(mfw_circular(word, alphabet).words, alphabet)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_sets(self, data):
+        # antifactorial sets, nearly all of which belong to no word
+        symbols = data.draw(st.permutations("abcdé"))[: data.draw(st.integers(1, 5))]
+        words = data.draw(st.lists(st.text("".join(symbols), min_size=1, max_size=8), max_size=12))
+        assert_same_walks(antifactorial_core(words), Alphabet(symbols))

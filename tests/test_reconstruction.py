@@ -124,6 +124,12 @@ class TestRoundTripAtScale:
         assert reconstruct_circular(mfw_circular(cw, alphabet)) == cw
         assert reconstruct_word(mfw_linear(word, alphabet)) == word
 
+    def test_random_word_of_a_million_symbols(self):
+        # untimed; about 2 s, the verifying mfw_linear included
+        rng = random.Random(10**6)
+        word = "".join(rng.choices("ab", k=10**6))
+        assert reconstruct_word(mfw_linear(word, AB)) == word
+
 
 @st.composite
 def words_over_ordered_alphabets(draw):
