@@ -2,18 +2,21 @@
 language enumeration, sink removal and DOT/JSON export.
 
 A :class:`Trie` and a :class:`Dfa` share one storage layout: the transitions
-sit in one flat table indexed by ``state * sigma + rank``, with ``-1``
+sit in one flat int32 table indexed by ``state * sigma + rank``, with ``-1``
 marking a missing edge.  That keeps million-state automata cheap and lets
-the walks over either read the table directly.  A trie's table is an int32
-array built by the compiled kernel (``_kernel.c``), which also completes a
-copy of it, breadth first, into the avoidance automaton's table and failure
-links.  Transition functions are partial everywhere; completion with a dead
-state happens only inside :func:`minimize` and :func:`equivalent`.
+the walks over either read the table directly.  A trie's table is the numpy
+array the compiled kernel (``_kernel.c``) builds and reads; the kernel also
+completes a copy of it, breadth first, into the avoidance automaton's table
+and failure links.  A DFA holds its tables as ``array('i')``, which indexes
+to plain ints, and its final states as a bitmap.  Transition functions are
+partial everywhere; completion with a dead state happens only inside
+:func:`minimize` and :func:`equivalent`.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, compress, filterfalse
+from array import array
+from itertools import compress
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -29,7 +32,7 @@ def _row_edges(flat, symbols: tuple[str, ...], state: int) -> list[tuple[str, in
     """The (symbol, target) edges leaving a state of a flat table, in
     alphabet order."""
     base = state * len(symbols)
-    return [(sym, int(flat[base + i])) for i, sym in enumerate(symbols) if flat[base + i] >= 0]
+    return [(sym, flat[base + i]) for i, sym in enumerate(symbols) if flat[base + i] >= 0]
 
 
 def _table_edges(flat, symbols: tuple[str, ...], n_states: int) -> Iterator[tuple[int, str, int]]:
@@ -37,6 +40,13 @@ def _table_edges(flat, symbols: tuple[str, ...], n_states: int) -> Iterator[tupl
     for state in range(n_states):
         for sym, target in _row_edges(flat, symbols, state):
             yield state, sym, target
+
+
+def _int_table(table: np.ndarray) -> array:
+    """An int32 numpy table copied into the ``array('i')`` a Dfa holds."""
+    out = array("i")
+    out.frombytes(memoryview(np.ascontiguousarray(table, dtype=np.int32)).cast("B"))
+    return out
 
 
 def _state_id(value) -> int:
@@ -237,9 +247,12 @@ def _avoidance_tables(trie: Trie) -> tuple[np.ndarray, np.ndarray]:
 class Dfa:
     """Deterministic finite automaton over dense integer states.
 
-    ``flat[state * sigma + rank]`` holds the target state or ``-1``.
-    ``failure``, when present, is the per-state suffix link (``-1`` at the
-    initial state).  Instances are treated as immutable after construction.
+    ``flat[state * sigma + rank]`` holds the target state or ``-1``, and
+    ``failure``, when present, the per-state suffix link (``-1`` at the
+    initial state); both are ``array('i')``, the kernel's int32 width.
+    ``finals`` is a bitmap: ``bytes`` of length ``n_states``, 1 at each final
+    state and 0 elsewhere.  Instances are treated as immutable after
+    construction.
     """
 
     __slots__ = ("alphabet", "n_states", "initial", "finals", "flat", "failure")
@@ -249,19 +262,24 @@ class Dfa:
         alphabet: Alphabet,
         n_states: int,
         initial: int,
-        finals: Iterable[int],
-        flat: list[int],
-        failure: list[int] | None = None,
+        finals: bytes,
+        flat: array,
+        failure: array | None = None,
     ):
         sigma = len(alphabet)
+        tables = (flat,) if failure is None else (flat, failure)
+        if not all(isinstance(t, array) and t.typecode == "i" for t in tables):
+            raise TypeError("the tables of a Dfa are array('i')")
         if len(flat) != n_states * sigma:
             raise ValueError("flat transition table has the wrong size")
         if failure is not None and len(failure) != n_states:
             raise ValueError("failure table has the wrong size")
+        if not isinstance(finals, bytes) or len(finals) != n_states:
+            raise ValueError("finals must be a bitmap of one byte per state")
         self.alphabet = alphabet
         self.n_states = n_states
         self.initial = initial
-        self.finals = frozenset(finals)
+        self.finals = finals
         self.flat = flat
         self.failure = failure
 
@@ -276,32 +294,39 @@ class Dfa:
         failure: Mapping[int, int] | None = None,
     ) -> "Dfa":
         sigma = len(alphabet)
-        flat = [-1] * (n_states * sigma)
+        flat = array("i", [-1]) * (n_states * sigma)
         for src, sym, dst in edges:
             slot = src * sigma + alphabet.rank(sym)
             if flat[slot] not in (-1, dst):
                 raise ValueError(f"conflicting transitions from state {src} on {sym!r}")
             flat[slot] = dst
+        bitmap = bytearray(n_states)
+        for state in finals:
+            bitmap[state] = 1
         fail = None
         if failure is not None:
-            fail = [-1] * n_states
+            fail = array("i", [-1]) * n_states
             for src, dst in failure.items():
                 fail[src] = dst
-        return cls(alphabet, n_states, initial, finals, flat, fail)
+        return cls(alphabet, n_states, initial, bytes(bitmap), flat, fail)
 
     def step(self, state: int, symbol: str) -> int | None:
-        target = int(self.flat[state * len(self.alphabet) + self.alphabet.rank(symbol)])
+        target = self.flat[state * len(self.alphabet) + self.alphabet.rank(symbol)]
         return None if target < 0 else target
 
     def accepts(self, word: str) -> bool:
-        """Run the word from the initial state; a missing transition rejects."""
+        """Run the word from the initial state; a missing transition rejects
+        and a symbol outside the alphabet raises ``ValueError``."""
         state = self.initial
-        sigma = len(self.alphabet)
-        for sym in word:
-            state = self.flat[state * sigma + self.alphabet.rank(sym)]
-            if state < 0:
-                return False
-        return state in self.finals
+        flat, rank, sigma = self.flat, self.alphabet._rank, len(self.alphabet)
+        try:
+            for sym in word:
+                state = flat[state * sigma + rank[sym]]
+                if state < 0:
+                    return False
+        except (KeyError, TypeError):  # TypeError: an unhashable non-symbol
+            raise ValueError(f"symbol {sym!r} is not in alphabet {self.alphabet}") from None
+        return self.finals[state] != 0
 
     def out_edges(self, state: int) -> list[tuple[str, int]]:
         return _row_edges(self.flat, self.alphabet.symbols, state)
@@ -329,7 +354,8 @@ class Dfa:
     def enumerate_language(self, max_len: int, *, limit: int = ENUMERATION_LIMIT) -> set[str]:
         """All accepted words of length at most ``max_len``, breadth first."""
         out: set[str] = set()
-        if self.initial in self.finals:
+        finals = self.finals
+        if finals[self.initial]:
             out.add("")
         frontier: list[tuple[int, str]] = [(self.initial, "")]
         sigma = len(self.alphabet)
@@ -348,7 +374,7 @@ class Dfa:
                             f"language enumeration exceeded {limit} words"
                         )
                     grown = word + sym
-                    if t in self.finals:
+                    if finals[t]:
                         out.add(grown)
                     nxt.append((t, grown))
             frontier = nxt
@@ -359,14 +385,12 @@ class Dfa:
             "alphabet": "".join(self.alphabet.symbols),
             "states": self.n_states,
             "initial": self.initial,
-            "finals": sorted(self.finals),
+            "finals": list(compress(range(self.n_states), self.finals)),
             "transitions": [[p, sym, q] for p, sym, q in self.transitions()],
         }
         if self.failure is not None:
             data["failure"] = [
-                [int(state), int(target)]
-                for state, target in enumerate(self.failure)
-                if target >= 0
+                [state, target] for state, target in enumerate(self.failure) if target >= 0
             ]
         return data
 
@@ -384,6 +408,11 @@ class Dfa:
                 failure = {_state_id(p): _state_id(q) for p, q in data["failure"]}
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed automaton JSON: {exc!r}") from None
+        # a reachable state but the initial one is a transition's target: refuse
+        # a larger count (finals allowed as slack) before allocating the tables
+        bound = min(MAX_STATES, 1 + len(edges) + len(finals))
+        if n > bound:
+            raise ValueError(f"{n} states is more than the {bound} the document accounts for")
         states = [initial, *finals, *(s for p, _, q in edges for s in (p, q))]
         if failure is not None:
             states += [*failure.keys(), *failure.values()]
@@ -393,7 +422,7 @@ class Dfa:
 
     def __repr__(self) -> str:
         return (
-            f"Dfa(states={self.n_states}, finals={len(self.finals)}, "
+            f"Dfa(states={self.n_states}, finals={self.finals.count(1)}, "
             f"alphabet={''.join(self.alphabet.symbols)!r})"
         )
 
@@ -417,7 +446,7 @@ def minimize(dfa: Dfa) -> Dfa:
             [index[dfa.flat[base + i]] if dfa.flat[base + i] >= 0 else dead for i in range(sigma)]
         )
     table.append([dead] * sigma)
-    is_final = [s in dfa.finals for s in reach] + [False]
+    is_final = [dfa.finals[s] for s in reach] + [0]
 
     cls_ids = [1 if f else 0 for f in is_final]
     n_classes = len(set(cls_ids))
@@ -439,7 +468,7 @@ def minimize(dfa: Dfa) -> Dfa:
     dead_cls = cls_ids[dead]
     init_cls = cls_ids[0]
     if init_cls == dead_cls:
-        return Dfa(dfa.alphabet, 1, 0, set(), [-1] * sigma)
+        return Dfa(dfa.alphabet, 1, 0, b"\x00", array("i", [-1]) * sigma)
 
     rep: dict[int, int] = {}
     for s in range(n + 1):
@@ -456,17 +485,16 @@ def minimize(dfa: Dfa) -> Dfa:
             if t != dead_cls and t not in renum:
                 renum[t] = len(renum)
                 order.append(t)
-    flat = [-1] * (len(order) * sigma)
-    finals = set()
+    flat = array("i", [-1]) * (len(order) * sigma)
+    finals = bytearray(len(order))
     for c in order:
         new_id = renum[c]
-        if is_final[rep[c]]:
-            finals.add(new_id)
+        finals[new_id] = is_final[rep[c]]
         for i in range(sigma):
             t = cls_ids[table[rep[c]][i]]
             if t != dead_cls:
                 flat[new_id * sigma + i] = renum[t]
-    return Dfa(dfa.alphabet, len(order), 0, finals, flat)
+    return Dfa(dfa.alphabet, len(order), 0, bytes(finals), flat)
 
 
 def equivalent(a: Dfa, b: Dfa) -> bool:
@@ -479,8 +507,8 @@ def equivalent(a: Dfa, b: Dfa) -> bool:
     stack = [start]
     while stack:
         p, q = stack.pop()
-        fp = p in a.finals if p != dead else False
-        fq = q in b.finals if q != dead else False
+        fp = p != dead and a.finals[p] != 0
+        fq = q != dead and b.finals[q] != 0
         if fp != fq:
             return False
         for sym in a.alphabet.symbols:
@@ -510,14 +538,12 @@ def _canonical_form(dfa: Dfa) -> tuple:
                 renum[t] = len(renum)
                 order.append(t)
     edges = []
-    finals = []
     for s in order:
-        finals.append(s in dfa.finals)
         base = s * sigma
         edges.append(
             tuple(renum[dfa.flat[base + i]] if dfa.flat[base + i] >= 0 else -1 for i in range(sigma))
         )
-    return len(order), tuple(finals), tuple(edges)
+    return len(order), bytes(map(dfa.finals.__getitem__, order)), tuple(edges)
 
 
 def isomorphic(a: Dfa, b: Dfa) -> bool:
@@ -536,42 +562,29 @@ def strip_sinks(dfa: Dfa) -> Dfa:
     removed state (none arise for antifactorial inputs) are dropped.  Only
     the non-final states are candidates, which for the output of
     :func:`~antidict.l_automaton.l_automaton` are just the trie's sinks.
+    The kept states are renumbered in order, in numpy, on views of the
+    tables.
     """
     n, sigma = dfa.n_states, len(dfa.alphabet)
-    if len(dfa.finals) == n:
+    flat = np.frombuffer(dfa.flat, dtype=np.int32).reshape(n, sigma)
+    finals = np.frombuffer(dfa.finals, dtype=np.uint8)
+    cand = np.flatnonzero(finals == 0)
+    rows = flat[cand]
+    doomed = cand[((rows < 0) | (rows == cand[:, None])).all(axis=1) & (cand != dfa.initial)]
+    if not doomed.size:
         return dfa
-    flat = dfa.flat
-    doomed = [
-        s
-        for s in filterfalse(dfa.finals.__contains__, range(n))
-        if s != dfa.initial and set(flat[s * sigma : (s + 1) * sigma]) <= {-1, s}
-    ]
-    if not doomed:
-        return dfa
-    keep = bytearray(b"\x01") * n
-    for s in doomed:
-        keep[s] = 0
-    keep_slots = bytearray(n * sigma)  # keep, each entry repeated sigma times
-    for i in range(sigma):
-        keep_slots[i::sigma] = keep
-    # new_id[s] numbers the kept states in order and is -1 for removed ones;
-    # its extra last entry sends a missing edge or link (-1) to -1 as well
-    new_id = list(accumulate(keep, initial=-1))
-    new_id.append(new_id.pop(0))
-    for s in doomed:
-        new_id[s] = -1
-    renum = new_id.__getitem__
+    keep = np.ones(n, dtype=bool)
+    keep[doomed] = False
+    kept = n - doomed.size
+    # new_id[s] numbers the kept states in order; its extra last entry, read
+    # at index -1, sends a missing edge or link to -1, as it does each sink
+    new_id = np.full(n + 1, -1, dtype=np.int32)
+    new_id[:-1][keep] = np.arange(kept, dtype=np.int32)
     failure = None
     if dfa.failure is not None:
-        failure = list(map(renum, compress(dfa.failure, keep)))
-    return Dfa(
-        dfa.alphabet,
-        n - len(doomed),
-        new_id[dfa.initial],
-        map(renum, dfa.finals),
-        list(map(renum, compress(flat, keep_slots))),
-        failure,
-    )
+        failure = _int_table(new_id[np.frombuffer(dfa.failure, dtype=np.int32)[keep]])
+    initial, flat = int(new_id[dfa.initial]), _int_table(new_id[flat.compress(keep, axis=0)])
+    return Dfa(dfa.alphabet, kept, initial, finals[keep].tobytes(), flat, failure)
 
 
 def _dot_quote(text: str) -> str:
@@ -585,10 +598,11 @@ def export_dot(automaton: Trie | Dfa) -> str:
     """
     flat, symbols = automaton.flat, automaton.alphabet.symbols
     if isinstance(automaton, Trie):
-        initial, finals, failure = automaton.root, automaton.sinks, None
+        initial, is_final, failure = automaton.root, automaton.sinks.__contains__, None
         flat = flat.tolist()
     else:
-        initial, finals, failure = automaton.initial, automaton.finals, automaton.failure
+        initial, failure = automaton.initial, automaton.failure
+        is_final = automaton.finals.__getitem__
     n_states = automaton.n_states
 
     renum = {initial: 0}
@@ -609,7 +623,7 @@ def export_dot(automaton: Trie | Dfa) -> str:
     lines = ["digraph automaton {", "  rankdir=LR;", '  __start [shape=point, label=""];']
     lines.append(f"  __start -> q{renum[initial]};")
     for state in order:
-        shape = "doublecircle" if state in finals else "circle"
+        shape = "doublecircle" if is_final(state) else "circle"
         lines.append(f"  q{renum[state]} [shape={shape}, label={_dot_quote(str(renum[state]))}];")
     for state in order:
         for sym, target in _row_edges(flat, symbols, state):

@@ -11,9 +11,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .automata import build_trie, equivalent, isomorphic, minimize
+from .automata import build_trie, equivalent, isomorphic, minimize, strip_sinks
 from .factor_automaton import build_factor_automaton
-from .l_automaton import _stripped_l_automaton, circular_factor_dfa
+from .l_automaton import circular_factor_dfa, l_automaton
 from .mfw import (
     check_cardinality_bounds,
     mfw_circular,
@@ -88,7 +88,7 @@ def check_linear_avoidance_isomorphism(max_binary: int = 12, max_ternary: int = 
         for w in words_over(symbols, bound):
             cases += 1
             mfws = mfw_linear(w, alphabet)
-            rebuilt = _stripped_l_automaton(build_trie(mfws.words, alphabet))
+            rebuilt = strip_sinks(l_automaton(build_trie(mfws.words, alphabet)))
             direct = build_factor_automaton(w, alphabet)
             if not isomorphic(rebuilt, direct):
                 failures.append(f"{w}: {rebuilt.n_states} vs {direct.n_states} states")

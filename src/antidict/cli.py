@@ -15,11 +15,11 @@ import dataclasses
 import json
 import sys
 
-from .automata import Trie, export_dot
+from .automata import Trie, export_dot, strip_sinks
 from .checks import run_standard_checks
 from .factor_automaton import build_factor_automaton
 from .fibonacci import fibonacci_word, verify_fibonacci
-from .l_automaton import _stripped_l_automaton, circular_factor_dfa, l_automaton
+from .l_automaton import circular_factor_dfa, l_automaton
 from .mfw import MfwSet, mfw_circular, mfw_linear
 from .reconstruction import ReconstructionError, reconstruct_circular, reconstruct_word
 from .words import Alphabet, CircularWord, LimitExceeded
@@ -97,7 +97,7 @@ def _read_json(path: str):
 
 def _cmd_l_automaton(args) -> int:
     trie = Trie.from_json(_read_json(args.from_trie))
-    dfa = _stripped_l_automaton(trie) if args.strip_sinks else l_automaton(trie)
+    dfa = strip_sinks(l_automaton(trie)) if args.strip_sinks else l_automaton(trie)
     _emit_automaton(dfa, args)
     return 0
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._kernel import MAX_STATES, kernel
-from .automata import Dfa
+from .automata import Dfa, _int_table
 from .words import Alphabet, LimitExceeded, _encode
 
 
@@ -128,14 +128,11 @@ def _assemble(
         if np.array_equal(up, top):
             break
         top = up
-    cls = (np.cumsum(is_top) - 1)[top]
-
-    ext = np.append(cls, -1)  # index -1 wraps here: missing target -> -1
-    flat_np = ext[trans[tops]].ravel()
-    fail_np = ext[link[tops]]
-
-    # ndarrays index like the flat list contract expects; skip the copy
-    return Dfa(alphabet, n_classes, 0, range(n_classes), flat_np, fail_np)
+    # cls[s] is the class of s; its extra last entry, read at index -1,
+    # sends a missing target or link to -1
+    cls = np.append(np.cumsum(is_top, dtype=np.int32)[top] - 1, np.int32(-1))
+    flat, failure = _int_table(cls[trans[tops]]), _int_table(cls[link[tops]])
+    return Dfa(alphabet, n_classes, 0, b"\x01" * n_classes, flat, failure)
 
 
 def build_factor_automaton(word: str, alphabet: Alphabet | None = None) -> Dfa:

@@ -75,7 +75,9 @@ def reconstruct_word(mfws: MfwSet) -> str:
     mismatch, means the set belongs to no single word.
     """
     word = _longest_word(mfws)
-    if mfw_linear(word, mfws.alphabet).as_set() != mfws.as_set():
+    fresh = mfw_linear(word, mfws.alphabet)
+    # equal tuples are equal sets; only a set out of canonical order is hashed
+    if fresh.words != mfws.words and fresh.as_set() != mfws.as_set():
         raise ReconstructionError(
             f"verification failed: {word!r} has a different antidictionary"
         )
@@ -94,7 +96,8 @@ def reconstruct_circular(mfws: MfwSet) -> CircularWord:
         cw = CircularWord(labels, mfws.alphabet)
     except ValueError as exc:
         raise ReconstructionError(str(exc)) from exc
-    if mfw_circular(cw, mfws.alphabet).as_set() != mfws.as_set():
+    fresh = mfw_circular(cw, mfws.alphabet)
+    if fresh.words != mfws.words and fresh.as_set() != mfws.as_set():
         raise ReconstructionError(
             f"verification failed: [{cw}] has a different antidictionary"
         )

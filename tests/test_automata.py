@@ -1,4 +1,5 @@
 import json
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from antidict import (
     Trie,
     build_factor_automaton,
     build_trie,
+    circular_factor_dfa,
     equivalent,
     export_dot,
     factor_set,
@@ -19,6 +21,7 @@ from antidict import (
     minimize,
     strip_sinks,
 )
+from antidict import automata
 
 from .helpers import all_words, prefix_acceptor
 
@@ -258,7 +261,7 @@ class TestMinimize:
     def test_empty_language_minimizes_to_one_state(self):
         dfa = Dfa.from_edges(AB, 2, 0, [], [(0, "a", 1), (1, "b", 0)])
         mini = minimize(dfa)
-        assert mini.n_states == 1 and not mini.finals
+        assert mini.n_states == 1 and mini.finals == b"\x00"
 
 
 class TestEquivalent:
@@ -297,11 +300,11 @@ class TestStripSinks:
     def test_failure_links_renumbered(self):
         # figure trie: states 2 and 4 are the sinks, so 3 becomes 2
         full = l_automaton(figure_trie())
-        assert full.failure == [-1, 0, 1, 0, 1]
+        assert full.failure.tolist() == [-1, 0, 1, 0, 1]
         stripped = strip_sinks(full)
-        assert stripped.failure == [-1, 0, 0]
-        assert stripped.flat == [1, 2, -1, 2, -1, 2]
-        assert stripped.finals == {0, 1, 2}
+        assert stripped.failure.tolist() == [-1, 0, 0]
+        assert stripped.flat.tolist() == [1, 2, -1, 2, -1, 2]
+        assert stripped.finals == b"\x01\x01\x01"
 
     def test_initial_state_survives(self):
         dfa = Dfa.from_edges(AB, 1, 0, [], [(0, "a", 0), (0, "b", 0)])
@@ -314,13 +317,15 @@ class TestIsomorphic:
         n = dfa.n_states
         perm = [(i + 1) % n for i in range(n)]  # rotate all state ids
         sigma = len(dfa.alphabet)
-        flat = [-1] * (n * sigma)
+        flat = array("i", [-1]) * (n * sigma)
+        finals = bytearray(n)
         for s in range(n):
+            finals[perm[s]] = dfa.finals[s]
             for i in range(sigma):
                 t = dfa.flat[s * sigma + i]
                 if t >= 0:
                     flat[perm[s] * sigma + i] = perm[t]
-        relabeled = Dfa(AB, n, perm[dfa.initial], [perm[s] for s in dfa.finals], flat)
+        relabeled = Dfa(AB, n, perm[dfa.initial], bytes(finals), flat)
         assert isomorphic(dfa, relabeled)
 
     def test_detects_difference(self):
@@ -392,7 +397,51 @@ class TestDfaJson:
         with pytest.raises(ValueError):
             Dfa.from_json(data | patch)
 
+    def test_state_count_bounded_before_allocating(self, monkeypatch):
+        # one transition and one final account for at most 3 states
+        data = {"alphabet": "ab", "states": 10**12, "initial": 0, "finals": [0],
+                "transitions": [[0, "a", 1]]}
+        with pytest.raises(ValueError, match="more than the 3 "):
+            Dfa.from_json(data)
+        assert Dfa.from_json(data | {"states": 3}).n_states == 3
+        monkeypatch.setattr(automata, "MAX_STATES", 2)
+        with pytest.raises(ValueError, match="more than the 2 "):
+            Dfa.from_json(data | {"states": 3})
+
     @pytest.mark.parametrize("data", [[1, 2], {"alphabet": "ab", "states": 1}, "dfa"])
     def test_json_rejects_wrong_shape(self, data):
         with pytest.raises(ValueError):
             Dfa.from_json(data)
+
+
+PRODUCERS = {
+    "build_factor_automaton": lambda: build_factor_automaton("aabbabb"),
+    "circular_factor_dfa": lambda: circular_factor_dfa("aabab"),
+    "l_automaton": lambda: l_automaton(figure_trie()),
+    "strip_sinks": lambda: strip_sinks(l_automaton(figure_trie())),
+    "minimize": lambda: minimize(strip_sinks(l_automaton(figure_trie()))),
+    "Dfa.from_edges": lambda: Dfa.from_edges(AB, 3, 0, [0, 2], [(0, "a", 1), (1, "b", 2)], {1: 0}),
+    "Dfa.from_json": lambda: Dfa.from_json(build_factor_automaton("aabbabb").to_json()),
+}
+
+
+@pytest.mark.parametrize("produce", PRODUCERS.values(), ids=PRODUCERS)
+def test_one_storage(produce):
+    """Every producer hands Dfa int32 array tables and a bytes bitmap of
+    finals, and accepts answers with a plain bool."""
+    dfa = produce()
+    tables = (dfa.flat, dfa.failure or dfa.flat)
+    assert all(type(t) is array and t.typecode == "i" and t.itemsize == 4 for t in tables)
+    assert type(dfa.finals) is bytes and len(dfa.finals) == dfa.n_states
+    assert set(dfa.finals) <= {0, 1}
+    assert all(type(dfa.accepts(w)) is bool for w in all_words("ab", 4))
+
+
+def test_constructor_refuses_other_storages():
+    table = array("i", [-1, -1])
+    for flat, failure in (([-1, -1], None), (array("q", [-1, -1]), None), (table, [-1])):
+        with pytest.raises(TypeError, match="array"):
+            Dfa(AB, 1, 0, b"\x01", flat, failure)
+    for finals in ({0}, b"\x01\x01", bytearray(b"\x01")):
+        with pytest.raises(ValueError, match="bitmap"):
+            Dfa(AB, 1, 0, finals, table)

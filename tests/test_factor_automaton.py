@@ -32,7 +32,7 @@ class TestLanguage:
         dfa = build_factor_automaton("aabbabb")
         assert dfa.enumerate_language(7) == factor_set("aabbabb")
         assert 8 <= dfa.n_states <= 12
-        assert dfa.finals == frozenset(range(dfa.n_states))
+        assert dfa.finals == b"\x01" * dfa.n_states
 
     def test_exhaustive_binary(self):
         for w in all_words("ab", 9):
@@ -42,7 +42,7 @@ class TestLanguage:
     def test_single_letter(self):
         dfa = build_factor_automaton("a")
         assert dfa.n_states == 2
-        assert dfa.finals == frozenset({0, 1})
+        assert dfa.finals == b"\x01\x01"
 
 
 class TestMinimality:

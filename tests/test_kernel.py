@@ -24,7 +24,6 @@ from antidict import (
 from antidict import _kernel, automata, factor_automaton
 from antidict.automata import _avoidance_tables
 from antidict.factor_automaton import _suffix_automaton
-from antidict.l_automaton import _stripped_l_automaton
 from antidict.mfw import _forbidden_sites
 from antidict.reconstruction import _cycle_word, _longest_word
 from antidict.words import _encode
@@ -183,9 +182,8 @@ class TestForbiddenSites:
 
 
 def assert_same_avoidance(words, alphabet: Alphabet) -> None:
-    """The kernel's trie and completed tables equal the references, and the
-    stripped builder equals ``strip_sinks(l_automaton(trie))``; the words
-    must be prefix-free and antifactorial."""
+    """The kernel's trie and completed tables equal the references; the
+    words must be prefix-free and antifactorial."""
     trie = build_trie(words, alphabet)
     flat, sinks = trie_reference(words, alphabet)
     assert trie.flat.dtype == np.int32, words
@@ -195,13 +193,6 @@ def assert_same_avoidance(words, alphabet: Alphabet) -> None:
     ref_completed, ref_failure = avoidance_reference(flat, sinks, len(alphabet))
     assert completed.tolist() == ref_completed, words
     assert failure.tolist() == ref_failure, words
-    built = _stripped_l_automaton(trie)
-    reference = strip_sinks(l_automaton(trie))
-    assert (built.n_states, built.initial) == (reference.n_states, reference.initial), words
-    assert built.flat == reference.flat, words
-    assert built.failure == reference.failure, words
-    assert built.finals == reference.finals, words
-    assert type(built.flat) is type(built.failure) is list
 
 
 def prefix_free(words) -> bool:
@@ -267,7 +258,6 @@ class TestTrieAndAvoidance:
         for call in (
             lambda: build_trie(["b", "ab"], ab, antifactorial=True),
             lambda: l_automaton(build_trie(["aba", "ba"], ab)),
-            lambda: _stripped_l_automaton(build_trie(["aba", "ba"], ab)),
         ):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 call()
@@ -312,7 +302,7 @@ def assert_same_walks(words, alphabet: Alphabet) -> None:
     """The kernel's longest-path and cycle walks read what the references
     read on the stripped automaton; the words must be antifactorial."""
     mfws = MfwSet.build(words, alphabet)
-    dfa = _stripped_l_automaton(build_trie(words, alphabet))
+    dfa = strip_sinks(l_automaton(build_trie(words, alphabet)))
     assert walk_outcome(_longest_word, mfws) == walk_outcome(longest_path_reference, dfa), words
     assert walk_outcome(_cycle_word, mfws) == walk_outcome(find_cycle_reference, dfa), words
 

@@ -46,6 +46,13 @@ class TestReconstructWord:
         with pytest.raises(ReconstructionError, match="not unique"):
             reconstruct_word(MfwSet.build(["aa", "abb", "bab", "bbb"], AB))
 
+    def test_verification_reads_members_in_any_order(self):
+        shuffled = MfwSet(tuple(reversed(mfw_linear("aabbabb", AB).words)), AB)
+        assert reconstruct_word(shuffled) == "aabbabb"
+        # M(abba) without aba: the longest avoiding word is still abba
+        with pytest.raises(ReconstructionError, match="verification failed"):
+            reconstruct_word(MfwSet(("aa", "bab", "bbb"), AB))
+
     def test_non_antifactorial_rejected(self):
         with pytest.raises(ReconstructionError):
             reconstruct_word(MfwSet.build(["a", "ab"], AB))
@@ -84,6 +91,13 @@ class TestReconstructCircular:
         # factor language of any single circular word
         with pytest.raises(ReconstructionError, match="verification failed"):
             reconstruct_circular(MfwSet.build(["aba", "bab"], AB))
+
+    def test_verification_reads_members_in_any_order(self):
+        shuffled = MfwSet(tuple(reversed(mfw_circular("aabab", AB).words)), AB)
+        assert str(reconstruct_circular(shuffled)) == "aabab"
+        # M(aab) without bb: the first cycle closed still spells aab
+        with pytest.raises(ReconstructionError, match="verification failed"):
+            reconstruct_circular(MfwSet(("aaa", "bab"), AB))
 
     def test_round_trip(self):
         seen = set()
