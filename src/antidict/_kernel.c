@@ -121,6 +121,84 @@ int64_t forbidden_sites(const int32_t *tables, int64_t cap, int32_t size,
     return k;
 }
 
+/* Appends a childless node to the trie table flat, which holds *nodes rows
+ * of sigma entries, and returns its number. */
+static int32_t new_node(int32_t *flat, int32_t sigma, int64_t *nodes)
+{
+    int32_t *row = flat + *nodes * sigma;
+    for (int32_t c = 0; c < sigma; c++)
+        row[c] = -1;
+    return (int32_t)(*nodes)++;
+}
+
+/* The trie of the minimal forbidden factors of length at most max_len,
+ * read off the spanning tree that forbidden_sites walks (Crochemore,
+ * Mignosi and Restivo, IPL 67, 1998).  tables and cap are those of
+ * suffix_automaton.  The shortest word of a state is its tree path, so the
+ * trie is that tree cut down to the ancestors of the sites, plus one leaf
+ * per site (s, c); a tree node's depth is the length of its shortest word.
+ *
+ * One depth-first pass, children in rank order, numbers the nodes in
+ * preorder, which is the order trie() makes them in when it inserts the
+ * sorted members: the tables are the same.  A subtree that ends without a
+ * site is rolled back.  The pass's stack, a state and its node for each
+ * level, lives in the endpos table, which it overwrites: a level is a
+ * symbol of a shortest word, so at most n + 1 levels fill the cap = 2n+2
+ * entries.
+ *
+ * flat receives the trie table, sigma entries a row (-1 for no child), and
+ * sinks the leaves in preorder.  Every node but the root is a tree edge or
+ * a site, so they have room for size*sigma + 1 nodes and size*(sigma-1) + 1
+ * sinks (see forbidden_sites).  Writes the sink count to *n_sinks and
+ * returns the node count. */
+int64_t mf_trie(int32_t *tables, int64_t cap, int32_t sigma, int64_t max_len,
+                int32_t *flat, int32_t *sinks, int64_t *n_sinks)
+{
+    const int32_t *trans = tables, *link = trans + cap * sigma,
+                  *len = link + cap;
+    int32_t *stack = tables + cap * (sigma + 2);
+    int64_t nodes = 0, k = 0, depth = 0;
+    int32_t c = 0;
+    stack[0] = 0;
+    stack[1] = new_node(flat, sigma, &nodes);
+    for (;;) {
+        int32_t p = stack[2 * depth], node = stack[2 * depth + 1];
+        if (c < sigma) {
+            int32_t t = trans[(int64_t)p * sigma + c];
+            int32_t *slot = flat + (int64_t)node * sigma + c;
+            if (t >= 0) {
+                if (len[link[t]] == depth && depth + 2 <= max_len) {
+                    *slot = new_node(flat, sigma, &nodes);
+                    depth++;
+                    stack[2 * depth] = t;
+                    stack[2 * depth + 1] = *slot;
+                    c = 0;
+                    continue;
+                }
+            } else if (depth + 1 <= max_len &&
+                       (p == 0 || trans[(int64_t)link[p] * sigma + c] >= 0)) {
+                *slot = new_node(flat, sigma, &nodes);
+                sinks[k++] = *slot;
+            }
+            c++;
+            continue;
+        }
+        if (depth == 0)
+            break;
+        depth--;
+        int32_t up = stack[2 * depth];
+        for (c = 0; trans[(int64_t)up * sigma + c] != p; c++)
+            ;
+        if (nodes == (int64_t)node + 1) { /* no site below p: roll back */
+            nodes = node;
+            flat[(int64_t)stack[2 * depth + 1] * sigma + c] = -1;
+        }
+        c++;
+    }
+    *n_sinks = k;
+    return nodes;
+}
+
 /* Start of the least rotation of a nonempty word of length n, by the
  * two-pointer scan: candidates i and j agree on k symbols; at the first
  * difference the larger one, and every start it skipped over, is out. */

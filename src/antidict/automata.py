@@ -193,7 +193,7 @@ def build_trie(
     if members and not members[0]:
         raise ValueError("the empty word cannot be a trie member")
     joined = "".join(members)
-    if not set(joined) <= alphabet._rank.keys():
+    if not alphabet._covers(joined):
         for word in members:  # name the first member holding a stray symbol
             alphabet.check_word(word)
     code = _encode(joined, alphabet)
@@ -293,6 +293,21 @@ class Dfa:
         edges: Iterable[tuple[int, str, int]],
         failure: Mapping[int, int] | None = None,
     ) -> "Dfa":
+        """A DFA of ``n_states`` states from its edges, final states and
+        failure links.
+
+        Raises ``ValueError`` before filling the tables when a source,
+        target, initial, final or failure id lies outside
+        ``0..n_states - 1``, or when two edges leave one state on one symbol
+        for different targets.
+        """
+        edges, finals = list(edges), list(finals)
+        states = [initial, *finals, *(s for src, _, dst in edges for s in (src, dst))]
+        if failure is not None:
+            states += [*failure.keys(), *failure.values()]
+        if states and not 0 <= min(states) <= max(states) < n_states:
+            bad = next(s for s in states if not 0 <= s < n_states)
+            raise ValueError(f"state {bad} is outside 0..{n_states - 1}")
         sigma = len(alphabet)
         flat = array("i", [-1]) * (n_states * sigma)
         for src, sym, dst in edges:
@@ -413,11 +428,6 @@ class Dfa:
         bound = min(MAX_STATES, 1 + len(edges) + len(finals))
         if n > bound:
             raise ValueError(f"{n} states is more than the {bound} the document accounts for")
-        states = [initial, *finals, *(s for p, _, q in edges for s in (p, q))]
-        if failure is not None:
-            states += [*failure.keys(), *failure.values()]
-        if not all(0 <= s < n for s in states):
-            raise ValueError(f"a state is outside 0..{n - 1}")
         return cls.from_edges(alphabet, n, initial, finals, edges, failure)
 
     def __repr__(self) -> str:

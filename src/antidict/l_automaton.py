@@ -6,9 +6,11 @@ Crochemore, Mignosi and Restivo ("Automata and forbidden words", IPL 67,
 1998) fills in the missing transitions by Aho-Corasick failure borrowing
 and turns the sinks into absorbing traps, yielding a complete automaton
 whose non-sink states accept exactly the words containing no member of
-``M``.  The compiled kernel builds both the trie and this completion;
-:func:`circular_factor_dfa` strips the sinks of the result with
-:func:`~antidict.automata.strip_sinks`, while the reconstructions read the
+``M``.  The compiled kernel builds both the trie and this completion.
+:func:`circular_factor_dfa` takes the trie of the circular antidictionary
+straight off the suffix automaton of the doubled word, with no member made
+as a string, and strips the sinks of the completion with
+:func:`~antidict.automata.strip_sinks`; the reconstructions read the
 completed table in the kernel itself.  The output is deliberately *not*
 minimized: for the antidictionary of a single linear or primitive circular
 word it is already minimal after sink removal, and for other inputs
@@ -20,8 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .automata import Dfa, Trie, _avoidance_tables, _int_table, build_trie, strip_sinks
-from .mfw import mfw_circular
+from .automata import Dfa, Trie, _avoidance_tables, _int_table, strip_sinks
+from .mfw import _mf_trie
 from .words import Alphabet, CircularWord
 
 
@@ -47,10 +49,13 @@ def circular_factor_dfa(cw: CircularWord | str, alphabet: Alphabet | None = None
     Runs the avoidance construction on the trie of the circular
     antidictionary and strips the absorbing sinks; primitivity of the input
     (enforced by the type) is what guarantees minimality of the result.
+    The trie is read off the suffix automaton of the doubled word, cut at
+    the word's length, with no member made as a string.
     """
     if isinstance(cw, str):
         cw = CircularWord(cw, alphabet)
     if alphabet is None:
         alphabet = cw.alphabet
-    mfws = mfw_circular(cw, alphabet)
-    return strip_sinks(l_automaton(build_trie(mfws.words, alphabet)))
+    w = cw.linearization
+    alphabet.check_word(w)
+    return strip_sinks(l_automaton(_mf_trie(w + w, alphabet, len(w))))

@@ -22,8 +22,8 @@ from itertools import groupby
 
 import numpy as np
 
-from .automata import build_trie
-from ._kernel import kernel
+from .automata import Trie, build_trie
+from ._kernel import MAX_STATES, kernel
 from .factor_automaton import _suffix_automaton_buffer
 from .words import (
     Alphabet,
@@ -37,11 +37,13 @@ from .words import (
 
 
 # Most symbols the members of one computed antidictionary may hold together.
-# Every member is a Python string, so a word whose antidictionary is long in
-# total -- a.b^(n-1), circular or squared, has about n^2/2 symbols -- would
-# otherwise fill memory.  Random binary and acgt words of 10^6 symbols need
-# about 1.6 and 2.0 * 10^7, the circular Fibonacci word of rank 30 about
-# 3.0 * 10^6.
+# Every member of mfw_linear and mfw_circular is a Python string, so a word
+# whose antidictionary is long in total -- a.b^(n-1), circular or squared,
+# has about n^2/2 symbols -- would otherwise fill memory.  Random binary and
+# acgt words of 10^6 symbols need about 1.6 and 2.0 * 10^7, the circular
+# Fibonacci word of rank 30 about 3.0 * 10^6.  It does not guard
+# circular_factor_dfa, which reads the members' trie off the suffix
+# automaton (_mf_trie) and makes no member.
 MAX_MEMBER_SYMBOLS = 2**26
 
 
@@ -141,6 +143,33 @@ def _forbidden_sites(
     count = kernel().forbidden_sites(tables, cap, size, sigma, max_len, out)
     starts, stops, letters = out[size : size + 3 * count].reshape(count, 3).T
     return starts, stops, letters
+
+
+def _mf_trie(text: str, alphabet: Alphabet, max_len: int) -> Trie:
+    """Trie of the minimal forbidden factors of length at most ``max_len``
+    of a word, read off its suffix automaton by the kernel's depth-first
+    walk: the trie :func:`~antidict.automata.build_trie` makes of those
+    members, state numbers included, with no member made.
+
+    The rank codes are dropped once the suffix automaton is built, and the
+    automaton once the walk is done.  The trie's table is sized by a bound
+    on its node count and the trie holds a view of the filled part.  Raises
+    ``LimitExceeded`` before allocating when that bound would not fit the
+    int32 tables.
+    """
+    sigma = len(alphabet)
+    tables, cap, size = _suffix_automaton_buffer(_encode(text, alphabet), sigma)
+    bound = size * sigma + 1  # every node but the root is a tree edge or a site
+    if bound > MAX_STATES:
+        raise LimitExceeded(
+            f"the trie of the antidictionary of {len(text)} symbols could need "
+            f"{bound} states, more than the {MAX_STATES} its tables can number"
+        )
+    flat = np.empty(bound * sigma, dtype=np.int32)
+    sinks = np.empty(size * (sigma - 1) + 1, dtype=np.int32)
+    n_sinks = np.empty(1, dtype=np.int64)
+    nodes = kernel().mf_trie(tables, cap, sigma, max_len, flat, sinks, n_sinks)
+    return Trie(alphabet, flat[: nodes * sigma], set(sinks[: n_sinks[0]].tolist()))
 
 
 def _forbidden_words(word: str, alphabet: Alphabet, max_len: int | None = None) -> list[str]:

@@ -35,7 +35,7 @@ class Alphabet:
     comparisons, so ``Alphabet("ba")`` sorts ``b`` before ``a`` on purpose.
     """
 
-    __slots__ = ("symbols", "_rank")
+    __slots__ = ("symbols", "_rank", "_ascii")
 
     def __init__(self, symbols: Iterable[str]):
         syms = tuple(symbols)
@@ -50,6 +50,9 @@ class Alphabet:
             seen.add(s)
         self.symbols = syms
         self._rank = {s: i for i, s in enumerate(syms)}
+        joined = "".join(syms)
+        # the symbols as bytes when all are ASCII, for _covers()
+        self._ascii = joined.encode() if joined.isascii() else None
 
     @classmethod
     def of_word(cls, word: str) -> "Alphabet":
@@ -78,8 +81,21 @@ class Alphabet:
             table = str.maketrans({s: chr(i) for i, s in enumerate(self.symbols)})
             words.sort(key=lambda w: w.translate(table))
 
+    def _covers(self, word: str) -> bool:
+        """Whether every symbol of the word is in this alphabet.
+
+        Decided at C speed for an ASCII alphabet and a string: a non-ASCII
+        string fails at once, an ASCII one passes when deleting the
+        alphabet's bytes from it leaves nothing.  Otherwise by a set.
+        """
+        if self._ascii is not None and isinstance(word, str):
+            return word.isascii() and not word.encode().translate(None, self._ascii)
+        return set(word) <= self._rank.keys()
+
     def check_word(self, word: str) -> None:
-        if set(word) <= self._rank.keys():
+        """Raise ``ValueError`` naming the first symbol of the word outside
+        this alphabet, if there is one."""
+        if self._covers(word):
             return
         for c in word:
             if c not in self._rank:

@@ -7,7 +7,15 @@ machinery.
 
 import itertools
 
-from antidict import Alphabet, Dfa
+from antidict import (
+    Alphabet,
+    CircularWord,
+    Dfa,
+    build_trie,
+    l_automaton,
+    mfw_circular,
+    strip_sinks,
+)
 
 
 def all_words(symbols: str, max_len: int, min_len: int = 1):
@@ -220,6 +228,15 @@ def trie_reference(words, alphabet: Alphabet):
                 flat += [-1] * sigma
         sinks.add(state)
     return flat, sinks
+
+
+def circular_factor_dfa_reference(cw: CircularWord | str, alphabet: Alphabet | None = None) -> Dfa:
+    """The circular factor automaton by the string route: the circular
+    members as strings, their trie by ``build_trie``, then the avoidance
+    completion and sink stripping.  The reference the kernel-read trie of
+    ``circular_factor_dfa`` is checked against."""
+    mfws = mfw_circular(cw, alphabet)
+    return strip_sinks(l_automaton(build_trie(mfws.words, mfws.alphabet)))
 
 
 def avoidance_reference(flat, sinks, sigma: int):

@@ -373,6 +373,25 @@ class TestDfaJson:
             Dfa.from_edges(AB, 2, 0, [0], [(0, "a", 0), (0, "a", 1)])
 
     @pytest.mark.parametrize(
+        "initial, finals, edges, failure, bad",
+        [
+            (0, [1], [(-1, "a", 0)], None, -1),  # a source
+            (0, [1], [(2, "a", 0)], None, 2),
+            (0, [1], [(0, "a", 7)], None, 7),  # a target
+            (0, [1], [(0, "a", -3)], None, -3),
+            (2, [1], [], None, 2),  # the initial state
+            (0, [5], [], None, 5),  # a final
+            (0, [-1], [], None, -1),
+            (0, [1], [(0, "a", 1)], {1: 2}, 2),  # a failure link
+            (0, [1], [(0, "a", 1)], {-1: 0}, -1),
+        ],
+    )
+    def test_states_out_of_range_rejected(self, initial, finals, edges, failure, bad):
+        with pytest.raises(ValueError, match=f"^state {bad} is outside 0..1$"):
+            Dfa.from_edges(AB, 2, initial, finals, edges, failure)
+        Dfa.from_edges(AB, 2, 0, [0, 1], [(0, "a", 1), (1, "b", 0)], {1: 0})
+
+    @pytest.mark.parametrize(
         "patch",
         [
             {"transitions": [[0, "a", 2]]},

@@ -16,6 +16,7 @@ from antidict import (
     Trie,
     build_factor_automaton,
     build_trie,
+    circular_factor_dfa,
     l_automaton,
     mfw_circular,
     mfw_linear,
@@ -24,13 +25,14 @@ from antidict import (
 from antidict import _kernel, automata, factor_automaton
 from antidict.automata import _avoidance_tables
 from antidict.factor_automaton import _suffix_automaton
-from antidict.mfw import _forbidden_sites
+from antidict.mfw import _forbidden_sites, _mf_trie
 from antidict.reconstruction import _cycle_word, _longest_word
 from antidict.words import _encode
 
 from .helpers import (
     all_words,
     avoidance_reference,
+    circular_factor_dfa_reference,
     find_cycle_reference,
     forbidden_sites_reference,
     longest_path_reference,
@@ -179,6 +181,87 @@ class TestForbiddenSites:
         word = data.draw(st.text("".join(symbols), max_size=120))
         max_len = data.draw(st.integers(1, len(word) + 2))
         assert_same_sites(word, Alphabet(symbols), max_len)
+
+
+def assert_same_mf_trie(text: str, alphabet: Alphabet, max_len: int, members) -> None:
+    """The kernel's trie of the antidictionary of a text cut at max_len
+    equals build_trie of the members, table for table."""
+    trie = _mf_trie(text, alphabet, max_len)
+    ref = build_trie(members, alphabet)
+    assert trie.flat.dtype == np.int32, (text, max_len)
+    assert trie.flat.tolist() == ref.flat.tolist(), (text, max_len)
+    assert trie.sinks == ref.sinks, (text, max_len)
+
+
+def assert_same_linear_trie(word: str, alphabet: Alphabet) -> None:
+    assert_same_mf_trie(word, alphabet, len(word) + 1, mfw_linear(word, alphabet).words)
+
+
+def assert_same_circular_trie(word: str, alphabet: Alphabet) -> None:
+    """The circular cap |w| on ww, and the circular factor automaton built
+    on that trie against the string route, JSON for JSON."""
+    cw = CircularWord(word, alphabet)
+    w = cw.linearization
+    assert_same_mf_trie(w + w, alphabet, len(w), mfw_circular(cw, alphabet).words)
+    expected = circular_factor_dfa_reference(cw, alphabet).to_json()
+    assert circular_factor_dfa(cw, alphabet).to_json() == expected, word
+
+
+def assert_same_mf_tries(words, alphabet: Alphabet) -> None:
+    """Both caps on every word, the circular one once per necklace."""
+    necklaces = set()
+    for word in words:
+        assert_same_linear_trie(word, alphabet)
+        if word:
+            necklaces.add(CircularWord(word, alphabet).linearization)
+    for word in sorted(necklaces):
+        assert_same_circular_trie(word, alphabet)
+
+
+class TestMfTrie:
+    """The trie the kernel reads off the suffix automaton's spanning tree,
+    against the trie of the members as strings."""
+
+    @pytest.mark.parametrize("symbols, bound", [("ab", 12), ("abc", 7), ("acgt", 5)])
+    def test_every_small_word(self, symbols, bound):
+        assert_same_mf_tries(all_words(symbols, bound), Alphabet(symbols))
+
+    def test_alphabet_orders(self):
+        for alphabet in (Alphabet("ba"), Alphabet("cab"), Alphabet("γaβ")):
+            symbols = "".join(alphabet.symbols)
+            assert_same_mf_tries(all_words(symbols, 8 if len(symbols) == 2 else 5), alphabet)
+
+    def test_letters_missing_from_the_word(self):
+        words = ("", "a", "ca", "bbbbbb", "dadd", "dcdcdcd")
+        assert_same_mf_tries(words, Alphabet("abcd"))
+        assert_same_mf_tries(words[1:], Alphabet("dcba"))
+
+    def test_cap_at_every_length(self):
+        # cut at every length, the trie is that of the members no longer;
+        # d is missing from abcacba, so its root has a site even at length 1
+        cases = (("abaab", "ab"), ("aabbabb", "ab"), ("abcacba", "abcd"), ("a" + "b" * 9, "ab"))
+        for word, symbols in cases:
+            alphabet = Alphabet(symbols)
+            members = mfw_linear(word + word, alphabet).words
+            for max_len in range(0, 2 * len(word) + 3):
+                kept = [m for m in members if len(m) <= max_len]
+                assert_same_mf_trie(word + word, alphabet, max_len, kept)
+
+    def test_one_letter_then_another(self):
+        # a.b^(n-1): n circular members of about n^2/2 symbols, a trie of
+        # 3n - 1 nodes whose n sinks strip to 2n - 1 states
+        n = 300
+        w = "a" + "b" * (n - 1)
+        trie = _mf_trie(w + w, Alphabet("ab"), n)
+        assert trie.n_states == 3 * n - 1 and len(trie.sinks) == n
+        assert trie.flat.tolist() == build_trie(mfw_circular(w).words, Alphabet("ab")).flat.tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_words(self, data):
+        symbols = data.draw(st.permutations("abcdé"))[: data.draw(st.integers(1, 5))]
+        word = data.draw(st.text("".join(symbols), max_size=120))
+        assert_same_mf_tries([word], Alphabet(symbols))
 
 
 def assert_same_avoidance(words, alphabet: Alphabet) -> None:

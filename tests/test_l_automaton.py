@@ -7,6 +7,7 @@ from antidict import (
     build_trie,
     circular_factor_dfa,
     circular_factor_set,
+    fibonacci_word,
     isomorphic,
     l_automaton,
     mfw_linear,
@@ -103,3 +104,19 @@ class TestCircularFactorDfa:
 
     def test_accepts_string_or_circular_word(self):
         assert isomorphic(circular_factor_dfa("abaab"), circular_factor_dfa(CircularWord("abaab")))
+
+
+class TestCircularFactorDfaAtScale:
+    """Untimed: the trie is read off the suffix automaton, so no member is
+    made and a·b^(n-1), whose members hold about n^2/2 symbols, is linear."""
+
+    def test_one_a_then_bs(self):
+        n = 10**5
+        dfa = circular_factor_dfa("a" + "b" * (n - 1))
+        assert dfa.n_states == 2 * n - 1
+        assert dfa.accepts("b" * (n - 1)) and dfa.accepts("b" * (n - 1) + "a")
+        assert not dfa.accepts("aa") and not dfa.accepts("b" * n)
+
+    def test_fibonacci(self):
+        word = fibonacci_word(25)
+        assert circular_factor_dfa(word, AB).n_states == 2 * len(word) - 1

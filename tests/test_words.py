@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from antidict import (
@@ -48,6 +50,28 @@ class TestAlphabet:
         ab.check_word("abba")
         with pytest.raises(ValueError):
             ab.check_word("abc")
+
+    @pytest.mark.parametrize(
+        "symbols, word, stray",
+        [
+            ("ab", "abcab", "c"),  # a stray ASCII symbol
+            ("ab", "abβa", "β"),  # a non-ASCII symbol under an ASCII alphabet
+            ("aβ", "aβcβ", "c"),  # non-ASCII alphabets
+            ("αβ", "αβa", "a"),
+        ],
+    )
+    def test_check_word_messages(self, symbols, word, stray):
+        alphabet = Alphabet(symbols)
+        alphabet.check_word(word.replace(stray, ""))
+        message = f"symbol {stray!r} of {word!r} is not in alphabet Alphabet({symbols!r})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            alphabet.check_word(word)
+
+    def test_check_word_agrees_with_sets(self):
+        for symbols in ("ab", "ba", "acgt", "aβ", "αβγ"):
+            alphabet = Alphabet(symbols)
+            for word in all_words("abcβ", 4, min_len=0):
+                assert alphabet._covers(word) == (set(word) <= set(symbols)), (symbols, word)
 
 
 class TestReversal:
