@@ -193,29 +193,19 @@ def assert_same_mf_trie(text: str, alphabet: Alphabet, max_len: int, members) ->
     assert trie.sinks == ref.sinks, (text, max_len)
 
 
-def assert_same_linear_trie(word: str, alphabet: Alphabet) -> None:
-    assert_same_mf_trie(word, alphabet, len(word) + 1, mfw_linear(word, alphabet).words)
-
-
-def assert_same_circular_trie(word: str, alphabet: Alphabet) -> None:
-    """The circular cap |w| on ww, and the circular factor automaton built
-    on that trie against the string route, JSON for JSON."""
-    cw = CircularWord(word, alphabet)
-    w = cw.linearization
-    assert_same_mf_trie(w + w, alphabet, len(w), mfw_circular(cw, alphabet).words)
-    expected = circular_factor_dfa_reference(cw, alphabet).to_json()
-    assert circular_factor_dfa(cw, alphabet).to_json() == expected, word
-
-
 def assert_same_mf_tries(words, alphabet: Alphabet) -> None:
-    """Both caps on every word, the circular one once per necklace."""
+    """The linear cap on every word, then, once per necklace, the circular
+    cap |w| on ww and the circular factor automaton built on that trie
+    against the string route, JSON for JSON."""
     necklaces = set()
     for word in words:
-        assert_same_linear_trie(word, alphabet)
+        assert_same_mf_trie(word, alphabet, len(word) + 1, mfw_linear(word, alphabet).words)
         if word:
             necklaces.add(CircularWord(word, alphabet).linearization)
-    for word in sorted(necklaces):
-        assert_same_circular_trie(word, alphabet)
+    for w in sorted(necklaces):
+        assert_same_mf_trie(w + w, alphabet, len(w), mfw_circular(w, alphabet).words)
+        expected = circular_factor_dfa_reference(w, alphabet).to_json()
+        assert circular_factor_dfa(w, alphabet).to_json() == expected, w
 
 
 class TestMfTrie:
@@ -250,11 +240,11 @@ class TestMfTrie:
     def test_one_letter_then_another(self):
         # a.b^(n-1): n circular members of about n^2/2 symbols, a trie of
         # 3n - 1 nodes whose n sinks strip to 2n - 1 states
-        n = 300
+        n, ab = 300, Alphabet("ab")
         w = "a" + "b" * (n - 1)
-        trie = _mf_trie(w + w, Alphabet("ab"), n)
+        trie = _mf_trie(w + w, ab, n)
         assert trie.n_states == 3 * n - 1 and len(trie.sinks) == n
-        assert trie.flat.tolist() == build_trie(mfw_circular(w).words, Alphabet("ab")).flat.tolist()
+        assert_same_mf_trie(w + w, ab, n, mfw_circular(w, ab).words)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
