@@ -147,17 +147,19 @@ static int32_t new_node(int32_t *flat, int32_t sigma, int64_t *nodes)
  * entries.
  *
  * flat receives the trie table, sigma entries a row (-1 for no child), and
- * sinks the leaves in preorder.  Every node but the root is a tree edge or
- * a site, so they have room for size*sigma + 1 nodes and size*(sigma-1) + 1
- * sinks (see forbidden_sites).  Writes the sink count to *n_sinks and
- * returns the node count. */
+ * finals, zeroed by the caller, a 1 at each sink: the leaves other than the
+ * root, where the members end.  Every node but the root is a tree edge or
+ * a site, so both have room for size*sigma + 1 nodes (see
+ * forbidden_sites).  A rolled-back node is a tree node, never a sink, so
+ * no final byte is set at a number that is handed out again.  Returns the
+ * node count. */
 int64_t mf_trie(int32_t *tables, int64_t cap, int32_t sigma, int64_t max_len,
-                int32_t *flat, int32_t *sinks, int64_t *n_sinks)
+                int32_t *flat, uint8_t *finals)
 {
     const int32_t *trans = tables, *link = trans + cap * sigma,
                   *len = link + cap;
     int32_t *stack = tables + cap * (sigma + 2);
-    int64_t nodes = 0, k = 0, depth = 0;
+    int64_t nodes = 0, depth = 0;
     int32_t c = 0;
     stack[0] = 0;
     stack[1] = new_node(flat, sigma, &nodes);
@@ -178,7 +180,7 @@ int64_t mf_trie(int32_t *tables, int64_t cap, int32_t sigma, int64_t max_len,
             } else if (depth + 1 <= max_len &&
                        (p == 0 || trans[(int64_t)link[p] * sigma + c] >= 0)) {
                 *slot = new_node(flat, sigma, &nodes);
-                sinks[k++] = *slot;
+                finals[*slot] = 1;
             }
             c++;
             continue;
@@ -195,7 +197,6 @@ int64_t mf_trie(int32_t *tables, int64_t cap, int32_t sigma, int64_t max_len,
         }
         c++;
     }
-    *n_sinks = k;
     return nodes;
 }
 
@@ -251,10 +252,11 @@ int64_t trie_size(const int32_t *code, const int64_t *bounds, int64_t k)
 /* Inserts the k sorted, prefix-free words that trie_size measured into
  * flat, a table of as many rows as it counted, sigma entries a row:
  * flat[s*sigma + c] is the child of state s on rank c, or -1.  State 0 is
- * the root and states are numbered in insertion order.  sinks[i] receives
- * the state word i ends at (one state for equal words). */
+ * the root and states are numbered in insertion order.  finals, zeroed by
+ * the caller, receives a 1 at the state each word ends at (one state for
+ * equal words): the trie's sinks, the leaves other than the root. */
 void trie(const int32_t *code, const int64_t *bounds, int64_t k, int32_t sigma,
-          int32_t *flat, int32_t *sinks)
+          int32_t *flat, uint8_t *finals)
 {
     int32_t size = 1;
     for (int32_t c = 0; c < sigma; c++)
@@ -271,7 +273,7 @@ void trie(const int32_t *code, const int64_t *bounds, int64_t k, int32_t sigma,
             }
             state = *slot;
         }
-        sinks[i] = state;
+        finals[state] = 1;
     }
 }
 

@@ -1,16 +1,17 @@
 """Tries and DFAs with the generic machinery: minimization, equivalence,
 language enumeration, sink removal and DOT/JSON export.
 
-A :class:`Trie` and a :class:`Dfa` share one storage layout: the transitions
-sit in one flat int32 table indexed by ``state * sigma + rank``, with ``-1``
-marking a missing edge.  That keeps million-state automata cheap and lets
-the walks over either read the table directly.  A trie's table is the numpy
-array the compiled kernel (``_kernel.c``) builds and reads; the kernel also
+There is one automaton type and one storage.  A :class:`Dfa` holds its
+transitions in one flat ``array('i')`` indexed by ``state * sigma + rank``,
+with ``-1`` marking a missing edge, and its final states as a bitmap.  That
+keeps million-state automata cheap and lets the walks read the table
+directly.  A :class:`Trie` is a ``Dfa`` too: the tree-shaped acceptor of a
+finite set, final exactly at its leaves.  The compiled kernel
+(``_kernel.c``) builds a trie's table through a numpy view of it, and
 completes a copy of it, breadth first, into the avoidance automaton's table
-and failure links.  A DFA holds its tables as ``array('i')``, which indexes
-to plain ints, and its final states as a bitmap.  Transition functions are
-partial everywhere; completion with a dead state happens only inside
-:func:`minimize` and :func:`equivalent`.
+and failure links.  Transition functions are partial everywhere; completion
+with a dead state happens only inside :func:`minimize` and
+:func:`equivalent`.
 """
 
 from __future__ import annotations
@@ -35,13 +36,6 @@ def _row_edges(flat, symbols: tuple[str, ...], state: int) -> list[tuple[str, in
     return [(sym, flat[base + i]) for i, sym in enumerate(symbols) if flat[base + i] >= 0]
 
 
-def _table_edges(flat, symbols: tuple[str, ...], n_states: int) -> Iterator[tuple[int, str, int]]:
-    """Every (source, symbol, target) edge of a flat table, state by state."""
-    for state in range(n_states):
-        for sym, target in _row_edges(flat, symbols, state):
-            yield state, sym, target
-
-
 def _int_table(table: np.ndarray) -> array:
     """An int32 numpy table copied into the ``array('i')`` a Dfa holds."""
     out = array("i")
@@ -57,193 +51,6 @@ def _state_id(value) -> int:
     return value
 
 
-class Trie:
-    """Tree-shaped acceptor of a finite language; members end at sink states.
-
-    State 0 is the root; ``flat[state * sigma + rank]`` is the child reached
-    on the symbol of that rank, or ``-1``, in one int32 array.  The sinks
-    are exactly the leaves other than the root: they carry no outgoing
-    edges, so no accepted word may be a proper prefix of another --
-    :func:`build_trie` enforces that.
-    """
-
-    __slots__ = ("alphabet", "flat", "sinks")
-
-    def __init__(self, alphabet: Alphabet, flat, sinks: set[int]):
-        flat = np.asarray(flat, dtype=np.int32)
-        if flat.ndim != 1 or not flat.size or flat.size % len(alphabet):
-            raise ValueError("flat transition table has the wrong size")
-        self.alphabet = alphabet
-        self.flat = flat
-        self.sinks = sinks
-
-    @property
-    def root(self) -> int:
-        return 0
-
-    @property
-    def n_states(self) -> int:
-        return self.flat.size // len(self.alphabet)
-
-    def words(self) -> list[str]:
-        """The accepted language, read off root-to-sink paths in alphabet
-        order.
-
-        One symbol path is kept for the whole depth-first walk and joined
-        only at sinks, so the cost is linear in the trie and the output.
-        """
-        symbols = self.alphabet.symbols
-        sigma = len(symbols)
-        flat, sinks = self.flat.tolist(), self.sinks
-        backwards = tuple(reversed(list(enumerate(symbols))))
-        out: list[str] = []
-        # path[d] is the symbol entering the current state's ancestor at
-        # depth d (the root's entry is empty); no depth exceeds n_states - 1
-        path = [""] * self.n_states
-        stack: list[tuple[int, int, str]] = [(0, 0, "")]
-        while stack:
-            state, depth, sym = stack.pop()
-            path[depth] = sym
-            if state in sinks:
-                out.append("".join(path[: depth + 1]))
-                continue
-            base = state * sigma
-            depth += 1
-            for i, child_sym in backwards:  # popped back in alphabet order
-                child = flat[base + i]
-                if child >= 0:
-                    stack.append((child, depth, child_sym))
-        return out
-
-    def is_antifactorial(self) -> bool:
-        """Whether no member occurs inside another, by the failure-link test
-        of :func:`_avoidance_tables`; linear in the trie size."""
-        try:
-            _avoidance_tables(self)
-        except ValueError:
-            return False
-        return True
-
-    def to_json(self) -> dict:
-        symbols = self.alphabet.symbols
-        return {
-            "alphabet": "".join(symbols),
-            "states": self.n_states,
-            "initial": 0,
-            "finals": sorted(self.sinks),
-            "transitions": [
-                list(edge) for edge in _table_edges(self.flat.tolist(), symbols, self.n_states)
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "Trie":
-        """Inverse of :meth:`to_json`.
-
-        Raises ``ValueError`` unless the data describe a tree rooted at state
-        0 whose finals are exactly its leaves (the root excepted: the trie of
-        the empty set is a lone non-final root).  Anything else would break
-        the prefix-free shape the failure-link test relies on.
-        """
-        try:
-            alphabet = Alphabet(data["alphabet"])
-            n = _state_id(data["states"])
-            initial = _state_id(data.get("initial", 0))
-            edges = [(_state_id(src), sym, _state_id(dst)) for src, sym, dst in data["transitions"]]
-            finals = {_state_id(s) for s in data["finals"]}
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed trie JSON: {exc!r}") from None
-        if n < 1 or initial != 0:
-            raise ValueError("a trie has at least one state and its root is state 0")
-        targets = {dst for _, _, dst in edges}
-        if len(edges) != n - 1 or len(targets) != n - 1 or 0 in targets:
-            raise ValueError("every state but the root needs exactly one parent")
-        sigma = len(alphabet)
-        flat = [-1] * (n * sigma)
-        for src, sym, dst in edges:
-            slot = src * sigma + alphabet.rank(sym)  # ValueError unless sym is a symbol
-            if not (0 <= src < n and 0 < dst < n) or flat[slot] >= 0:
-                raise ValueError(f"transition {src} -{sym}-> {dst} is out of range or repeated")
-            flat[slot] = dst
-        order = [0]
-        for state in order:
-            order.extend(t for t in flat[state * sigma : (state + 1) * sigma] if t >= 0)
-        if len(order) != n:
-            raise ValueError("some states are not reachable from the root")
-        leaves = {s for s in range(1, n) if max(flat[s * sigma : (s + 1) * sigma]) < 0}
-        if finals != leaves:
-            raise ValueError("the finals must be exactly the non-root leaves")
-        return cls(alphabet, flat, finals)
-
-
-def build_trie(
-    words: Iterable[str], alphabet: Alphabet, *, antifactorial: bool = False
-) -> Trie:
-    """Trie of a finite set of nonempty words, built by the compiled kernel.
-
-    Raises if one word is a proper prefix of another (the sink-state shape
-    cannot represent that) and, when ``antifactorial`` is set, if any word
-    occurs inside another -- the signature of an invalid antidictionary --
-    which the failure-link test of :func:`_avoidance_tables` decides in
-    linear time.  The table is sized exactly before it is filled: sorted,
-    each word adds the symbols after its common prefix with its predecessor.
-    """
-    members = list(words)
-    alphabet.sort(members)
-    if members and not members[0]:
-        raise ValueError("the empty word cannot be a trie member")
-    joined = "".join(members)
-    if not alphabet._covers(joined):
-        for word in members:  # name the first member holding a stray symbol
-            alphabet.check_word(word)
-    code = _encode(joined, alphabet)
-    bounds = np.zeros(len(members) + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, members), np.int64, len(members)), out=bounds[1:])
-    lib = kernel()
-    size = lib.trie_size(code, bounds, len(members))
-    if size < 0:  # word -1 - size extends its sorted predecessor
-        raise ValueError(
-            f"{members[-1 - size]!r} extends another member: the set is not prefix-free"
-        )
-    if size > MAX_STATES:
-        raise LimitExceeded(
-            f"a trie of {size} states is more than the {MAX_STATES} its tables can number"
-        )
-    flat = np.empty(size * len(alphabet), dtype=np.int32)
-    sinks = np.empty(len(members), dtype=np.int32)
-    lib.trie(code, bounds, len(members), len(alphabet), flat, sinks)
-    trie = Trie(alphabet, flat, set(sinks.tolist()))
-    if antifactorial:
-        _avoidance_tables(trie)
-    return trie
-
-
-def _avoidance_tables(trie: Trie) -> tuple[np.ndarray, np.ndarray]:
-    """Completed flat transition table and failure links of the avoidance
-    automaton of a trie, as int32 arrays, filled by the compiled kernel in
-    one breadth-first pass over a copy of the trie's table.
-
-    Root transitions on absent letters become self-loops; every other state
-    keeps its trie edges (the child's failure link is the failure's
-    same-letter target), borrows missing edges from its failure link, and
-    sinks loop every letter back to themselves.  A failure link landing on a
-    sink means a member is a proper suffix of a prefix of another member,
-    i.e. occurs inside it; since the trie shape already rules out prefixes,
-    this is exactly the failure of antifactoriality, and it raises
-    ``ValueError``, as does a table that is not a tree (a state with two
-    parents, the root as a child or a state out of range).
-    """
-    n = trie.n_states
-    flat = trie.flat.copy()
-    failure = np.empty(n, dtype=np.int32)
-    status = kernel().avoidance(flat, n, len(trie.alphabet), failure, np.empty(n, dtype=np.int32))
-    if status == -2:
-        raise ValueError("the transition table is not a tree rooted at state 0")
-    if status < 0:
-        raise ValueError("the set is not antifactorial: a member occurs inside another")
-    return flat, failure
-
-
 class Dfa:
     """Deterministic finite automaton over dense integer states.
 
@@ -251,8 +58,8 @@ class Dfa:
     ``failure``, when present, the per-state suffix link (``-1`` at the
     initial state); both are ``array('i')``, the kernel's int32 width.
     ``finals`` is a bitmap: ``bytes`` of length ``n_states``, 1 at each final
-    state and 0 elsewhere.  Instances are treated as immutable after
-    construction.
+    state and 0 elsewhere.  ``initial`` is a state.  Instances are treated as
+    immutable after construction; a :class:`Trie` is one of them.
     """
 
     __slots__ = ("alphabet", "n_states", "initial", "finals", "flat", "failure")
@@ -276,6 +83,8 @@ class Dfa:
             raise ValueError("failure table has the wrong size")
         if not isinstance(finals, bytes) or len(finals) != n_states:
             raise ValueError("finals must be a bitmap of one byte per state")
+        if not 0 <= initial < n_states:
+            raise ValueError(f"initial state {initial} is outside 0..{n_states - 1}")
         self.alphabet = alphabet
         self.n_states = n_states
         self.initial = initial
@@ -347,7 +156,11 @@ class Dfa:
         return _row_edges(self.flat, self.alphabet.symbols, state)
 
     def transitions(self) -> Iterator[tuple[int, str, int]]:
-        return _table_edges(self.flat, self.alphabet.symbols, self.n_states)
+        """Every (source, symbol, target) edge, state by state."""
+        symbols = self.alphabet.symbols
+        for state in range(self.n_states):
+            for sym, target in _row_edges(self.flat, symbols, state):
+                yield state, sym, target
 
     def reachable(self) -> list[int]:
         """States reachable from the initial state, in BFS order."""
@@ -432,9 +245,162 @@ class Dfa:
 
     def __repr__(self) -> str:
         return (
-            f"Dfa(states={self.n_states}, finals={self.finals.count(1)}, "
+            f"{type(self).__name__}(states={self.n_states}, finals={self.finals.count(1)}, "
             f"alphabet={''.join(self.alphabet.symbols)!r})"
         )
+
+
+class Trie(Dfa):
+    """Tree-shaped acceptor of a finite language: a :class:`Dfa` whose
+    members end at sink states.
+
+    State 0 is the initial state, the root, and every other state has
+    exactly one parent.  The final states are exactly the leaves other than
+    the root: they carry no outgoing edges, so no accepted word may be a
+    proper prefix of another -- :func:`build_trie` enforces that.  A trie
+    has no failure links.
+    """
+
+    __slots__ = ()
+
+    def words(self) -> list[str]:
+        """The accepted language, read off root-to-sink paths in alphabet
+        order.
+
+        One symbol path is kept for the whole depth-first walk and joined
+        only at sinks, so the cost is linear in the trie and the output.
+        """
+        symbols = self.alphabet.symbols
+        sigma = len(symbols)
+        flat, finals = self.flat.tolist(), self.finals
+        backwards = tuple(reversed(list(enumerate(symbols))))
+        out: list[str] = []
+        # path[d] is the symbol entering the current state's ancestor at
+        # depth d (the root's entry is empty); no depth exceeds n_states - 1
+        path = [""] * self.n_states
+        stack: list[tuple[int, int, str]] = [(0, 0, "")]
+        while stack:
+            state, depth, sym = stack.pop()
+            path[depth] = sym
+            if finals[state]:
+                out.append("".join(path[: depth + 1]))
+                continue
+            base = state * sigma
+            depth += 1
+            for i, child_sym in backwards:  # popped back in alphabet order
+                child = flat[base + i]
+                if child >= 0:
+                    stack.append((child, depth, child_sym))
+        return out
+
+    def is_antifactorial(self) -> bool:
+        """Whether no member occurs inside another, by the failure-link test
+        of :func:`_avoidance_tables`; linear in the trie size."""
+        try:
+            _avoidance_tables(self)
+        except ValueError:
+            return False
+        return True
+
+    @classmethod
+    def from_json(cls, data: Mapping) -> "Trie":
+        """Inverse of :meth:`Dfa.to_json`, with ``initial`` defaulting to 0.
+
+        Raises ``ValueError`` unless the data describe a tree rooted at state
+        0 whose finals are exactly its leaves (the root excepted: the trie of
+        the empty set is a lone non-final root) and that has no failure
+        links.  Anything else would break the prefix-free shape the
+        failure-link test relies on.
+        """
+        try:
+            data = {"initial": 0, **data}
+        except TypeError as exc:  # not a mapping
+            raise ValueError(f"malformed trie JSON: {exc!r}") from None
+        if "failure" in data:
+            raise ValueError("a trie has no failure links")
+        trie = super().from_json(data)
+        n, sigma, flat = trie.n_states, len(trie.alphabet), trie.flat
+        if trie.initial != 0:
+            raise ValueError("the root of a trie is state 0")
+        targets = [t for t in flat if t >= 0]
+        if len(targets) != n - 1 or len(set(targets)) != n - 1 or 0 in targets:
+            raise ValueError("every state but the root needs exactly one parent")
+        if len(trie.reachable()) != n:
+            raise ValueError("some states are not reachable from the root")
+        leaves = bytes(s > 0 and max(flat[s * sigma : (s + 1) * sigma]) < 0 for s in range(n))
+        if trie.finals != leaves:
+            raise ValueError("the finals must be exactly the non-root leaves")
+        return trie
+
+
+def build_trie(
+    words: Iterable[str], alphabet: Alphabet, *, antifactorial: bool = False
+) -> Trie:
+    """Trie of a finite set of nonempty words, built by the compiled kernel.
+
+    Raises if one word is a proper prefix of another (the sink-state shape
+    cannot represent that) and, when ``antifactorial`` is set, if any word
+    occurs inside another -- the signature of an invalid antidictionary --
+    which the failure-link test of :func:`_avoidance_tables` decides in
+    linear time.  The table is sized exactly before it is filled: sorted,
+    each word adds the symbols after its common prefix with its predecessor.
+    """
+    members = list(words)
+    alphabet.sort(members)
+    if members and not members[0]:
+        raise ValueError("the empty word cannot be a trie member")
+    joined = "".join(members)
+    if not alphabet._covers(joined):
+        for word in members:  # name the first member holding a stray symbol
+            alphabet.check_word(word)
+    code = _encode(joined, alphabet)
+    bounds = np.zeros(len(members) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, members), np.int64, len(members)), out=bounds[1:])
+    lib = kernel()
+    size = lib.trie_size(code, bounds, len(members))
+    if size < 0:  # word -1 - size extends its sorted predecessor
+        raise ValueError(
+            f"{members[-1 - size]!r} extends another member: the set is not prefix-free"
+        )
+    if size > MAX_STATES:
+        raise LimitExceeded(
+            f"a trie of {size} states is more than the {MAX_STATES} its tables can number"
+        )
+    flat = array("i", [-1]) * (size * len(alphabet))
+    finals = np.zeros(size, dtype=np.uint8)
+    lib.trie(code, bounds, len(members), len(alphabet), np.frombuffer(flat, np.int32), finals)
+    trie = Trie(alphabet, size, 0, finals.tobytes(), flat)
+    if antifactorial:
+        _avoidance_tables(trie)
+    return trie
+
+
+def _avoidance_tables(trie: Trie) -> tuple[array, array]:
+    """Completed flat transition table and failure links of the avoidance
+    automaton of a trie, as ``array('i')``, filled by the compiled kernel in
+    one breadth-first pass over a copy of the trie's table.
+
+    Root transitions on absent letters become self-loops; every other state
+    keeps its trie edges (the child's failure link is the failure's
+    same-letter target), borrows missing edges from its failure link, and
+    sinks loop every letter back to themselves.  A failure link landing on a
+    sink means a member is a proper suffix of a prefix of another member,
+    i.e. occurs inside it; since the trie shape already rules out prefixes,
+    this is exactly the failure of antifactoriality, and it raises
+    ``ValueError``, as does a table that is not a tree (a state with two
+    parents, the root as a child or a state out of range).
+    """
+    n = trie.n_states
+    flat, failure = trie.flat[:], array("i", [-1]) * n
+    status = kernel().avoidance(
+        np.frombuffer(flat, np.int32), n, len(trie.alphabet),
+        np.frombuffer(failure, np.int32), np.empty(n, dtype=np.int32),
+    )
+    if status == -2:
+        raise ValueError("the transition table is not a tree rooted at state 0")
+    if status < 0:
+        raise ValueError("the set is not antifactorial: a member occurs inside another")
+    return flat, failure
 
 
 def minimize(dfa: Dfa) -> Dfa:
@@ -601,18 +567,13 @@ def _dot_quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def export_dot(automaton: Trie | Dfa) -> str:
+def export_dot(automaton: Dfa) -> str:
     """DOT rendering: double circles for finals, dashed edges for failure links.
 
     States are labelled by BFS discovery order so output is stable across runs.
     """
     flat, symbols = automaton.flat, automaton.alphabet.symbols
-    if isinstance(automaton, Trie):
-        initial, is_final, failure = automaton.root, automaton.sinks.__contains__, None
-        flat = flat.tolist()
-    else:
-        initial, failure = automaton.initial, automaton.failure
-        is_final = automaton.finals.__getitem__
+    initial, failure, is_final = automaton.initial, automaton.failure, automaton.finals
     n_states = automaton.n_states
 
     renum = {initial: 0}
@@ -633,7 +594,7 @@ def export_dot(automaton: Trie | Dfa) -> str:
     lines = ["digraph automaton {", "  rankdir=LR;", '  __start [shape=point, label=""];']
     lines.append(f"  __start -> q{renum[initial]};")
     for state in order:
-        shape = "doublecircle" if is_final(state) else "circle"
+        shape = "doublecircle" if is_final[state] else "circle"
         lines.append(f"  q{renum[state]} [shape={shape}, label={_dot_quote(str(renum[state]))}];")
     for state in order:
         for sym, target in _row_edges(flat, symbols, state):

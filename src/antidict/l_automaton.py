@@ -20,11 +20,13 @@ part.
 
 from __future__ import annotations
 
-import numpy as np
-
-from .automata import Dfa, Trie, _avoidance_tables, _int_table, strip_sinks
+from .automata import Dfa, Trie, _avoidance_tables, strip_sinks
 from .mfw import _mf_trie
 from .words import Alphabet, CircularWord
+
+# Swaps the bytes 0 and 1 of a finals bitmap: the trie's sinks become the
+# avoidance automaton's only non-final states.
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 def l_automaton(trie: Trie) -> Dfa:
@@ -36,10 +38,8 @@ def l_automaton(trie: Trie) -> Dfa:
     when the language is not antifactorial, which the same breadth-first
     pass detects as a failure link landing on a sink.
     """
-    flat, failure = map(_int_table, _avoidance_tables(trie))
-    finals = np.ones(trie.n_states, dtype=np.uint8)
-    finals[np.fromiter(trie.sinks, np.intp, len(trie.sinks))] = 0
-    return Dfa(trie.alphabet, trie.n_states, 0, finals.tobytes(), flat, failure)
+    finals = trie.finals.translate(_FLIP)
+    return Dfa(trie.alphabet, trie.n_states, 0, finals, *_avoidance_tables(trie))
 
 
 def circular_factor_dfa(cw: CircularWord | str, alphabet: Alphabet | None = None) -> Dfa:

@@ -22,7 +22,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .automata import Trie, build_trie
+from .automata import Trie, _int_table, build_trie
 from ._kernel import MAX_STATES, kernel
 from .factor_automaton import _suffix_automaton_buffer
 from .words import (
@@ -152,10 +152,10 @@ def _mf_trie(text: str, alphabet: Alphabet, max_len: int) -> Trie:
     members, state numbers included, with no member made.
 
     The rank codes are dropped once the suffix automaton is built, and the
-    automaton once the walk is done.  The trie's table is sized by a bound
-    on its node count and the trie holds a view of the filled part.  Raises
-    ``LimitExceeded`` before allocating when that bound would not fit the
-    int32 tables.
+    automaton once the walk is done, before the filled part of the table,
+    which is sized by a bound on the node count, is copied into the trie.
+    Raises ``LimitExceeded`` before allocating when that bound would not fit
+    the int32 tables.
     """
     sigma = len(alphabet)
     tables, cap, size = _suffix_automaton_buffer(_encode(text, alphabet), sigma)
@@ -166,10 +166,10 @@ def _mf_trie(text: str, alphabet: Alphabet, max_len: int) -> Trie:
             f"{bound} states, more than the {MAX_STATES} its tables can number"
         )
     flat = np.empty(bound * sigma, dtype=np.int32)
-    sinks = np.empty(size * (sigma - 1) + 1, dtype=np.int32)
-    n_sinks = np.empty(1, dtype=np.int64)
-    nodes = kernel().mf_trie(tables, cap, sigma, max_len, flat, sinks, n_sinks)
-    return Trie(alphabet, flat[: nodes * sigma], set(sinks[: n_sinks[0]].tolist()))
+    finals = np.zeros(bound, dtype=np.uint8)  # untouched pages stay unmapped
+    nodes = kernel().mf_trie(tables, cap, sigma, max_len, flat, finals)
+    del tables
+    return Trie(alphabet, nodes, 0, finals[:nodes].tobytes(), _int_table(flat[: nodes * sigma]))
 
 
 def _forbidden_words(word: str, alphabet: Alphabet, max_len: int | None = None) -> list[str]:

@@ -36,9 +36,9 @@ def _walk(mfws: MfwSet, walk: str) -> tuple[int, np.ndarray]:
         flat, _ = _avoidance_tables(build_trie(mfws.words, mfws.alphabet))
     except ValueError as exc:
         raise ReconstructionError(str(exc)) from exc
-    n = flat.size // sigma
+    n = len(flat) // sigma
     scratch = np.empty(3 * n, dtype=np.int32)
-    return getattr(kernel(), walk)(flat, n, sigma, scratch), scratch
+    return getattr(kernel(), walk)(np.frombuffer(flat, np.int32), n, sigma, scratch), scratch
 
 
 def _longest_word(mfws: MfwSet) -> str:

@@ -210,8 +210,8 @@ def trie_reference(words, alphabet: Alphabet):
     checked against.
 
     Inserts the distinct words in alphabet order, numbering states as they
-    are made.  Returns ``(flat table, sinks)`` in the layout of ``Trie``;
-    the words must be nonempty and prefix-free.
+    are made.  Returns ``(flat table, finals bitmap)`` in the layout of
+    ``Trie``; the words must be nonempty and prefix-free.
     """
     sigma = len(alphabet)
     flat = [-1] * sigma
@@ -227,7 +227,7 @@ def trie_reference(words, alphabet: Alphabet):
                 n_states += 1
                 flat += [-1] * sigma
         sinks.add(state)
-    return flat, sinks
+    return flat, bytes(state in sinks for state in range(n_states))
 
 
 def circular_factor_dfa_reference(cw: CircularWord | str, alphabet: Alphabet | None = None) -> Dfa:
@@ -239,14 +239,15 @@ def circular_factor_dfa_reference(cw: CircularWord | str, alphabet: Alphabet | N
     return strip_sinks(l_automaton(build_trie(mfws.words, mfws.alphabet)))
 
 
-def avoidance_reference(flat, sinks, sigma: int):
+def avoidance_reference(flat, finals, sigma: int):
     """Breadth-first completion of a trie table in plain Python, the
     reference the kernel's ``avoidance`` is checked against.
 
     Returns the completed table and the failure links; raises
-    ``ValueError`` when a failure link lands on a sink (the members are not
-    antifactorial).
+    ``ValueError`` when a failure link lands on a sink, a final state (the
+    members are not antifactorial).
     """
+    sinks = {state for state, final in enumerate(finals) if final}
     flat = list(flat)
     failure = [-1] * (len(flat) // sigma)
     queue = []

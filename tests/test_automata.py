@@ -17,11 +17,13 @@ from antidict import (
     factor_set,
     isomorphic,
     l_automaton,
+    mfw_circular,
     mfw_linear,
     minimize,
     strip_sinks,
 )
 from antidict import automata
+from antidict.mfw import _mf_trie
 
 from .helpers import all_words, prefix_acceptor
 
@@ -75,7 +77,7 @@ class TestBuildTrie:
     def test_two_word_example(self):
         trie = figure_trie()
         assert trie.n_states == 5
-        assert len(trie.sinks) == 2
+        assert trie.finals.count(1) == 2
         assert sorted(trie.words()) == ["aa", "ba"]
 
     def test_single_word(self):
@@ -85,7 +87,7 @@ class TestBuildTrie:
         # 9 inner states plus 4 sinks
         trie = build_trie(FIB5, AB, antifactorial=True)
         assert trie.n_states == 13
-        assert len(trie.sinks) == 4
+        assert trie.finals.count(1) == 4
 
     @pytest.mark.parametrize("name", sorted(PINNED_TRIE_OUTPUT))
     def test_json_and_dot_are_pinned(self, name):
@@ -132,11 +134,34 @@ class TestBuildTrie:
         back = Trie.from_json(data)
         assert back.n_states == trie.n_states
         assert sorted(back.words()) == sorted(trie.words())
-        assert back.sinks == trie.sinks
+        assert back.finals == trie.finals
 
     def test_json_round_trip_of_empty_set(self):
         back = Trie.from_json(build_trie([], AB).to_json())
-        assert back.n_states == 1 and back.sinks == set()
+        assert back.n_states == 1 and back.finals == b"\x00"
+
+    def test_json_refuses_failure_links_and_defaults_the_root(self):
+        data = figure_trie().to_json()
+        with pytest.raises(ValueError, match="no failure links"):
+            Trie.from_json(data | {"failure": []})
+        del data["initial"]
+        back = Trie.from_json(data)
+        assert back.initial == 0 and back.words() == ["aa", "ba"]
+
+    def test_inherited_acceptor_agrees_with_words(self):
+        # on M(w) and M°(w) of every binary word up to 10: each member is
+        # accepted, each proper prefix and one-letter extension rejected
+        for word in all_words("ab", 10):
+            for mfws in (mfw_linear(word, AB), mfw_circular(word, AB)):
+                trie = build_trie(mfws.words, AB)
+                members = trie.words()
+                assert sorted(members) == sorted(mfws.words), word
+                longest = max(map(len, members))
+                assert trie.enumerate_language(longest + 1) == set(members), word
+                for member in members:
+                    assert trie.accepts(member)
+                    assert not any(trie.accepts(member[:i]) for i in range(len(member)))
+                    assert not any(trie.accepts(member + sym) for sym in "ab")
 
     @pytest.mark.parametrize(
         "data",
@@ -441,6 +466,9 @@ PRODUCERS = {
     "minimize": lambda: minimize(strip_sinks(l_automaton(figure_trie()))),
     "Dfa.from_edges": lambda: Dfa.from_edges(AB, 3, 0, [0, 2], [(0, "a", 1), (1, "b", 2)], {1: 0}),
     "Dfa.from_json": lambda: Dfa.from_json(build_factor_automaton("aabbabb").to_json()),
+    "build_trie": lambda: build_trie(FIB5, AB),
+    "_mf_trie": lambda: _mf_trie("aabbabb" * 2, AB, 7),
+    "Trie.from_json": lambda: Trie.from_json(build_trie(FIB5, AB).to_json()),
 }
 
 
@@ -449,6 +477,7 @@ def test_one_storage(produce):
     """Every producer hands Dfa int32 array tables and a bytes bitmap of
     finals, and accepts answers with a plain bool."""
     dfa = produce()
+    assert isinstance(dfa, Dfa)
     tables = (dfa.flat, dfa.failure or dfa.flat)
     assert all(type(t) is array and t.typecode == "i" and t.itemsize == 4 for t in tables)
     assert type(dfa.finals) is bytes and len(dfa.finals) == dfa.n_states
@@ -464,3 +493,9 @@ def test_constructor_refuses_other_storages():
     for finals in ({0}, b"\x01\x01", bytearray(b"\x01")):
         with pytest.raises(ValueError, match="bitmap"):
             Dfa(AB, 1, 0, finals, table)
+
+
+def test_constructor_refuses_an_initial_state_out_of_range():
+    for initial in (1, -1):
+        with pytest.raises(ValueError, match=f"initial state {initial} is outside 0..0"):
+            Dfa(AB, 1, initial, b"\x01", array("i", [-1, -1]))

@@ -3,8 +3,8 @@ and guards around them."""
 
 import itertools
 import re
+from array import array
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -188,9 +188,9 @@ def assert_same_mf_trie(text: str, alphabet: Alphabet, max_len: int, members) ->
     equals build_trie of the members, table for table."""
     trie = _mf_trie(text, alphabet, max_len)
     ref = build_trie(members, alphabet)
-    assert trie.flat.dtype == np.int32, (text, max_len)
+    assert trie.flat.typecode == "i", (text, max_len)
     assert trie.flat.tolist() == ref.flat.tolist(), (text, max_len)
-    assert trie.sinks == ref.sinks, (text, max_len)
+    assert trie.finals == ref.finals, (text, max_len)
 
 
 def assert_same_mf_tries(words, alphabet: Alphabet) -> None:
@@ -243,7 +243,7 @@ class TestMfTrie:
         n, ab = 300, Alphabet("ab")
         w = "a" + "b" * (n - 1)
         trie = _mf_trie(w + w, ab, n)
-        assert trie.n_states == 3 * n - 1 and len(trie.sinks) == n
+        assert trie.n_states == 3 * n - 1 and trie.finals.count(1) == n
         assert_same_mf_trie(w + w, ab, n, mfw_circular(w, ab).words)
 
     @settings(max_examples=300, deadline=None)
@@ -258,12 +258,12 @@ def assert_same_avoidance(words, alphabet: Alphabet) -> None:
     """The kernel's trie and completed tables equal the references; the
     words must be prefix-free and antifactorial."""
     trie = build_trie(words, alphabet)
-    flat, sinks = trie_reference(words, alphabet)
-    assert trie.flat.dtype == np.int32, words
+    flat, finals = trie_reference(words, alphabet)
+    assert trie.flat.typecode == "i", words
     assert trie.flat.tolist() == flat, words
-    assert trie.sinks == sinks, words
+    assert trie.finals == finals, words
     completed, failure = _avoidance_tables(trie)
-    ref_completed, ref_failure = avoidance_reference(flat, sinks, len(alphabet))
+    ref_completed, ref_failure = avoidance_reference(flat, finals, len(alphabet))
     assert completed.tolist() == ref_completed, words
     assert failure.tolist() == ref_failure, words
 
@@ -343,15 +343,16 @@ class TestTrieAndAvoidance:
         assert len(mfws) == n
         trie = build_trie(mfws.words, mfws.alphabet)
         assert trie.n_states == 3 * n - 1
-        assert trie.flat.size == (3 * n - 1) * 2
+        assert len(trie.flat) == (3 * n - 1) * 2
 
     def test_tables_that_are_no_tree_are_refused(self):
         # two parents, a state out of range, the root as a child
         ab = Alphabet("ab")
         for flat in ([1, 1, -1, -1], [2, -1, -1, -1], [1, -1, 0, -1]):
             with pytest.raises(ValueError, match="not a tree"):
-                l_automaton(Trie(ab, flat, {1}))
-        assert l_automaton(Trie(ab, [1, 2, -1, -1, -1, -1], {1, 2})).n_states == 3
+                l_automaton(Trie(ab, 2, 0, b"\x00\x01", array("i", flat)))
+        trie = Trie(ab, 3, 0, b"\x00\x01\x01", array("i", [1, 2, -1, -1, -1, -1]))
+        assert l_automaton(trie).n_states == 3
 
     def test_guard_fires_before_allocating(self, monkeypatch):
         # the trie of {aa, ab, b} has 5 states
