@@ -6,6 +6,7 @@
  */
 
 #include <stdint.h>
+#include <string.h>
 
 /* Online suffix-automaton construction (Blumer et al., TCS 40, 1985).
  *
@@ -119,6 +120,29 @@ int64_t forbidden_sites(const int32_t *tables, int64_t cap, int32_t size,
         }
     }
     return k;
+}
+
+/* Spells the members of count sites of forbidden_sites, one after another
+ * and each followed by a separator, into out.  Symbols are width bytes
+ * each (1 for ASCII, 4 for UTF-32): text is the word the sites were found
+ * in and symbols holds the sigma alphabet symbols in rank order, then the
+ * separator.  sites are the triples forbidden_sites wrote, and out has room
+ * for the members' total length plus count symbols. */
+void spell_sites(const uint8_t *text, int64_t width, const int32_t *sites,
+                 int64_t count, const uint8_t *symbols, int32_t sigma,
+                 uint8_t *out)
+{
+    const uint8_t *sep = symbols + sigma * width;
+    for (int64_t k = 0; k < count; k++) {
+        const int32_t *site = sites + 3 * k;
+        int64_t size = (int64_t)(site[1] - site[0]) * width;
+        memcpy(out, text + site[0] * width, size);
+        out += size;
+        memcpy(out, symbols + site[2] * width, width);
+        out += width;
+        memcpy(out, sep, width);
+        out += width;
+    }
 }
 
 /* Appends a childless node to the trie table flat, which holds *nodes rows

@@ -61,12 +61,15 @@ def build(cache_dir: Path) -> ctypes.CDLL:
     codes = np.ctypeslib.ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS")
     bounds = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
     table = np.ctypeslib.ndpointer(np.int32, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
+    octets = np.ctypeslib.ndpointer(np.uint8, ndim=1, flags="C_CONTIGUOUS")
     bitmap = np.ctypeslib.ndpointer(np.uint8, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
+    triples = np.ctypeslib.ndpointer(np.int32, ndim=2, flags="C_CONTIGUOUS")
     int32, int64 = ctypes.c_int32, ctypes.c_int64
     lib = ctypes.CDLL(str(path))
     for name, argtypes, restype in (
         ("suffix_automaton", [codes, int64, int32, table], int32),
         ("forbidden_sites", [codes, int64, int32, int32, int64, table], int64),
+        ("spell_sites", [octets, int64, triples, int64, octets, int32, bitmap], None),
         ("mf_trie", [table, int64, int32, int64, table, bitmap], int64),
         ("least_rotation", [codes, int64], int64),
         ("trie_size", [codes, bounds, int64], int64),

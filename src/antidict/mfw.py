@@ -12,13 +12,16 @@ doubled word filtered to length at most ``|w|``.  Both fast routes walk the
 automaton breadth first in the compiled kernel, which emits every member
 once and already in :class:`MfwSet` order, so neither sorts; the
 brute-force routes and other foreign input go through :meth:`MfwSet.build`,
-which does.
+which does.  The walk yields sites, a text slice and a letter each; short
+members are spelled from them by the kernel into one buffer that one
+``str.split`` cuts into strings, long ones are sliced out of the word.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, compress, groupby, islice
+from operator import ne
 
 import numpy as np
 
@@ -37,14 +40,24 @@ from .words import (
 
 
 # Most symbols the members of one computed antidictionary may hold together.
-# Every member of mfw_linear and mfw_circular is a Python string, so a word
-# whose antidictionary is long in total -- a.b^(n-1), circular or squared,
-# has about n^2/2 symbols -- would otherwise fill memory.  Random binary and
-# acgt words of 10^6 symbols need about 1.6 and 2.0 * 10^7, the circular
-# Fibonacci word of rank 30 about 3.0 * 10^6.  It does not guard
-# circular_factor_dfa, which reads the members' trie off the suffix
-# automaton (_mf_trie) and makes no member.
+# Every member of mfw_linear and mfw_circular is a Python string, copied out
+# of the word once (and, for short members, once more through the kernel's
+# spelling buffer), so a word whose antidictionary is long in total --
+# a.b^(n-1), circular or squared, has about n^2/2 symbols -- would
+# otherwise fill memory.  Random binary and acgt words of 10^6 symbols need
+# about 1.6 and 2.0 * 10^7, the circular Fibonacci word of rank 30 about
+# 3.0 * 10^6.  It does not guard circular_factor_dfa, which reads the
+# members' trie off the suffix automaton (_mf_trie) and makes no member.
 MAX_MEMBER_SYMBOLS = 2**26
+
+# Longest mean member length at which _forbidden_words spells the members
+# in the kernel and splits them.  Slicing each member out of the word costs
+# about 0.6 us a member; spelling costs a pass over every member symbol and,
+# to encode the word, over every text symbol.  Measured break-even on acgt
+# (one byte a symbol): 300-400 symbols a member when the members hold 8
+# times the word's symbols, 150 when they hold an eighth; on a non-ASCII
+# alphabet (UTF-32): 130 and 45.
+SPELL_MEAN_LENGTH = 64
 
 
 @dataclass(frozen=True)
@@ -74,12 +87,17 @@ class MfwSet:
         source: str | None = None,
     ) -> "MfwSet":
         """The set of ``words``, in any order and possibly repeated: sorted
-        by length, then in alphabet order, with equal words kept once."""
-        members = list(words)
-        alphabet.sort(members)
-        # equal members are neighbours now; groupby keeps one of each
-        unique = [word for word, _ in groupby(members)]
-        unique.sort(key=len)  # stable: keeps the lexicographic order per length
+        by length, then in alphabet order, with equal words kept once.
+
+        Each sort is a single run, so linear, on words already in that
+        order, such as those of :meth:`to_json`.
+        """
+        members = sorted(words, key=len)
+        ordered = []
+        for _, run in groupby(members, len):
+            ordered += sorted(run, key=alphabet._key)
+        # equal words are neighbours now; keep each one unequal to the last
+        unique = compress(ordered, chain((True,), map(ne, islice(ordered, 1, None), ordered)))
         return cls(tuple(unique), alphabet, kind, source)
 
     def as_set(self) -> frozenset[str]:
@@ -102,18 +120,26 @@ class MfwSet:
 
     @classmethod
     def from_json(cls, data) -> "MfwSet":
-        """Inverse of :meth:`to_json`; malformed data raise ``ValueError``."""
+        """Inverse of :meth:`to_json`; malformed data, a member holding a
+        symbol outside the alphabet and the empty member raise
+        ``ValueError``."""
         try:
             alphabet = Alphabet(data["alphabet"])
             words, circular, source = data["mfw"], data.get("circular"), data.get("word")
-            "".join(words)  # TypeError unless every member is a string
+            joined = "".join(words)  # TypeError unless every member is a string
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed antidictionary JSON: {exc!r}") from None
         if not isinstance(words, list):
             raise ValueError("'mfw' must be a list of strings")
         if not (source is None or isinstance(source, str)):
             raise ValueError("'word' must be a string or null")
-        return cls.build(words, alphabet, "circular" if circular else "linear", source)
+        if not alphabet._covers(joined):
+            for word in words:  # name the first member holding a stray symbol
+                alphabet.check_word(word)
+        mfws = cls.build(words, alphabet, "circular" if circular else "linear", source)
+        if mfws.words[:1] == ("",):  # the shortest member comes first
+            raise ValueError("the empty word '' cannot be a minimal forbidden factor")
+        return mfws
 
     def __iter__(self):
         return iter(self.words)
@@ -125,24 +151,21 @@ class MfwSet:
         return word in self.words
 
 
-def _forbidden_sites(
-    code: np.ndarray, sigma: int, max_len: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _forbidden_sites(code: np.ndarray, sigma: int, max_len: int) -> np.ndarray:
     """Sites of the minimal forbidden factors of length at most ``max_len``
     of a rank-coded word, in :class:`MfwSet` order, found by the kernel's
     breadth-first walk of the word's suffix automaton.
 
-    Returns int32 arrays ``(starts, stops, letters)``: the member of site
-    ``i`` is the word's slice ``starts[i]:stops[i]`` (the shortest word of
-    its state, empty at the root) followed by the letter of rank
-    ``letters[i]``.
+    Returns a ``(count, 3)`` int32 view of the kernel's triples
+    ``(start, stop, letter)``: the member of a site is the word's slice
+    ``start:stop`` (the shortest word of its state, empty at the root)
+    followed by the letter of rank ``letter``.
     """
     tables, cap, size = _suffix_automaton_buffer(code, sigma)
     # the queue, then at most size*(sigma-1) + 1 site triples (see the kernel)
     out = np.empty(size + 3 * (size * (sigma - 1) + 1), dtype=np.int32)
     count = kernel().forbidden_sites(tables, cap, size, sigma, max_len, out)
-    starts, stops, letters = out[size : size + 3 * count].reshape(count, 3).T
-    return starts, stops, letters
+    return out[size : size + 3 * count].reshape(count, 3)
 
 
 def _mf_trie(text: str, alphabet: Alphabet, max_len: int) -> Trie:
@@ -177,25 +200,47 @@ def _forbidden_words(word: str, alphabet: Alphabet, max_len: int | None = None) 
     ``max_len`` when it is given, each once and in :class:`MfwSet` order.
 
     Each member's shortest-word part has an occurrence ending at its
-    state's recorded text position, so it is sliced straight out of the
-    input instead of being rebuilt from parent edges.  Raises
-    ``LimitExceeded`` before slicing when the members would hold more than
+    state's recorded text position, so it is copied straight out of the
+    input instead of being rebuilt from parent edges.  Short members, at
+    most ``SPELL_MEAN_LENGTH`` symbols on average, are spelled by the
+    kernel into one buffer, separated by a symbol outside the alphabet,
+    which is decoded once and split; longer ones are sliced out one by one,
+    which reads none of the symbols a split would scan.  Raises
+    ``LimitExceeded`` before copying when the members would hold more than
     ``MAX_MEMBER_SYMBOLS`` symbols together.
     """
     if max_len is None:
         max_len = len(word) + 1  # no member of a linear word is longer
-    starts, stops, letters = _forbidden_sites(_encode(word, alphabet), len(alphabet), max_len)
-    total = int((stops - starts).sum(dtype=np.int64)) + letters.size
+    sites = _forbidden_sites(_encode(word, alphabet), len(alphabet), max_len)
+    count = len(sites)
+    total = int((sites[:, 1] - sites[:, 0]).sum(dtype=np.int64)) + count
     if total > MAX_MEMBER_SYMBOLS:
         raise LimitExceeded(
-            f"the antidictionary's {letters.size} members would hold {total} "
+            f"the antidictionary's {count} members would hold {total} "
             f"symbols, more than the cap of {MAX_MEMBER_SYMBOLS}"
         )
     symbols = alphabet.symbols
-    return [
-        word[start:stop] + symbols[c]
-        for start, stop, c in zip(starts.tolist(), stops.tolist(), letters.tolist())
-    ]
+    if total > SPELL_MEAN_LENGTH * count:
+        return [word[start:stop] + symbols[c] for start, stop, c in sites.tolist()]
+    if not count:
+        return []  # "".split(sep) would be [""]
+    # no member holds a symbol outside the alphabet, so none holds sep
+    sep = next(chr(i) for i in range(len(symbols) + 1) if chr(i) not in alphabet)
+    units = "".join(symbols) + sep
+    encoding, width = ("ascii", 1) if units.isascii() else ("utf-32-le", 4)
+    # surrogatepass: a lone surrogate is a symbol like any other
+    spelled = np.empty((total + count) * width, dtype=np.uint8)
+    kernel().spell_sites(
+        np.frombuffer(word.encode(encoding, "surrogatepass"), np.uint8),
+        width,
+        sites,
+        count,
+        np.frombuffer(units.encode(encoding, "surrogatepass"), np.uint8),
+        len(symbols),
+        spelled,
+    )
+    # every member is followed by sep; the last one's is left out
+    return str(memoryview(spelled)[:-width], encoding, "surrogatepass").split(sep)
 
 
 def mfw_linear(word: str, alphabet: Alphabet | None = None) -> MfwSet:

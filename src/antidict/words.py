@@ -10,6 +10,7 @@ that is obviously correct, and they refuse inputs large enough to hang.
 
 from __future__ import annotations
 
+from operator import methodcaller
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -35,7 +36,7 @@ class Alphabet:
     comparisons, so ``Alphabet("ba")`` sorts ``b`` before ``a`` on purpose.
     """
 
-    __slots__ = ("symbols", "_rank", "_ascii")
+    __slots__ = ("symbols", "_rank", "_ascii", "_key")
 
     def __init__(self, symbols: Iterable[str]):
         syms = tuple(symbols)
@@ -53,6 +54,13 @@ class Alphabet:
         joined = "".join(syms)
         # the symbols as bytes when all are ASCII, for _covers()
         self._ascii = joined.encode() if joined.isascii() else None
+        # sort key of the alphabet order: none when it is the code-point
+        # order, else every symbol translated to the character of its rank
+        self._key = (
+            None
+            if syms == tuple(sorted(syms))
+            else methodcaller("translate", str.maketrans({s: chr(i) for i, s in enumerate(syms)}))
+        )
 
     @classmethod
     def of_word(cls, word: str) -> "Alphabet":
@@ -73,13 +81,9 @@ class Alphabet:
 
         Compared at C speed: a plain sort when the declaration order is the
         code-point order, otherwise a sort on the words with every symbol
-        translated to the character of its rank.
+        translated to the character of its rank (``_key``).
         """
-        if self.symbols == tuple(sorted(self.symbols)):
-            words.sort()
-        else:
-            table = str.maketrans({s: chr(i) for i, s in enumerate(self.symbols)})
-            words.sort(key=lambda w: w.translate(table))
+        words.sort(key=self._key)
 
     def _covers(self, word: str) -> bool:
         """Whether every symbol of the word is in this alphabet.

@@ -5,6 +5,7 @@ import itertools
 import re
 from array import array
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -128,9 +129,11 @@ class TestStateBound:
 
 def assert_same_sites(word: str, alphabet: Alphabet, max_len: int) -> None:
     coded = _encode(word, alphabet)
-    starts, stops, letters = _forbidden_sites(coded, len(alphabet), max_len)
-    sites = list(zip(starts.tolist(), stops.tolist(), letters.tolist()))
-    assert sites == forbidden_sites_reference(coded.tolist(), len(alphabet), max_len), (word, max_len)
+    sites = _forbidden_sites(coded, len(alphabet), max_len)
+    assert sites.dtype == np.int32 and sites.shape == (len(sites), 3), (word, max_len)
+    assert list(map(tuple, sites.tolist())) == forbidden_sites_reference(
+        coded.tolist(), len(alphabet), max_len
+    ), (word, max_len)
 
 
 class TestForbiddenSites:
@@ -166,10 +169,9 @@ class TestForbiddenSites:
             alphabet = Alphabet("ab")
             ww = _encode(word + word, alphabet)
             for max_len, present in ((len(word), True), (len(word) - 1, False)):
-                starts, stops, letters = _forbidden_sites(ww, 2, max_len)
                 members = {
                     (word + word)[a:b] + alphabet.symbols[c]
-                    for a, b, c in zip(starts.tolist(), stops.tolist(), letters.tolist())
+                    for a, b, c in _forbidden_sites(ww, 2, max_len).tolist()
                 }
                 assert (longest in members) is present, (word, max_len)
                 assert max(map(len, members)) <= max_len
@@ -181,6 +183,29 @@ class TestForbiddenSites:
         word = data.draw(st.text("".join(symbols), max_size=120))
         max_len = data.draw(st.integers(1, len(word) + 2))
         assert_same_sites(word, Alphabet(symbols), max_len)
+
+
+class TestSpellSites:
+    @pytest.mark.parametrize(
+        "text, units, encoding, width",
+        [("abcab", "abc\n", "ascii", 1), ("aβγaβ", "aβγ\x00", "utf-32-le", 4)],
+    )
+    def test_members_each_followed_by_the_separator(self, text, units, encoding, width):
+        # the members text[0:0]+units[1], text[1:4]+units[0], text[3:5]+units[2]
+        sites = np.array([[0, 0, 1], [1, 4, 0], [3, 5, 2]], dtype=np.int32)
+        expected = "".join(text[a:b] + units[c] + units[3] for a, b, c in sites.tolist())
+        out = np.full((len(expected) + 1) * width, 0xEE, dtype=np.uint8)  # and one unit beyond
+        _kernel.kernel().spell_sites(
+            np.frombuffer(text.encode(encoding), np.uint8),
+            width,
+            sites,
+            len(sites),
+            np.frombuffer(units.encode(encoding), np.uint8),
+            3,
+            out,
+        )
+        assert out[: len(expected) * width].tobytes().decode(encoding) == expected
+        assert out[len(expected) * width :].tolist() == [0xEE] * width
 
 
 def assert_same_mf_trie(text: str, alphabet: Alphabet, max_len: int, members) -> None:

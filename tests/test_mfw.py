@@ -1,4 +1,6 @@
 import json
+import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +36,16 @@ class TestMfwSet:
     def test_respects_alphabet_order(self):
         s = MfwSet.build(["ab", "ba", "b", "a"], Alphabet("ba"))
         assert s.words == ("b", "a", "ba", "ab")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_build_against_a_key_sort(self, data):
+        symbols = "".join(data.draw(st.permutations("abcé")))
+        alphabet = Alphabet(symbols)
+        words = data.draw(st.lists(st.text(symbols, max_size=6), max_size=40))
+        expected = tuple(sorted(set(words), key=lambda w: (len(w), [symbols.index(c) for c in w])))
+        assert MfwSet.build(words, alphabet).words == expected
+        assert MfwSet.build(expected + expected[::2], alphabet).words == expected
 
     def test_container_protocol(self):
         s = mfw_linear("aabbabb")
@@ -77,6 +89,14 @@ class TestMfwSet:
         with pytest.raises(ValueError):
             MfwSet.from_json(data)
 
+    @pytest.mark.parametrize(
+        "members, named",
+        [(["aa", "c", "bb"], "'c'"), (["ab", "aβ"], "'aβ'"), (["c", "aa", "", "aa"], "'c'"), (["bb", "", "aa"], "''")],
+    )
+    def test_json_rejects_stray_and_empty_members(self, members, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            MfwSet.from_json({"alphabet": "ab", "mfw": members})
+
 
 class TestMemberSymbolCap:
     def test_cap_is_exact(self, monkeypatch):
@@ -102,6 +122,53 @@ class TestMemberSymbolCap:
         # circular_factor_dfa reads its trie off the suffix automaton and
         # makes no member, so the cap does not apply to it
         assert circular_factor_dfa(word).n_states == 2 * 201 - 1
+
+
+class TestSpellingRoutes:
+    """Spelling the members in the kernel and slicing them out of the word
+    give the same tuples; SPELL_MEAN_LENGTH forces either route."""
+
+    @staticmethod
+    def assert_same_routes(monkeypatch, word: str, alphabet: Alphabet) -> None:
+        routes = []
+        for mean in (0, 10**9):  # slicing, then spelling
+            monkeypatch.setattr(mfw, "SPELL_MEAN_LENGTH", mean)
+            routes.append((mfw_linear(word, alphabet).words, mfw_circular(word, alphabet).words))
+        monkeypatch.undo()
+        assert routes[0] == routes[1], (word, alphabet)
+
+    @pytest.mark.parametrize("symbols, bound", [("ab", 10), ("abc", 6)])
+    def test_every_small_word(self, monkeypatch, symbols, bound):
+        for word in all_words(symbols, bound):
+            self.assert_same_routes(monkeypatch, word, Alphabet(symbols))
+
+    @pytest.mark.parametrize(
+        "symbols",
+        # non-ASCII, controls among the symbols, a lone surrogate, and all
+        # 128 ASCII symbols, whose separator is not ASCII
+        ["aβ", "βaγ", "\x00ab", "a\nb", "\n\x00", "a\ud800", "".join(map(chr, range(128)))],
+        ids=["a-beta", "beta-a-gamma", "nul-a-b", "a-newline-b", "newline-nul", "a-surrogate", "ascii"],
+    )
+    def test_alphabets(self, monkeypatch, symbols):
+        rng = random.Random(len(symbols))
+        for size in (1, 2, 5, 40, 300):
+            word = "".join(rng.choice(symbols) for _ in range(size))
+            self.assert_same_routes(monkeypatch, word, Alphabet(symbols))
+
+    def test_empty_antidictionary(self, monkeypatch):
+        for mean in (0, 10**9):
+            monkeypatch.setattr(mfw, "SPELL_MEAN_LENGTH", mean)
+            assert mfw_circular("a", Alphabet("a")).words == ()
+
+    def test_long_members(self, monkeypatch):
+        self.assert_same_routes(monkeypatch, "a" + "b" * 299, AB)
+        assert mfw_circular("a" + "b" * 299).words[-1] == "b" * 300
+
+    @pytest.mark.parametrize("symbols", ["ab", "acgt", "aβγδ"])
+    def test_random_long_words(self, monkeypatch, symbols):
+        rng = random.Random(len(symbols))
+        word = "".join(rng.choice(symbols) for _ in range(10**5))
+        self.assert_same_routes(monkeypatch, word, Alphabet(symbols))
 
 
 class TestLinear:
