@@ -71,6 +71,102 @@ int32_t suffix_automaton(const int32_t *code, int64_t n, int32_t sigma,
     return size;
 }
 
+/* The minimal factor automaton of the word of a suffix automaton, made by
+ * merging states into their suffix links; tables, cap and size are those of
+ * suffix_automaton, n the word's length.  factor_automaton.py states the two
+ * lemmas this rests on.
+ *
+ * s can merge into q = link[s] only if both have the same first end
+ * position and every other end position of q lies in the tail of the word
+ * covered by its longest repeated suffix: the earliest end position of q's
+ * other children is at least that tail's start.  One pass collects those
+ * candidates; the transition lemma then decides them by decreasing length,
+ * so that every target a decision reads, being longer, is already decided.
+ * A class is numbered by its top member, the one nearest the root, tops in
+ * increasing state order, so the root stays class 0.
+ *
+ * Rewrites the first rows of trans, one a class, as the class rows (top
+ * i's row with each target replaced by its class; top i >= i, so row i is
+ * written after every row it reads) and as many first entries of endpos
+ * as the class failure links, the class of each top's suffix link (-1 at
+ * the root).  Between the filter and that write, endpos holds the length
+ * buckets of the candidates, n + 1 <= cap entries.  scratch holds
+ * 2*size + 1 entries: the earliest other end position of each state, then
+ * the candidates by decreasing length followed by -1, which the call leaves
+ * there; and the candidates as collected, then -1 and each state's merged
+ * flag, then its class (read at -1 for a missing target or the root's
+ * link).  Returns the class count. */
+int32_t factor_classes(int32_t *tables, int64_t cap, int32_t size, int64_t n,
+                       int32_t sigma, int32_t *scratch)
+{
+    int32_t *trans = tables, *link = trans + cap * sigma, *len = link + cap,
+            *endpos = len + cap;
+    int32_t *earliest = scratch, *order = scratch, *cand = scratch + size,
+            *cls = scratch + size + 1;
+    /* the state of the whole word is made last, or just before its clone */
+    int32_t last = len[size - 1] == n ? size - 1 : size - 2;
+    int64_t tail = n - 1 - len[link[last]], k = 0;
+    for (int32_t s = 0; s < size; s++)
+        earliest[s] = (int32_t)n;
+    for (int32_t s = 1; s < size; s++)
+        if (endpos[s] != endpos[link[s]] && endpos[s] < earliest[link[s]])
+            earliest[link[s]] = endpos[s];
+    for (int32_t s = 1; s < size; s++) { /* without a branch to mispredict */
+        cand[k] = s;
+        k += (endpos[s] == endpos[link[s]]) & (earliest[link[s]] >= tail);
+    }
+
+    /* bucket the candidates by length, longest first, stably */
+    int32_t *bucket = endpos;
+    memset(bucket, 0, (size_t)(n + 1) * sizeof *bucket);
+    for (int64_t i = 0; i < k; i++)
+        bucket[len[cand[i]]]++;
+    for (int64_t l = n, at = 0; l >= 0; l--) {
+        int32_t count = bucket[l];
+        bucket[l] = (int32_t)at;
+        at += count;
+    }
+    for (int64_t i = 0; i < k; i++)
+        order[bucket[len[cand[i]]]++] = cand[i];
+    order[k] = -1; /* the root is no candidate, so k < size */
+
+    /* s merges when every letter leads it and q to one state, or leads s to
+     * a state t that merges; s lacking a letter that q has never merges */
+    memset(cls, 0, (size_t)size * sizeof *cls);
+    cls[-1] = -1; /* the class of a missing target or link */
+    for (int64_t i = 0; i < k; i++) {
+        int32_t s = order[i];
+        const int32_t *row = trans + (int64_t)s * sigma,
+                      *up = trans + (int64_t)link[s] * sigma;
+        int32_t merges = 1;
+        for (int32_t c = 0; c < sigma && merges; c++)
+            if (row[c] != up[c])
+                merges = row[c] >= 0 && cls[row[c]];
+        cls[s] = merges;
+    }
+
+    /* number the tops, then give each merged state, by increasing length,
+     * the class of its suffix link, a shorter state already numbered */
+    int32_t classes = 0;
+    for (int32_t s = 0; s < size; s++)
+        cls[s] = cls[s] ? -1 : classes++;
+    for (int64_t i = k - 1; i >= 0; i--)
+        if (cls[order[i]] < 0)
+            cls[order[i]] = cls[link[order[i]]];
+
+    /* a top is a state whose suffix link lies in another class */
+    for (int32_t s = 0, i = 0; s < size; s++) {
+        if (cls[s] == cls[link[s]])
+            continue;
+        const int32_t *from = trans + (int64_t)s * sigma;
+        int32_t *to = trans + (int64_t)i * sigma;
+        for (int32_t c = 0; c < sigma; c++)
+            to[c] = cls[from[c]];
+        endpos[i++] = cls[link[s]];
+    }
+    return classes;
+}
+
 /* Minimal forbidden factors of the word of a suffix automaton, as sites
  * (Crochemore, Mignosi and Restivo, IPL 67, 1998).  tables, cap and size
  * are those of suffix_automaton.  A site is a state s and a rank c undefined
@@ -226,7 +322,10 @@ int64_t mf_trie(int32_t *tables, int64_t cap, int32_t sigma, int64_t max_len,
 
 /* Start of the least rotation of a nonempty word of length n, by the
  * two-pointer scan: candidates i and j agree on k symbols; at the first
- * difference the larger one, and every start it skipped over, is out. */
+ * difference the larger one, and every start it skipped over, is out.
+ * The scan never discards a least start, so it ends with k == n, two
+ * distinct starts of one rotation, exactly when the word is a proper power;
+ * it then returns -1 - start. */
 int64_t least_rotation(const int32_t *code, int64_t n)
 {
     int64_t i = 0, j = 1, k = 0;
@@ -245,7 +344,8 @@ int64_t least_rotation(const int32_t *code, int64_t n)
             j++;
         k = 0;
     }
-    return i < j ? i : j;
+    int64_t start = i < j ? i : j;
+    return k == n ? -1 - start : start;
 }
 
 /* Node count of the trie of k words sorted in alphabet order, the i-th word

@@ -68,6 +68,7 @@ def build(cache_dir: Path) -> ctypes.CDLL:
     lib = ctypes.CDLL(str(path))
     for name, argtypes, restype in (
         ("suffix_automaton", [codes, int64, int32, table], int32),
+        ("factor_classes", [table, int64, int32, int64, int32, table], int32),
         ("forbidden_sites", [codes, int64, int32, int32, int64, table], int64),
         ("spell_sites", [octets, int64, triples, int64, octets, int32, bitmap], None),
         ("mf_trie", [table, int64, int32, int64, table, bitmap], int64),

@@ -126,12 +126,19 @@ class Alphabet:
 
 def _encode(word: str, alphabet: Alphabet) -> np.ndarray:
     """Rank codes of a word whose symbols are all in the alphabet, as an
-    int32 array: translated as bytes when the alphabet is ASCII."""
+    int32 array: translated as bytes when the alphabet is ASCII, else
+    searched as code points."""
     symbols = "".join(alphabet.symbols)
     if symbols.isascii():
         table = bytes.maketrans(symbols.encode(), bytes(range(len(symbols))))
         return np.frombuffer(word.encode().translate(table), np.uint8).astype(np.int32)
-    return np.fromiter(map(alphabet._rank.__getitem__, word), np.int32, len(word))
+    # otherwise as UTF-32 code points, each found among the sorted symbols'
+    # points and mapped back to its rank; surrogatepass admits a symbol that
+    # is a lone surrogate, though through the encoder's slow error handler
+    points = np.frombuffer(symbols.encode("utf-32-le", "surrogatepass"), "<u4")
+    by_point = np.argsort(points).astype(np.int32)
+    code = np.frombuffer(word.encode("utf-32-le", "surrogatepass"), "<u4")
+    return by_point[np.searchsorted(points[by_point], code)]
 
 
 def _decode(code: np.ndarray, alphabet: Alphabet) -> str:
@@ -207,8 +214,18 @@ def canonical_rotation(word: str, alphabet: Alphabet | None = None) -> str:
     if alphabet is None:
         alphabet = Alphabet.of_word(word)
     alphabet.check_word(word)
+    return _least_rotation(word, alphabet)[0]
+
+
+def _least_rotation(word: str, alphabet: Alphabet) -> tuple[str, bool]:
+    """The least rotation of a nonempty word whose symbols are all in the
+    alphabet, and whether the word is primitive, both from one kernel scan
+    (which reports a proper power as ``-1 - start``)."""
     start = kernel().least_rotation(_encode(word, alphabet), len(word))
-    return word[start:] + word[:start]
+    primitive = start >= 0
+    if not primitive:
+        start = -1 - start
+    return word[start:] + word[:start], primitive
 
 
 class CircularWord:
@@ -228,9 +245,10 @@ class CircularWord:
         if alphabet is None:
             alphabet = Alphabet.of_word(word)
         alphabet.check_word(word)
-        root = primitive_root(word)
-        self.reduced = root != word
-        self.linearization = canonical_rotation(root, alphabet)
+        rotation, primitive = _least_rotation(word, alphabet)
+        self.reduced = not primitive
+        # the least rotation of a power is that of its root, repeated
+        self.linearization = rotation if primitive else rotation[: len(primitive_root(word))]
         self.alphabet = alphabet
 
     @property

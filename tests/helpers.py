@@ -7,6 +7,8 @@ machinery.
 
 import itertools
 
+import numpy as np
+
 from antidict import (
     Alphabet,
     CircularWord,
@@ -16,6 +18,9 @@ from antidict import (
     mfw_circular,
     strip_sinks,
 )
+from antidict.automata import _int_table
+from antidict.factor_automaton import _suffix_automaton_buffer
+from antidict.words import _encode
 
 
 def all_words(symbols: str, max_len: int, min_len: int = 1):
@@ -178,6 +183,92 @@ def suffix_automaton_reference(coded, sigma: int):
                 link[cur] = clone
         last = cur
     return cols, link, length, endpos, size
+
+
+def suffix_automaton_tables(code: np.ndarray, sigma: int):
+    """Suffix automaton of a rank-coded word, built by the compiled kernel.
+
+    Returns int32 arrays ``(trans, link, length, endpos)`` with one row per
+    state, state 0 the initial one: ``trans[s, c]`` is the transition on
+    rank ``c`` (-1 when missing; the rows are views of one flat
+    ``s * sigma + c`` table), ``link`` the suffix link (-1 at the root),
+    ``length`` the length of the state's longest word and ``endpos`` the
+    smallest 0-based text index at which its words end (a clone copies it
+    from the state it splits, whose occurrences all come earlier; the root's
+    entry is 0).  The views share the kernel's one buffer.
+    """
+    tables, cap, size = _suffix_automaton_buffer(code, sigma)
+    link, length, endpos = tables[cap * sigma :].reshape(3, cap)[:, :size]
+    return tables[: size * sigma].reshape(size, sigma), link, length, endpos
+
+
+def merge_candidates_reference(link, length, endpos, n: int) -> np.ndarray:
+    """The suffix-automaton states of a word of length ``n`` that may merge
+    into their suffix links, by decreasing length (ties in state order).
+
+    ``s`` can merge into ``q = link[s]`` only if both have the same first
+    end position and every other end position of ``q`` lies in the tail
+    of the word covered by its longest repeated suffix (the suffix after
+    each must also follow an earlier end of ``s``).  The filter only
+    prunes: the transition lemma alone decides every state correctly.
+    """
+    size = link.size
+    # the state of the whole word is made last, or just before its clone
+    last = size - 1 if length[size - 1] == n else size - 2
+    parent = link[1:]
+    same = endpos[1:] == endpos[parent]
+    # earliest end of each state outside its child of equal first end
+    earliest = np.full(size, n, dtype=np.int32)
+    others = np.flatnonzero(~same) + 1
+    np.minimum.at(earliest, link[others], endpos[others])
+    tail = n - 1 - int(length[link[last]])
+    cand = np.flatnonzero(same & (earliest[parent] >= tail)) + 1
+    return cand[np.argsort(-length[cand], kind="stable")]
+
+
+def assemble_reference(word: str, alphabet: Alphabet) -> Dfa:
+    """The minimal factor automaton by merging the kernel's suffix automaton
+    in numpy and Python, the reference the kernel's ``factor_classes`` is
+    checked against, class numbers and failure links included.
+
+    numpy keeps the candidates of :func:`merge_candidates_reference`; the
+    transition lemma decides them in one Python pass over the letters on
+    which a candidate and its parent differ.
+    """
+    trans, link, length, endpos = suffix_automaton_tables(_encode(word, alphabet), len(alphabet))
+    size = link.size
+    order = merge_candidates_reference(link, length, endpos, len(word))
+
+    # s merges when every letter leads it and q to one state, or leads s to
+    # a state t that merges: one (s, t) test per differing letter, taken by
+    # decreasing length of s so that every merged[t] is final when read
+    merged = bytearray(size)
+    if order.size:
+        rows, ups = trans[order], trans[link[order]]
+        differ = rows != ups
+        sound = ~(differ & (rows < 0)).any(axis=1)
+        np.frombuffer(merged, dtype=np.uint8)[order[sound]] = 1
+        i, c = np.nonzero(differ & sound[:, None])
+        for s, t in zip(order[i].tolist(), rows[i, c].tolist()):
+            if not merged[t]:
+                merged[s] = 0
+
+    # a class is numbered by its top member, the one nearest the root, so
+    # the root stays 0; pointer jumping up merged links finds each top
+    is_top = np.frombuffer(merged, dtype=np.uint8) == 0
+    tops = np.flatnonzero(is_top)
+    n_classes = tops.size
+    top = np.where(is_top, np.arange(size), link)
+    while True:
+        up = top[top]
+        if np.array_equal(up, top):
+            break
+        top = up
+    # cls[s] is the class of s; its extra last entry, read at index -1,
+    # sends a missing target or link to -1
+    cls = np.append(np.cumsum(is_top, dtype=np.int32)[top] - 1, np.int32(-1))
+    flat, failure = _int_table(cls[trans[tops]]), _int_table(cls[link[tops]])
+    return Dfa(alphabet, n_classes, 0, b"\x01" * n_classes, flat, failure)
 
 
 def forbidden_sites_reference(coded, sigma: int, max_len: int):

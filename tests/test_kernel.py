@@ -2,6 +2,7 @@
 and guards around them."""
 
 import itertools
+import random
 import re
 from array import array
 
@@ -18,6 +19,7 @@ from antidict import (
     build_factor_automaton,
     build_trie,
     circular_factor_dfa,
+    fibonacci_word,
     l_automaton,
     mfw_circular,
     mfw_linear,
@@ -25,19 +27,22 @@ from antidict import (
 )
 from antidict import _kernel, automata, factor_automaton
 from antidict.automata import _avoidance_tables
-from antidict.factor_automaton import _suffix_automaton
+from antidict.factor_automaton import _suffix_automaton_buffer
 from antidict.mfw import _forbidden_sites, _mf_trie
 from antidict.reconstruction import _cycle_word, _longest_word
 from antidict.words import _encode
 
 from .helpers import (
     all_words,
+    assemble_reference,
     avoidance_reference,
     circular_factor_dfa_reference,
     find_cycle_reference,
     forbidden_sites_reference,
     longest_path_reference,
+    merge_candidates_reference,
     suffix_automaton_reference,
+    suffix_automaton_tables,
     trie_reference,
 )
 
@@ -45,7 +50,7 @@ from .helpers import (
 def assert_same_tables(word: str, alphabet: Alphabet) -> None:
     coded = _encode(word, alphabet)
     assert coded.tolist() == [alphabet.rank(c) for c in word]
-    trans, link, length, endpos = _suffix_automaton(coded, len(alphabet))
+    trans, link, length, endpos = suffix_automaton_tables(coded, len(alphabet))
     cols, ref_link, ref_length, ref_endpos, size = suffix_automaton_reference(
         coded.tolist(), len(alphabet)
     )
@@ -125,6 +130,70 @@ class TestStateBound:
             mfw_linear("abcabc")
         monkeypatch.setattr(factor_automaton, "MAX_STATES", 14)
         assert build_factor_automaton("abcabc").n_states == 7
+
+
+def assert_same_classes(word: str, alphabet: Alphabet) -> None:
+    """The kernel's merge of the suffix automaton gives the reference's
+    tables byte for byte: class numbers and failure links included."""
+    dfa, ref = build_factor_automaton(word, alphabet), assemble_reference(word, alphabet)
+    assert dfa.n_states == ref.n_states, word
+    assert dfa.flat == ref.flat, word
+    assert dfa.failure == ref.failure, word
+    assert dfa.finals == ref.finals, word
+
+
+def assert_same_candidates(word: str, alphabet: Alphabet) -> None:
+    """The kernel decides exactly the reference's merge candidates, in the
+    same order: the filter prunes without changing any table, so only the
+    list the kernel leaves in its scratch shows it."""
+    sigma, code = len(alphabet), _encode(word, alphabet)
+    _, link, length, endpos = suffix_automaton_tables(code, sigma)
+    tables, cap, size = _suffix_automaton_buffer(code, sigma)
+    scratch = np.empty(2 * size + 1, dtype=np.int32)
+    _kernel.kernel().factor_classes(tables, cap, size, len(word), sigma, scratch)
+    candidates = scratch[: scratch.tolist().index(-1)].tolist()
+    assert candidates == merge_candidates_reference(link, length, endpos, len(word)).tolist(), word
+
+
+class TestFactorClasses:
+    """The minimal factor automaton merged in the kernel against the numpy
+    and Python merge."""
+
+    def test_candidates(self):
+        ab = Alphabet("ab")
+        for word in all_words("ab", 10):
+            assert_same_candidates(word, ab)
+        rng = random.Random(3)
+        for symbols in ("ab", "acgt"):
+            for n in (10**2, 10**4):
+                assert_same_candidates("".join(rng.choice(symbols) for _ in range(n)), Alphabet(symbols))
+        assert_same_candidates("a" + "b" * 99, ab)  # 99 candidates of 199 states
+
+    @pytest.mark.parametrize("symbols, bound", [("ab", 12), ("abc", 7), ("acgt", 5)])
+    def test_every_small_word(self, symbols, bound):
+        alphabet = Alphabet(symbols)
+        for word in all_words(symbols, bound):
+            assert_same_classes(word, alphabet)
+
+    def test_merge_cascades_and_none(self):
+        # a.b^(n-1) merges a chain of n - 2 states, each deciding on the next;
+        # a Fibonacci word merges nothing
+        ab = Alphabet("ab")
+        for n in (2, 3, 10, 1000):
+            assert_same_classes("a" + "b" * (n - 1), ab)
+            assert_same_classes("ab" * n + "b", ab)
+            assert build_factor_automaton("a" + "b" * (n - 1), ab).n_states == n + 1
+        for rank in (1, 2, 5, 12, 20):
+            assert_same_classes(fibonacci_word(rank), ab)
+        assert_same_classes("abbb" * 1000 + "aaaa", ab)
+        assert_same_classes("ca", Alphabet("abcd"))
+        assert_same_classes("γaβaa", Alphabet("γaβ"))
+
+    @pytest.mark.parametrize("n", [10**2, 10**3, 10**4, 10**5])
+    def test_random_words(self, n):
+        rng = random.Random(n)
+        for symbols in ("ab", "acgt"):
+            assert_same_classes("".join(rng.choice(symbols) for _ in range(n)), Alphabet(symbols))
 
 
 def assert_same_sites(word: str, alphabet: Alphabet, max_len: int) -> None:

@@ -19,7 +19,7 @@ from antidict import (
     reversal,
     rotations,
 )
-from antidict.words import FACTOR_ENUMERATION_LIMIT
+from antidict.words import FACTOR_ENUMERATION_LIMIT, _encode
 
 from .helpers import all_words, substrings
 
@@ -188,6 +188,29 @@ class TestCircularWord:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             CircularWord("")
+
+    def test_one_scan_agrees_with_root_then_rotation(self):
+        # the kernel's scan flags a proper power, whose least rotation
+        # starts with the least rotation of its root
+        powers = ["ab" * 3, "abaab" * 4, "b" * 7, "aab" * 5, "βaγ" * 3]
+        for w in [*all_words("ab", 12), *powers]:
+            cw, root = CircularWord(w), primitive_root(w)
+            assert cw.linearization == canonical_rotation(root, cw.alphabet), w
+            assert cw.reduced is (root != w), w
+        for w in ("ab" * 3, "abaab" * 4, "baab" * 2):
+            cw = CircularWord(w, Alphabet("ba"))
+            assert cw.linearization == canonical_rotation(primitive_root(w), Alphabet("ba")), w
+
+
+class TestEncode:
+    @pytest.mark.parametrize("symbols", ["aβγδ", "βaγ", "γβα", "a\U0001f600b", "\ud800aβ", "b\udfffa"])
+    def test_code_points_against_ranks(self, symbols):
+        # non-ASCII alphabets, astral and lone-surrogate symbols included
+        alphabet = Alphabet(symbols)
+        for w in [*all_words(symbols, 5), symbols * 50]:
+            code = _encode(w, alphabet)
+            assert code.dtype == "int32", symbols
+            assert code.tolist() == [alphabet.rank(c) for c in w], w
 
 
 class TestCircularFactors:
