@@ -241,8 +241,8 @@ void spell_sites(const uint8_t *text, int64_t width, const int32_t *sites,
     }
 }
 
-/* Appends a childless node to the trie table flat, which holds *nodes rows
- * of sigma entries, and returns its number. */
+/* Appends a childless node to the table flat, which holds *nodes rows of
+ * sigma entries, and returns its number. */
 static int32_t new_node(int32_t *flat, int32_t sigma, int64_t *nodes)
 {
     int32_t *row = flat + *nodes * sigma;
@@ -251,34 +251,47 @@ static int32_t new_node(int32_t *flat, int32_t sigma, int64_t *nodes)
     return (int32_t)(*nodes)++;
 }
 
-/* The trie of the minimal forbidden factors of length at most max_len,
- * read off the spanning tree that forbidden_sites walks (Crochemore,
- * Mignosi and Restivo, IPL 67, 1998).  tables and cap are those of
- * suffix_automaton.  The shortest word of a state is its tree path, so the
- * trie is that tree cut down to the ancestors of the sites, plus one leaf
- * per site (s, c); a tree node's depth is the length of its shortest word.
+/* The entry mf_automaton's walk writes for an edge into a leaf. */
+enum { LEAF = -2 };
+
+/* The avoidance automaton of the minimal forbidden factors of length at
+ * most max_len, with its sinks stripped, read off the spanning tree that
+ * forbidden_sites walks (Crochemore, Mignosi and Restivo, IPL 67, 1998).
+ * tables and cap are those of suffix_automaton.  For a primitive circular
+ * word w and max_len = |w| on ww, it is the minimal factor automaton of w's
+ * powers; for a word w and max_len = |w| + 1, that of w's factors.
  *
- * One depth-first pass, children in rank order, numbers the nodes in
- * preorder, which is the order trie() makes them in when it inserts the
- * sorted members: the tables are the same.  A subtree that ends without a
- * site is rolled back.  The pass's stack, a state and its node for each
- * level, lives in the endpos table, which it overwrites: a level is a
- * symbol of a shortest word, so at most n + 1 levels fill the cap = 2n+2
- * entries.
+ * The members' trie is the spanning tree cut down to the ancestors of the
+ * sites, plus one leaf per site (s, c): the shortest word of a state is its
+ * tree path, and a tree node's depth is its length.  Its leaves are the
+ * sinks that completion makes and stripping drops, and stripping keeps the
+ * other nodes in order, so the walk numbers only the inner nodes, in the
+ * preorder in which trie() would make them from the sorted members, and
+ * writes LEAF for an edge into a leaf.  The walk is depth first, children
+ * in rank order; a node whose row is still all -1 when its subtree ends
+ * has no site below it and is rolled back.  Its stack, a state and its node
+ * for each level, lives in the endpos table: a level is a symbol of a
+ * shortest word, so at most n + 1 levels fill the cap = 2n+2 entries.
  *
- * flat receives the trie table, sigma entries a row (-1 for no child), and
- * finals, zeroed by the caller, a 1 at each sink: the leaves other than the
- * root, where the members end.  Every node but the root is a tree edge or
- * a site, so both have room for size*sigma + 1 nodes (see
- * forbidden_sites).  A rolled-back node is a tree node, never a sink, so
- * no final byte is set at a number that is handed out again.  Returns the
- * node count. */
-int64_t mf_trie(int32_t *tables, int64_t cap, int32_t sigma, int64_t max_len,
-                int32_t *flat, uint8_t *finals)
+ * The table is then completed breadth first in place (Aho and Corasick,
+ * CACM 18, 1975): a missing root edge becomes a self-loop; any other node
+ * keeps its trie edges, setting each child's failure link to its own
+ * failure's same-letter target, and borrows its missing edges from its
+ * failure, whose row is complete.  In a complete row -1 can only stand for
+ * a sink: a LEAF becomes -1, and a borrowed -1 stays.  The queue
+ * overwrites the len table, free once the walk is done, and the failure
+ * links, -1 at the root, follow the last row in flat, so that the caller
+ * can free the suffix automaton before it copies them out.
+ *
+ * flat has room for sigma + 1 entries per suffix-automaton state: every
+ * inner node is a tree node, a distinct state.  Returns the node count;
+ * -1 when a failure link lands on a sink, since a member then occurs inside
+ * another (the tables are left half written). */
+int64_t mf_automaton(int32_t *tables, int64_t cap, int32_t sigma,
+                     int64_t max_len, int32_t *flat)
 {
-    const int32_t *trans = tables, *link = trans + cap * sigma,
-                  *len = link + cap;
-    int32_t *stack = tables + cap * (sigma + 2);
+    const int32_t *trans = tables, *link = trans + cap * sigma;
+    int32_t *len = tables + cap * (sigma + 1), *stack = len + cap;
     int64_t nodes = 0, depth = 0;
     int32_t c = 0;
     stack[0] = 0;
@@ -299,8 +312,7 @@ int64_t mf_trie(int32_t *tables, int64_t cap, int32_t sigma, int64_t max_len,
                 }
             } else if (depth + 1 <= max_len &&
                        (p == 0 || trans[(int64_t)link[p] * sigma + c] >= 0)) {
-                *slot = new_node(flat, sigma, &nodes);
-                finals[*slot] = 1;
+                *slot = LEAF;
             }
             c++;
             continue;
@@ -311,11 +323,40 @@ int64_t mf_trie(int32_t *tables, int64_t cap, int32_t sigma, int64_t max_len,
         int32_t up = stack[2 * depth];
         for (c = 0; trans[(int64_t)up * sigma + c] != p; c++)
             ;
-        if (nodes == (int64_t)node + 1) { /* no site below p: roll back */
+        const int32_t *row = flat + (int64_t)node * sigma;
+        int32_t i = 0;
+        while (i < sigma && row[i] == -1)
+            i++;
+        if (i == sigma) { /* no site below p: roll back */
             nodes = node;
             flat[(int64_t)stack[2 * depth + 1] * sigma + c] = -1;
         }
         c++;
+    }
+
+    int32_t *failure = flat + nodes * sigma, *queue = len;
+    int64_t head = 0, tail = 0;
+    failure[0] = -1;
+    queue[tail++] = 0;
+    while (head < tail) {
+        int32_t p = queue[head++];
+        int32_t *row = flat + (int64_t)p * sigma;
+        const int32_t *fail_row = flat + (int64_t)(p > 0 ? failure[p] : 0) * sigma;
+        for (c = 0; c < sigma; c++) {
+            int32_t child = row[c], next = p > 0 ? fail_row[c] : 0;
+            if (child == -1) {
+                row[c] = next;
+                continue;
+            }
+            if (next < 0)
+                return -1;
+            if (child == LEAF) {
+                row[c] = -1;
+            } else {
+                failure[child] = next;
+                queue[tail++] = child;
+            }
+        }
     }
     return nodes;
 }

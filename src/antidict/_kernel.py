@@ -71,7 +71,7 @@ def build(cache_dir: Path) -> ctypes.CDLL:
         ("factor_classes", [table, int64, int32, int64, int32, table], int32),
         ("forbidden_sites", [codes, int64, int32, int32, int64, table], int64),
         ("spell_sites", [octets, int64, triples, int64, octets, int32, bitmap], None),
-        ("mf_trie", [table, int64, int32, int64, table, bitmap], int64),
+        ("mf_automaton", [table, int64, int32, int64, table], int64),
         ("least_rotation", [codes, int64], int64),
         ("trie_size", [codes, bounds, int64], int64),
         ("trie", [codes, bounds, int64, int32, table, bitmap], None),

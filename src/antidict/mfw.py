@@ -25,8 +25,8 @@ from operator import ne
 
 import numpy as np
 
-from .automata import Trie, _int_table, build_trie
-from ._kernel import MAX_STATES, kernel
+from .automata import build_trie
+from ._kernel import kernel
 from .factor_automaton import _suffix_automaton_buffer
 from .words import (
     Alphabet,
@@ -46,8 +46,9 @@ from .words import (
 # a.b^(n-1), circular or squared, has about n^2/2 symbols -- would
 # otherwise fill memory.  Random binary and acgt words of 10^6 symbols need
 # about 1.6 and 2.0 * 10^7, the circular Fibonacci word of rank 30 about
-# 3.0 * 10^6.  It does not guard circular_factor_dfa, which reads the
-# members' trie off the suffix automaton (_mf_trie) and makes no member.
+# 3.0 * 10^6.  It does not guard circular_factor_dfa, whose kernel pass
+# (l_automaton._mf_automaton) reads the members off the suffix automaton
+# and makes none of them.
 MAX_MEMBER_SYMBOLS = 2**26
 
 # Longest mean member length at which _forbidden_words spells the members
@@ -166,33 +167,6 @@ def _forbidden_sites(code: np.ndarray, sigma: int, max_len: int) -> np.ndarray:
     out = np.empty(size + 3 * (size * (sigma - 1) + 1), dtype=np.int32)
     count = kernel().forbidden_sites(tables, cap, size, sigma, max_len, out)
     return out[size : size + 3 * count].reshape(count, 3)
-
-
-def _mf_trie(text: str, alphabet: Alphabet, max_len: int) -> Trie:
-    """Trie of the minimal forbidden factors of length at most ``max_len``
-    of a word, read off its suffix automaton by the kernel's depth-first
-    walk: the trie :func:`~antidict.automata.build_trie` makes of those
-    members, state numbers included, with no member made.
-
-    The rank codes are dropped once the suffix automaton is built, and the
-    automaton once the walk is done, before the filled part of the table,
-    which is sized by a bound on the node count, is copied into the trie.
-    Raises ``LimitExceeded`` before allocating when that bound would not fit
-    the int32 tables.
-    """
-    sigma = len(alphabet)
-    tables, cap, size = _suffix_automaton_buffer(_encode(text, alphabet), sigma)
-    bound = size * sigma + 1  # every node but the root is a tree edge or a site
-    if bound > MAX_STATES:
-        raise LimitExceeded(
-            f"the trie of the antidictionary of {len(text)} symbols could need "
-            f"{bound} states, more than the {MAX_STATES} its tables can number"
-        )
-    flat = np.empty(bound * sigma, dtype=np.int32)
-    finals = np.zeros(bound, dtype=np.uint8)  # untouched pages stay unmapped
-    nodes = kernel().mf_trie(tables, cap, sigma, max_len, flat, finals)
-    del tables
-    return Trie(alphabet, nodes, 0, finals[:nodes].tobytes(), _int_table(flat[: nodes * sigma]))
 
 
 def _forbidden_words(word: str, alphabet: Alphabet, max_len: int | None = None) -> list[str]:

@@ -324,7 +324,7 @@ def trie_reference(words, alphabet: Alphabet):
 def circular_factor_dfa_reference(cw: CircularWord | str, alphabet: Alphabet | None = None) -> Dfa:
     """The circular factor automaton by the string route: the circular
     members as strings, their trie by ``build_trie``, then the avoidance
-    completion and sink stripping.  The reference the kernel-read trie of
+    completion and sink stripping.  The reference the kernel pass of
     ``circular_factor_dfa`` is checked against."""
     mfws = mfw_circular(cw, alphabet)
     return strip_sinks(l_automaton(build_trie(mfws.words, mfws.alphabet)))

@@ -23,7 +23,7 @@ from antidict import (
     strip_sinks,
 )
 from antidict import automata
-from antidict.mfw import _mf_trie
+from antidict.l_automaton import _mf_automaton
 
 from .helpers import all_words, prefix_acceptor
 
@@ -467,7 +467,7 @@ PRODUCERS = {
     "Dfa.from_edges": lambda: Dfa.from_edges(AB, 3, 0, [0, 2], [(0, "a", 1), (1, "b", 2)], {1: 0}),
     "Dfa.from_json": lambda: Dfa.from_json(build_factor_automaton("aabbabb").to_json()),
     "build_trie": lambda: build_trie(FIB5, AB),
-    "_mf_trie": lambda: _mf_trie("aabbabb" * 2, AB, 7),
+    "_mf_automaton": lambda: _mf_automaton("aabbabb" * 2, AB, 7),
     "Trie.from_json": lambda: Trie.from_json(build_trie(FIB5, AB).to_json()),
 }
 

@@ -4,6 +4,7 @@ and guards around them."""
 import itertools
 import random
 import re
+import sys
 from array import array
 
 import numpy as np
@@ -28,7 +29,8 @@ from antidict import (
 from antidict import _kernel, automata, factor_automaton
 from antidict.automata import _avoidance_tables
 from antidict.factor_automaton import _suffix_automaton_buffer
-from antidict.mfw import _forbidden_sites, _mf_trie
+from antidict.l_automaton import _mf_automaton
+from antidict.mfw import _forbidden_sites
 from antidict.reconstruction import _cycle_word, _longest_word
 from antidict.words import _encode
 
@@ -277,75 +279,92 @@ class TestSpellSites:
         assert out[len(expected) * width :].tolist() == [0xEE] * width
 
 
-def assert_same_mf_trie(text: str, alphabet: Alphabet, max_len: int, members) -> None:
-    """The kernel's trie of the antidictionary of a text cut at max_len
-    equals build_trie of the members, table for table."""
-    trie = _mf_trie(text, alphabet, max_len)
-    ref = build_trie(members, alphabet)
-    assert trie.flat.typecode == "i", (text, max_len)
-    assert trie.flat.tolist() == ref.flat.tolist(), (text, max_len)
-    assert trie.finals == ref.finals, (text, max_len)
+def assert_same_mf_automaton(text: str, alphabet: Alphabet, max_len: int, members) -> None:
+    """The kernel's pass over the suffix automaton of a text cut at max_len
+    gives the stripped avoidance automaton of the members' trie, table for
+    table."""
+    dfa = _mf_automaton(text, alphabet, max_len)
+    ref = strip_sinks(l_automaton(build_trie(members, alphabet)))
+    assert (dfa.n_states, dfa.initial) == (ref.n_states, ref.initial), (text, max_len)
+    assert dfa.flat == ref.flat, (text, max_len)
+    assert dfa.failure == ref.failure, (text, max_len)
+    assert dfa.finals == ref.finals, (text, max_len)
 
 
-def assert_same_mf_tries(words, alphabet: Alphabet) -> None:
-    """The linear cap on every word, then, once per necklace, the circular
-    cap |w| on ww and the circular factor automaton built on that trie
-    against the string route, JSON for JSON."""
+def assert_same_mf_automata(words, alphabet: Alphabet) -> None:
+    """The linear cap |w| + 1 on every word, then, once per necklace, the
+    circular cap |w| on ww and the circular factor automaton against the
+    string route, JSON for JSON."""
     necklaces = set()
     for word in words:
-        assert_same_mf_trie(word, alphabet, len(word) + 1, mfw_linear(word, alphabet).words)
+        assert_same_mf_automaton(word, alphabet, len(word) + 1, mfw_linear(word, alphabet).words)
         if word:
             necklaces.add(CircularWord(word, alphabet).linearization)
     for w in sorted(necklaces):
-        assert_same_mf_trie(w + w, alphabet, len(w), mfw_circular(w, alphabet).words)
+        assert_same_mf_automaton(w + w, alphabet, len(w), mfw_circular(w, alphabet).words)
         expected = circular_factor_dfa_reference(w, alphabet).to_json()
         assert circular_factor_dfa(w, alphabet).to_json() == expected, w
 
 
 class TestMfTrie:
-    """The trie the kernel reads off the suffix automaton's spanning tree,
-    against the trie of the members as strings."""
+    """The stripped avoidance automaton the kernel reads off the suffix
+    automaton's spanning tree, against the string route: the members' trie,
+    completed, then stripped of its sinks."""
 
-    @pytest.mark.parametrize("symbols, bound", [("ab", 12), ("abc", 7), ("acgt", 5)])
+    @pytest.mark.parametrize("symbols, bound", [("ab", 12), ("abc", 7), ("acgt", 5), ("a", 12)])
     def test_every_small_word(self, symbols, bound):
-        assert_same_mf_tries(all_words(symbols, bound), Alphabet(symbols))
+        assert_same_mf_automata(all_words(symbols, bound), Alphabet(symbols))
 
     def test_alphabet_orders(self):
         for alphabet in (Alphabet("ba"), Alphabet("cab"), Alphabet("γaβ")):
             symbols = "".join(alphabet.symbols)
-            assert_same_mf_tries(all_words(symbols, 8 if len(symbols) == 2 else 5), alphabet)
+            assert_same_mf_automata(all_words(symbols, 8 if len(symbols) == 2 else 5), alphabet)
 
     def test_letters_missing_from_the_word(self):
         words = ("", "a", "ca", "bbbbbb", "dadd", "dcdcdcd")
-        assert_same_mf_tries(words, Alphabet("abcd"))
-        assert_same_mf_tries(words[1:], Alphabet("dcba"))
+        assert_same_mf_automata(words, Alphabet("abcd"))
+        assert_same_mf_automata(words[1:], Alphabet("dcba"))
 
     def test_cap_at_every_length(self):
-        # cut at every length, the trie is that of the members no longer;
-        # d is missing from abcacba, so its root has a site even at length 1
+        # cut at every length, the automaton is that of the members no
+        # longer; d is missing from abcacba, so its root has a site even at
+        # length 1
         cases = (("abaab", "ab"), ("aabbabb", "ab"), ("abcacba", "abcd"), ("a" + "b" * 9, "ab"))
         for word, symbols in cases:
             alphabet = Alphabet(symbols)
             members = mfw_linear(word + word, alphabet).words
             for max_len in range(0, 2 * len(word) + 3):
                 kept = [m for m in members if len(m) <= max_len]
-                assert_same_mf_trie(word + word, alphabet, max_len, kept)
+                assert_same_mf_automaton(word + word, alphabet, max_len, kept)
 
     def test_one_letter_then_another(self):
         # a.b^(n-1): n circular members of about n^2/2 symbols, a trie of
-        # 3n - 1 nodes whose n sinks strip to 2n - 1 states
+        # 3n - 1 nodes whose n leaves are never stored
         n, ab = 300, Alphabet("ab")
         w = "a" + "b" * (n - 1)
-        trie = _mf_trie(w + w, ab, n)
-        assert trie.n_states == 3 * n - 1 and trie.finals.count(1) == n
-        assert_same_mf_trie(w + w, ab, n, mfw_circular(w, ab).words)
+        assert _mf_automaton(w + w, ab, n).n_states == 2 * n - 1
+        assert_same_mf_automaton(w + w, ab, n, mfw_circular(w, ab).words)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_random_words(self, data):
         symbols = data.draw(st.permutations("abcdé"))[: data.draw(st.integers(1, 5))]
         word = data.draw(st.text("".join(symbols), max_size=120))
-        assert_same_mf_tries([word], Alphabet(symbols))
+        assert_same_mf_automata([word], Alphabet(symbols))
+
+    def test_failure_link_on_a_sink_raises(self, monkeypatch):
+        # a forged suffix automaton whose walk yields the members ab and b:
+        # the failure link of the leaf of ab lands on the leaf of b
+        cap, sigma = 4, 2
+        trans = [1, -1, -1, -1, -1, 3, -1, -1]
+        link, length = [-1, 2, 0, 0], [0, 1, 0, 1]
+        tables = np.array(trans + link + length + [0] * cap, dtype=np.int32)
+        module = sys.modules["antidict.l_automaton"]
+        out = np.empty(cap * (sigma + 1), dtype=np.int32)
+        assert _kernel.kernel().mf_automaton(tables.copy(), cap, sigma, 2, out) == -1
+        monkeypatch.setattr(module, "_suffix_automaton_buffer", lambda code, sigma: (tables, cap, 4))
+        with pytest.raises(ValueError, match="not antifactorial"):
+            _mf_automaton("ab", Alphabet("ab"), 2)
 
 
 def assert_same_avoidance(words, alphabet: Alphabet) -> None:

@@ -1,8 +1,12 @@
+import random
+import sys
+
 import pytest
 
 from antidict import (
     Alphabet,
     CircularWord,
+    LimitExceeded,
     build_factor_automaton,
     build_trie,
     circular_factor_dfa,
@@ -14,8 +18,14 @@ from antidict import (
     minimize,
     strip_sinks,
 )
+from antidict import factor_automaton
 
-from .helpers import all_words, check_failure_semantics, words_avoiding
+from .helpers import (
+    all_words,
+    check_failure_semantics,
+    circular_factor_dfa_reference,
+    words_avoiding,
+)
 
 AB = Alphabet("ab")
 
@@ -106,9 +116,43 @@ class TestCircularFactorDfa:
         assert isomorphic(circular_factor_dfa("abaab"), circular_factor_dfa(CircularWord("abaab")))
 
 
+def random_word(symbols: str, n: int, seed: int) -> str:
+    rng = random.Random(seed)
+    return "".join(rng.choice(symbols) for _ in range(n))
+
+
+NECKLACES_AT_SCALE = {
+    "random-ab-1e5": lambda: random_word("ab", 10**5, 2),
+    "random-acgt-1e5": lambda: random_word("acgt", 10**5, 4),
+    "fibonacci-24": lambda: fibonacci_word(24),
+}
+
+
 class TestCircularFactorDfaAtScale:
-    """Untimed: the trie is read off the suffix automaton, so no member is
-    made and a·b^(n-1), whose members hold about n^2/2 symbols, is linear."""
+    """Untimed: the automaton is read off the suffix automaton, so no member
+    is made and a·b^(n-1), whose members hold about n^2/2 symbols, is
+    linear."""
+
+    @pytest.mark.parametrize("make", NECKLACES_AT_SCALE.values(), ids=NECKLACES_AT_SCALE)
+    def test_same_as_the_string_route(self, make):
+        word = make()
+        dfa, ref = circular_factor_dfa(word), circular_factor_dfa_reference(word)
+        assert (dfa.n_states, dfa.initial, dfa.finals) == (ref.n_states, ref.initial, ref.finals)
+        assert dfa.flat == ref.flat and dfa.failure == ref.failure
+
+    def test_guard_fires_before_the_kernel_runs(self, monkeypatch):
+        # the suffix automaton of the doubled aab: 2 * 6 + 2 = 14 states
+        def no_kernel():
+            raise AssertionError("the kernel ran")
+
+        monkeypatch.setattr(factor_automaton, "MAX_STATES", 13)
+        for module in (factor_automaton, sys.modules["antidict.l_automaton"]):
+            monkeypatch.setattr(module, "kernel", no_kernel)
+        with pytest.raises(LimitExceeded):
+            circular_factor_dfa("aab")
+        monkeypatch.undo()
+        monkeypatch.setattr(factor_automaton, "MAX_STATES", 14)
+        assert circular_factor_dfa("aab").n_states == 5
 
     def test_one_a_then_bs(self):
         n = 10**5

@@ -119,8 +119,8 @@ class TestMemberSymbolCap:
         with pytest.raises(LimitExceeded):
             mfw_linear(word * 2)
         assert mfw_linear(word).as_set() == {"aa", "ba", "b" * 201}
-        # circular_factor_dfa reads its trie off the suffix automaton and
-        # makes no member, so the cap does not apply to it
+        # circular_factor_dfa reads its automaton off the suffix automaton
+        # and makes no member, so the cap does not apply to it
         assert circular_factor_dfa(word).n_states == 2 * 201 - 1
 
 
