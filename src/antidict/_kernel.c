@@ -241,6 +241,52 @@ void spell_sites(const uint8_t *text, int64_t width, const int32_t *sites,
     }
 }
 
+/* The first separator unit at or after p before end, or NULL. */
+static const uint8_t *find_unit(const uint8_t *p, const uint8_t *end,
+                                const uint8_t *sep, int64_t width)
+{
+    if (width == 1)
+        return memchr(p, *sep, (size_t)(end - p));
+    for (; p < end; p += width)
+        if (memcmp(p, sep, (size_t)width) == 0)
+            return p;
+    return NULL;
+}
+
+/* Checks count members, written one after another into text (size bytes)
+ * with one separator unit between neighbours, for shortlex order: each
+ * member nonempty and longer than its predecessor, or as long and greater
+ * bytewise.  Symbols are width bytes each, encoded so that byte order is
+ * the alphabet order (ASCII, or big-endian UTF-32), and the order is then
+ * the MfwSet order with no member repeated.  A member holding a separator
+ * leaves one in the last member, which then counts as out of order, so
+ * count must be the number of members joined.  Returns the index of the
+ * first member out of order, else count. */
+int64_t shortlex_run(const uint8_t *text, int64_t size, int64_t width,
+                     const uint8_t *sep, int64_t count)
+{
+    const uint8_t *end = text + size, *at = text, *prev = text;
+    int64_t prev_size = 0;
+    for (int64_t i = 0; i < count; i++) {
+        /* every member but the last ends at a separator */
+        const uint8_t *stop = find_unit(at, end, sep, width);
+        if ((stop == NULL) != (i + 1 == count))
+            return i;
+        if (stop == NULL)
+            stop = end;
+        /* an empty first member is as long as, and equal to, the empty
+         * word before it; a later one is shorter than its predecessor */
+        int64_t member = stop - at;
+        if (member < prev_size ||
+            (member == prev_size && memcmp(prev, at, (size_t)member) >= 0))
+            return i;
+        prev = at;
+        prev_size = member;
+        at = stop + width;
+    }
+    return count;
+}
+
 /* Appends a childless node to the table flat, which holds *nodes rows of
  * sigma entries, and returns its number. */
 static int32_t new_node(int32_t *flat, int32_t sigma, int64_t *nodes)

@@ -64,6 +64,12 @@ def build(cache_dir: Path) -> ctypes.CDLL:
     octets = np.ctypeslib.ndpointer(np.uint8, ndim=1, flags="C_CONTIGUOUS")
     bitmap = np.ctypeslib.ndpointer(np.uint8, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
     triples = np.ctypeslib.ndpointer(np.int32, ndim=2, flags="C_CONTIGUOUS")
+    # A bytes object goes in as c_char_p, a pointer to its own buffer.  An
+    # np.frombuffer view of it through ndpointer instead, in MfwSet.from_json,
+    # raised perfbench's dna peak_rss_mb (--rss-only child, seeds 101-106)
+    # to 5.59-6.25 MiB on four seeds of six, against 4.83-5.25 with c_char_p
+    # and 4.85-5.42 before shortlex_run existed.
+    text = ctypes.c_char_p
     int32, int64 = ctypes.c_int32, ctypes.c_int64
     lib = ctypes.CDLL(str(path))
     for name, argtypes, restype in (
@@ -71,6 +77,7 @@ def build(cache_dir: Path) -> ctypes.CDLL:
         ("factor_classes", [table, int64, int32, int64, int32, table], int32),
         ("forbidden_sites", [codes, int64, int32, int32, int64, table], int64),
         ("spell_sites", [octets, int64, triples, int64, octets, int32, bitmap], None),
+        ("shortlex_run", [text, int64, int64, text, int64], int64),
         ("mf_automaton", [table, int64, int32, int64, table], int64),
         ("least_rotation", [codes, int64], int64),
         ("trie_size", [codes, bounds, int64], int64),

@@ -12,9 +12,11 @@ doubled word filtered to length at most ``|w|``.  Both fast routes walk the
 automaton breadth first in the compiled kernel, which emits every member
 once and already in :class:`MfwSet` order, so neither sorts; the
 brute-force routes and other foreign input go through :meth:`MfwSet.build`,
-which does.  The walk yields sites, a text slice and a letter each; short
-members are spelled from them by the kernel into one buffer that one
-``str.split`` cuts into strings, long ones are sliced out of the word.
+which checks their order in one kernel pass and sorts only when it fails,
+so the JSON hand-off, written in that order, is not sorted either.  The
+walk yields sites, a text slice and a letter each; short members are
+spelled from them by the kernel into one buffer that one ``str.split``
+cuts into strings, long ones are sliced out of the word.
 """
 
 from __future__ import annotations
@@ -69,9 +71,10 @@ class MfwSet:
     alphabet order, each once.  The constructor takes them as they are:
     :func:`mfw_linear` and :func:`mfw_circular` emit their members in that
     order, while :meth:`build` sorts and deduplicates words from any other
-    source.  ``kind`` records which pipeline produced the set
-    (``"linear"`` or ``"circular"``) and ``source`` the word it was computed
-    from; both are informative only.
+    source unless a kernel pass finds them in order already.  ``kind``
+    records which pipeline produced the set (``"linear"`` or
+    ``"circular"``) and ``source`` the word it was computed from; both are
+    informative only.
     """
 
     words: tuple[str, ...]
@@ -90,16 +93,14 @@ class MfwSet:
         """The set of ``words``, in any order and possibly repeated: sorted
         by length, then in alphabet order, with equal words kept once.
 
-        Each sort is a single run, so linear, on words already in that
-        order, such as those of :meth:`to_json`.
+        One kernel pass first checks whether the words are already in that
+        order, each once and none empty, as those of :meth:`to_json` are;
+        they are then kept as they are, and only otherwise sorted.
         """
-        members = sorted(words, key=len)
-        ordered = []
-        for _, run in groupby(members, len):
-            ordered += sorted(run, key=alphabet._key)
-        # equal words are neighbours now; keep each one unequal to the last
-        unique = compress(ordered, chain((True,), map(ne, islice(ordered, 1, None), ordered)))
-        return cls(tuple(unique), alphabet, kind, source)
+        words = tuple(words)
+        if not _in_order(words, alphabet):
+            words = _sort(words, alphabet)
+        return cls(words, alphabet, kind, source)
 
     def as_set(self) -> frozenset[str]:
         return frozenset(self.words)
@@ -123,7 +124,12 @@ class MfwSet:
     def from_json(cls, data) -> "MfwSet":
         """Inverse of :meth:`to_json`; malformed data, a member holding a
         symbol outside the alphabet and the empty member raise
-        ``ValueError``."""
+        ``ValueError``.
+
+        The members go through :meth:`build`, so any order and repeats are
+        accepted; members in the order :meth:`to_json` writes are checked in
+        one kernel pass and not sorted.
+        """
         try:
             alphabet = Alphabet(data["alphabet"])
             words, circular, source = data["mfw"], data.get("circular"), data.get("word")
@@ -150,6 +156,52 @@ class MfwSet:
 
     def __contains__(self, word: str) -> bool:
         return word in self.words
+
+
+def _sort(words, alphabet: Alphabet) -> tuple[str, ...]:
+    """The words by length, then in alphabet order, each once."""
+    members = sorted(words, key=len)
+    ordered = []
+    for _, run in groupby(members, len):
+        ordered += sorted(run, key=alphabet._key)
+    # equal words are neighbours now; keep each one unequal to the last
+    return tuple(compress(ordered, chain((True,), map(ne, islice(ordered, 1, None), ordered))))
+
+
+def _byte_form(symbols: str) -> tuple[str, str, int]:
+    """A separator, the first character not among ``symbols``, then the
+    encoding and the bytes a symbol in which the symbols and the separator
+    compare bytewise in code-point order: ASCII when all of them are ASCII,
+    else big-endian UTF-32."""
+    sep = next(chr(i) for i in range(len(symbols) + 1) if chr(i) not in symbols)
+    return (sep, "ascii", 1) if (symbols + sep).isascii() else (sep, "utf-32-be", 4)
+
+
+def _in_order(words: tuple[str, ...], alphabet: Alphabet) -> bool:
+    """Whether the words are in :class:`MfwSet` order, each once and none
+    empty: decided by the kernel's one pass over them joined by a separator.
+
+    An alphabet whose order is not code-point order is first translated by
+    ``Alphabet._key``, every symbol to the character of its rank, the key
+    the sort compares.  Words holding a symbol outside the alphabet may be
+    sent to the sort needlessly but never pass wrongly: the kernel counts
+    the separators it meets against the words.
+    """
+    symbols = "".join(alphabet.symbols)
+    key = alphabet._key
+    if key is not None:
+        symbols = key(symbols)
+    sep, encoding, width = _byte_form(symbols)
+    text = sep.join(words)
+    if key is not None:
+        text = key(text)
+    try:
+        # surrogatepass: a lone surrogate is a symbol like any other
+        data = text.encode(encoding, "surrogatepass")
+    except UnicodeEncodeError:  # a symbol outside an ASCII alphabet
+        return False
+    count = len(words)
+    return kernel().shortlex_run(data, len(data), width, sep.encode(encoding), count) == count
 
 
 def _forbidden_sites(code: np.ndarray, sigma: int, max_len: int) -> np.ndarray:
@@ -199,9 +251,8 @@ def _forbidden_words(word: str, alphabet: Alphabet, max_len: int | None = None) 
     if not count:
         return []  # "".split(sep) would be [""]
     # no member holds a symbol outside the alphabet, so none holds sep
-    sep = next(chr(i) for i in range(len(symbols) + 1) if chr(i) not in alphabet)
+    sep, encoding, width = _byte_form("".join(symbols))
     units = "".join(symbols) + sep
-    encoding, width = ("ascii", 1) if units.isascii() else ("utf-32-le", 4)
     # surrogatepass: a lone surrogate is a symbol like any other
     spelled = np.empty((total + count) * width, dtype=np.uint8)
     kernel().spell_sites(
@@ -348,16 +399,22 @@ def check_cardinality_bounds(
 
     For a circular word of length ``n`` over ``A`` with ``A(w)`` occurring
     letters, the count lies in ``[|A| - 1, |A| + (n - 1)|A(w)| - n]``.  The
-    report is computed on the primitive reduction the type enforces.
+    report is computed on the primitive reduction the type enforces.  The
+    members are counted as the kernel's sites on the doubled word, as
+    :func:`mfw_circular` finds them, and none is spelled, so a word whose
+    members hold about ``n^2/2`` symbols, such as a.b^(n-1), is counted
+    in linear time.
     """
     cw = _as_circular(cw, alphabet)
     if alphabet is None:
         alphabet = cw.alphabet
-    mfws = mfw_circular(cw, alphabet)
+    w = cw.linearization
+    alphabet.check_word(w)
+    count = len(_forbidden_sites(_encode(w + w, alphabet), len(alphabet), len(w)))
     return CardinalityReport(
-        word=cw.linearization,
+        word=w,
         length=cw.length,
         alphabet_size=len(alphabet),
-        occurring_letters=len(set(cw.linearization)),
-        count=len(mfws),
+        occurring_letters=len(set(w)),
+        count=count,
     )

@@ -279,6 +279,54 @@ class TestSpellSites:
         assert out[len(expected) * width :].tolist() == [0xEE] * width
 
 
+class TestShortlexRun:
+    """The kernel's order check on members joined by a separator: the
+    index of the first member out of order, else the member count."""
+
+    @staticmethod
+    def run(members, encoding="ascii", sep="\n", count=None):
+        data = sep.join(members).encode(encoding)
+        count = len(members) if count is None else count
+        width = 4 if encoding == "utf-32-be" else 1
+        return _kernel.kernel().shortlex_run(data, len(data), width, sep.encode(encoding), count)
+
+    @pytest.mark.parametrize("encoding", ["ascii", "utf-32-be"])
+    def test_neighbours(self, encoding):
+        cases = [
+            ([], 0),
+            (["a"], 1),
+            (["a", "b", "aa", "ab", "ba", "aaa"], 6),
+            (["ab", "ab"], 1),  # equal neighbours
+            (["a", "b", "b", "ba"], 2),
+            (["a", "ab"], 2),  # a proper prefix first: shorter, so in order
+            (["ab", "a"], 1),  # a length decrease
+            (["b", "ab", "a"], 2),
+            (["ab", "aa"], 1),  # as long, and smaller at the last symbol
+            (["ba", "bb", "ab"], 2),
+            ([""], 0),  # the empty member first, in the middle, last
+            (["a", "", "b"], 1),
+            (["a", "b", ""], 2),
+        ]
+        for members, expected in cases:
+            assert self.run(members, encoding) == expected, members
+
+    def test_big_endian_units(self):
+        # chr(1) < chr(0x100) in code-point order; little-endian bytes would
+        # compare them the other way round
+        assert self.run(["\x01", "\u0100"], "utf-32-be", "\x00") == 2
+        assert self.run(["\u0100", "\x01"], "utf-32-be", "\x00") == 1
+        # a unit whose bytes hold the separator's byte is no separator
+        assert self.run(["\u0a00", "\u0a0a"], "utf-32-be", "\n") == 2
+
+    def test_separators_are_counted(self):
+        # a separator inside a member is one too many: the last member holds it
+        assert self.run(["b\nc", "a"]) == 1
+        assert self.run(["a", "b\n"]) == 1
+        assert self.run(["a", "b", "c"], count=2) == 1
+        # one too few: the member that should end at it does not
+        assert self.run(["a", "b"], count=3) == 1
+
+
 def assert_same_mf_automaton(text: str, alphabet: Alphabet, max_len: int, members) -> None:
     """The kernel's pass over the suffix automaton of a text cut at max_len
     gives the stripped avoidance automaton of the members' trie, table for

@@ -28,6 +28,12 @@ AB = Alphabet("ab")
 ABC = Alphabet("abc")
 
 
+def key_sort(words, symbols: str) -> tuple[str, ...]:
+    """The MfwSet order by definition: distinct words by length, then by
+    their symbols' ranks."""
+    return tuple(sorted(set(words), key=lambda w: (len(w), [symbols.index(c) for c in w])))
+
+
 class TestMfwSet:
     def test_sorted_by_length_then_lexicographic(self):
         s = MfwSet.build(["babba", "bbb", "aaa", "baa", "aba"], AB)
@@ -43,8 +49,9 @@ class TestMfwSet:
         symbols = "".join(data.draw(st.permutations("abcé")))
         alphabet = Alphabet(symbols)
         words = data.draw(st.lists(st.text(symbols, max_size=6), max_size=40))
-        expected = tuple(sorted(set(words), key=lambda w: (len(w), [symbols.index(c) for c in w])))
+        expected = key_sort(words, symbols)
         assert MfwSet.build(words, alphabet).words == expected
+        assert MfwSet.build(expected, alphabet).words == expected
         assert MfwSet.build(expected + expected[::2], alphabet).words == expected
 
     def test_container_protocol(self):
@@ -96,6 +103,69 @@ class TestMfwSet:
     def test_json_rejects_stray_and_empty_members(self, members, named):
         with pytest.raises(ValueError, match=re.escape(named)):
             MfwSet.from_json({"alphabet": "ab", "mfw": members})
+
+
+class TestOrderCheck:
+    """MfwSet.build keeps words the kernel finds in order and sorts the
+    rest as before."""
+
+    ALPHABETS = ["ab", "ba", "acgt", "tgca", "aβγδ", "δγβa"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_shuffled_and_repeated_members(self, data):
+        symbols = data.draw(st.sampled_from(self.ALPHABETS))
+        alphabet = Alphabet(symbols)
+        word = data.draw(st.text(symbols, min_size=1, max_size=40))
+        compute = data.draw(st.sampled_from([mfw_linear, mfw_circular]))
+        mfws = compute(word, alphabet)
+        members = list(mfws.words)
+        members += data.draw(st.lists(st.sampled_from(members), max_size=5)) if members else []
+        shuffled = data.draw(st.permutations(members))
+        back = MfwSet.from_json({"alphabet": symbols, "mfw": shuffled})
+        assert back.words == MfwSet.build(shuffled, alphabet).words == mfws.words
+        assert back.words == key_sort(shuffled, symbols)
+
+    @pytest.mark.parametrize("symbols", ALPHABETS)
+    def test_canonical_input_is_not_sorted(self, monkeypatch, symbols):
+        rng = random.Random(symbols)
+        word = "".join(rng.choice(symbols) for _ in range(2000))
+        alphabet = Alphabet(symbols)
+        documents = [mfw_linear(word, alphabet).to_json(), mfw_circular(word, alphabet).to_json()]
+
+        def refuse(words, alphabet):
+            raise AssertionError("canonical members were sorted")
+
+        monkeypatch.setattr(mfw, "_sort", refuse)
+        for data in documents:
+            assert MfwSet.from_json(json.loads(json.dumps(data))).words == tuple(data["mfw"])
+        with pytest.raises(AssertionError, match="sorted"):
+            MfwSet.from_json({"alphabet": symbols, "mfw": documents[0]["mfw"][::-1]})
+
+    @pytest.mark.parametrize(
+        "members", [["", "aa", "bb"], ["aa", "", "bb"], ["aa", "bb", ""], ["b", "", "a", ""]]
+    )
+    def test_empty_member_anywhere_is_named(self, members):
+        for symbols in ("ab", "ba"):
+            with pytest.raises(ValueError, match=re.escape("''")):
+                MfwSet.from_json({"alphabet": symbols, "mfw": members})
+
+    @pytest.mark.parametrize(
+        "symbols, member",
+        # the separator of each alphabet, after the rank translation for "ba"
+        [("ab", "a\x00b"), ("ba", "a\x02b"), ("aβ", "a\x00β"), ("δγβa", "a\x04δ")],
+    )
+    def test_member_holding_the_separator_is_named(self, symbols, member):
+        with pytest.raises(ValueError, match=re.escape(repr(member))):
+            MfwSet.from_json({"alphabet": symbols, "mfw": [symbols[0], member, symbols[1] * 3]})
+
+    def test_words_holding_the_separator_are_sorted(self):
+        # split at the separator, these would read as b, c, a: in order for
+        # two members, though "a" comes first
+        assert MfwSet.build(["b\x00c", "a"], ABC).words == ("a", "b\x00c")
+        assert MfwSet.build(["a", "b\x00"], ABC).words == ("a", "b\x00")
+        # an ASCII alphabet given a non-ASCII word falls back to the sort
+        assert MfwSet.build(["é", "a"], ABC).words == ("a", "é")
 
 
 class TestMemberSymbolCap:
@@ -350,6 +420,20 @@ class TestCardinalityBounds:
         for w in all_words("ab", 9):
             cw = CircularWord(w, AB)
             assert check_cardinality_bounds(cw, AB).passed, w
+
+    def test_count_is_the_antidictionary_size(self):
+        for symbols, bound in (("ab", 9), ("abc", 6)):
+            alphabet = Alphabet(symbols)
+            for w in all_words(symbols, bound):
+                if w:
+                    assert check_cardinality_bounds(w, alphabet).count == len(mfw_circular(w, alphabet)), w
+
+    def test_quadratic_family_is_counted_not_spelled(self):
+        # the n members of a.b^(n-1) hold about n^2/2 symbols
+        n = 10**5
+        report = check_cardinality_bounds("a" + "b" * (n - 1), AB)
+        assert report.count == n == report.upper
+        assert report.passed
 
 
 class TestInfiniteAntidictionary:
