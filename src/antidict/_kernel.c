@@ -557,121 +557,87 @@ static int kept(const int32_t *flat, int32_t sigma, int32_t t)
     return t == 0 || !is_sink(flat, sigma, t);
 }
 
-/* The unique longest word read from the root of the avoidance automaton
- * that avoidance() completed in flat, n states, once its sinks are stripped
- * (Crochemore, Mignosi and Restivo, IPL 67, 1998).  Every kept state is
- * reachable from the root through trie edges.  Kahn's order of the kept
- * states, then, from the last state back, each state's height (the length
- * of the longest word read from it) and whether two paths tie for it; the
- * word is read forward from the root, each step to the one successor one
- * height lower.  scratch holds 3n entries: the order, the heights, and the
- * in-degrees, which Kahn's order leaves at 0 and which then hold the tie
- * flags.  Writes the word's ranks to scratch[0 ..) and returns its length;
- * -1 when the kept states hold a cycle (the avoiding language is infinite),
- * -2 when two longest words tie. */
-int64_t longest_path(const int32_t *flat, int64_t n, int32_t sigma,
-                     int32_t *scratch)
+/* Marks of walk()'s height table for a state not yet done. */
+enum { UNSEEN = -1, ON_STACK = -2, STRIPPED = -3 };
+
+/* Reads a word back from the avoidance automaton that avoidance() completed
+ * in flat, n states, once its sinks are stripped (Crochemore, Mignosi and
+ * Restivo, IPL 67, 1998): any cycle spells a power of a rotation of a
+ * circular word, and an acyclic automaton's unique longest word is a linear
+ * word.  One iterative depth-first search from the root, edges taken in
+ * rank order, an edge into a sink read as a missing edge.  The first edge
+ * into a state on the search stack closes a cycle and ends the search.
+ * Otherwise each state, once done, gets its height (the length of the
+ * longest word read from it) and whether two such words tie; since every
+ * kept state is reachable from the root through trie edges, there is then
+ * no cycle at all, and the root's longest word is read forward, each step
+ * to the first successor one height lower.  scratch holds 4n entries: the
+ * search stack, for each state on it one past the rank of the edge last
+ * taken out of it, and per state its height and tie flag once done; the
+ * height is one of the marks above until then.  Writes the ranks of the
+ * word or cycle to scratch[0 ..) and returns the word's length, -1 when two
+ * longest words tie, and a cycle's length complemented (~length, below
+ * -1). */
+int64_t walk(const int32_t *flat, int64_t n, int32_t sigma, int32_t *scratch)
 {
-    int32_t *order = scratch, *height = scratch + n, *indegree = height + n;
-    int64_t head = 0, tail = 0, kept_states = 0;
-    for (int64_t s = 0; s < n; s++) {
-        height[s] = kept(flat, sigma, (int32_t)s) ? 0 : -1;
-        indegree[s] = 0;
-    }
-    for (int64_t s = 0; s < n; s++) {
-        if (height[s] < 0)
-            continue;
-        kept_states++;
-        const int32_t *row = flat + s * sigma;
-        for (int32_t c = 0; c < sigma; c++)
-            if (height[row[c]] >= 0)
-                indegree[row[c]]++;
-    }
-    for (int64_t s = 0; s < n; s++)
-        if (height[s] >= 0 && indegree[s] == 0)
-            order[tail++] = (int32_t)s;
-    while (head < tail) {
-        const int32_t *row = flat + (int64_t)order[head++] * sigma;
-        for (int32_t c = 0; c < sigma; c++)
-            if (height[row[c]] >= 0 && --indegree[row[c]] == 0)
-                order[tail++] = row[c];
-    }
-    if (tail != kept_states)
-        return -1;
-    int32_t *tie = indegree;
-    while (tail > 0) {
-        int32_t s = order[--tail];
+    int32_t *stack = scratch, *next_rank = stack + n, *height = next_rank + n;
+    int32_t *tie = height + n;
+    int64_t top = 0;
+    for (int64_t s = 1; s < n; s++)
+        height[s] = UNSEEN;
+    stack[0] = 0;
+    next_rank[0] = 0;
+    height[0] = ON_STACK;
+    while (top >= 0) {
+        int32_t s = stack[top], c = next_rank[top];
         const int32_t *row = flat + (int64_t)s * sigma;
-        for (int32_t c = 0; c < sigma; c++) {
+        if (c < sigma) {
+            int32_t t = row[c];
+            next_rank[top] = c + 1;
+            if (height[t] == ON_STACK) {
+                int64_t start = top;
+                while (stack[start] != t)
+                    start--;
+                for (int64_t i = start; i <= top; i++)
+                    scratch[i - start] = next_rank[i] - 1;
+                return ~(top + 1 - start);
+            }
+            if (height[t] == UNSEEN && !kept(flat, sigma, t)) {
+                height[t] = STRIPPED;
+            } else if (height[t] == UNSEEN) {
+                height[t] = ON_STACK;
+                stack[++top] = t;
+                next_rank[top] = 0;
+            }
+            continue;
+        }
+        /* every successor of s is done or stripped */
+        int32_t best = 0, tied = 0;
+        for (c = 0; c < sigma; c++) {
             int32_t t = row[c];
             if (height[t] < 0)
                 continue;
-            if (height[t] + 1 > height[s]) {
-                height[s] = height[t] + 1;
-                tie[s] = tie[t];
-            } else if (height[t] + 1 == height[s]) {
-                tie[s] = 1;
+            if (height[t] + 1 > best) {
+                best = height[t] + 1;
+                tied = tie[t];
+            } else if (height[t] + 1 == best) {
+                tied = 1;
             }
         }
+        height[s] = best;
+        tie[s] = tied;
+        top--;
     }
     if (tie[0])
-        return -2;
-    int64_t length = height[0];
+        return -1;
     int32_t s = 0;
-    for (int64_t i = 0; i < length; i++) {
+    for (int64_t i = 0; i < height[0]; i++) {
         const int32_t *row = flat + (int64_t)s * sigma;
         int32_t c = 0;
         while (height[row[c]] != height[s] - 1)
             c++;
-        order[i] = c;
+        stack[i] = c;
         s = row[c];
     }
-    return length;
-}
-
-/* Some cycle of the avoidance automaton that avoidance() completed in flat,
- * n states, once its sinks are stripped: the first one an iterative
- * depth-first search from the root closes, edges taken in rank order.
- * scratch holds 3n entries: for each state on the search stack one past the
- * rank of the edge taken out of it, the stack, and each state's mark (-1
- * unseen, -2 done or a sink, else its position on the stack).  Writes the
- * cycle's ranks to scratch[0 ..) and returns its length; 0 when there is no
- * cycle. */
-int64_t find_cycle(const int32_t *flat, int64_t n, int32_t sigma,
-                   int32_t *scratch)
-{
-    int32_t *next_rank = scratch, *stack = scratch + n, *mark = stack + n;
-    int64_t top = 0;
-    for (int64_t s = 1; s < n; s++)
-        mark[s] = -1;
-    mark[0] = 0;
-    stack[0] = 0;
-    next_rank[0] = 0;
-    while (top >= 0) {
-        int32_t s = stack[top], c = next_rank[top];
-        const int32_t *row = flat + (int64_t)s * sigma;
-        if (c == sigma) {
-            mark[s] = -2;
-            top--;
-            continue;
-        }
-        next_rank[top] = c + 1;
-        int32_t t = row[c];
-        if (mark[t] >= 0) {
-            int64_t length = top + 1 - mark[t];
-            for (int64_t i = 0; i < length; i++)
-                next_rank[i] = next_rank[mark[t] + i] - 1;
-            return length;
-        }
-        if (mark[t] == -1) {
-            if (!kept(flat, sigma, t)) {
-                mark[t] = -2;
-                continue;
-            }
-            mark[t] = (int32_t)++top;
-            stack[top] = t;
-            next_rank[top] = 0;
-        }
-    }
-    return 0;
+    return height[0];
 }

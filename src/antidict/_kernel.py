@@ -28,6 +28,35 @@ CFLAGS = ("-O2", "-shared", "-fPIC", "-std=c99")
 # Largest state count the int32 tables of the kernel can number.
 MAX_STATES = 2**31 - 1
 
+# ndpointer checks dtype, rank and layout of every array passed
+codes = np.ctypeslib.ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS")
+bounds = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
+table = np.ctypeslib.ndpointer(np.int32, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
+octets = np.ctypeslib.ndpointer(np.uint8, ndim=1, flags="C_CONTIGUOUS")
+bitmap = np.ctypeslib.ndpointer(np.uint8, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
+triples = np.ctypeslib.ndpointer(np.int32, ndim=2, flags="C_CONTIGUOUS")
+# A bytes object goes in as c_char_p, a pointer to its own buffer.  An
+# np.frombuffer view of it through ndpointer instead, in MfwSet.from_json,
+# raised perfbench's dna peak_rss_mb (--rss-only child, seeds 101-106)
+# to 5.59-6.25 MiB on four seeds of six, against 4.83-5.25 with c_char_p
+# and 4.85-5.42 before shortlex_run existed.
+text = ctypes.c_char_p
+int32, int64 = ctypes.c_int32, ctypes.c_int64
+# Every function _kernel.c exports, with its argument and result types.
+SIGNATURES = (
+    ("suffix_automaton", [codes, int64, int32, table], int32),
+    ("factor_classes", [table, int64, int32, int64, int32, table], int32),
+    ("forbidden_sites", [codes, int64, int32, int32, int64, table], int64),
+    ("spell_sites", [octets, int64, triples, int64, octets, int32, bitmap], None),
+    ("shortlex_run", [text, int64, int64, text, int64], int64),
+    ("mf_automaton", [table, int64, int32, int64, table], int64),
+    ("least_rotation", [codes, int64], int64),
+    ("trie_size", [codes, bounds, int64], int64),
+    ("trie", [codes, bounds, int64, int32, table, bitmap], None),
+    ("avoidance", [table, int64, int32, table, table], int32),
+    ("walk", [codes, int64, int32, table], int64),
+)
+
 
 def build(cache_dir: Path) -> ctypes.CDLL:
     """The kernel library in ``cache_dir``, compiled there first if absent.
@@ -57,35 +86,8 @@ def build(cache_dir: Path) -> ctypes.CDLL:
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-    # ndpointer checks dtype, rank and layout of every array passed
-    codes = np.ctypeslib.ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS")
-    bounds = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
-    table = np.ctypeslib.ndpointer(np.int32, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
-    octets = np.ctypeslib.ndpointer(np.uint8, ndim=1, flags="C_CONTIGUOUS")
-    bitmap = np.ctypeslib.ndpointer(np.uint8, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
-    triples = np.ctypeslib.ndpointer(np.int32, ndim=2, flags="C_CONTIGUOUS")
-    # A bytes object goes in as c_char_p, a pointer to its own buffer.  An
-    # np.frombuffer view of it through ndpointer instead, in MfwSet.from_json,
-    # raised perfbench's dna peak_rss_mb (--rss-only child, seeds 101-106)
-    # to 5.59-6.25 MiB on four seeds of six, against 4.83-5.25 with c_char_p
-    # and 4.85-5.42 before shortlex_run existed.
-    text = ctypes.c_char_p
-    int32, int64 = ctypes.c_int32, ctypes.c_int64
     lib = ctypes.CDLL(str(path))
-    for name, argtypes, restype in (
-        ("suffix_automaton", [codes, int64, int32, table], int32),
-        ("factor_classes", [table, int64, int32, int64, int32, table], int32),
-        ("forbidden_sites", [codes, int64, int32, int32, int64, table], int64),
-        ("spell_sites", [octets, int64, triples, int64, octets, int32, bitmap], None),
-        ("shortlex_run", [text, int64, int64, text, int64], int64),
-        ("mf_automaton", [table, int64, int32, int64, table], int64),
-        ("least_rotation", [codes, int64], int64),
-        ("trie_size", [codes, bounds, int64], int64),
-        ("trie", [codes, bounds, int64, int32, table, bitmap], None),
-        ("avoidance", [table, int64, int32, table, table], int32),
-        ("longest_path", [codes, int64, int32, table], int64),
-        ("find_cycle", [codes, int64, int32, table], int64),
-    ):
+    for name, argtypes, restype in SIGNATURES:
         function = getattr(lib, name)
         function.argtypes, function.restype = argtypes, restype
     return lib

@@ -449,26 +449,24 @@ def minimize(dfa: Dfa) -> Dfa:
     rep: dict[int, int] = {}
     for s in range(n + 1):
         rep.setdefault(cls_ids[s], s)
-    # canonical BFS numbering of the surviving classes
-    renum = {init_cls: 0}
-    order = [init_cls]
-    head = 0
-    while head < len(order):
-        c = order[head]
-        head += 1
+    # the quotient over the class ids, edges into the dead class dropped,
+    # renumbered in the canonical BFS order of its reachable part
+    quotient = array("i", [-1]) * (n_classes * sigma)
+    for c, s in rep.items():
         for i in range(sigma):
-            t = cls_ids[table[rep[c]][i]]
-            if t != dead_cls and t not in renum:
-                renum[t] = len(renum)
-                order.append(t)
+            t = cls_ids[table[s][i]]
+            if t != dead_cls:
+                quotient[c * sigma + i] = t
+    order = Dfa(dfa.alphabet, n_classes, init_cls, bytes(n_classes), quotient).reachable()
+    renum = {c: i for i, c in enumerate(order)}
     flat = array("i", [-1]) * (len(order) * sigma)
     finals = bytearray(len(order))
     for c in order:
         new_id = renum[c]
         finals[new_id] = is_final[rep[c]]
         for i in range(sigma):
-            t = cls_ids[table[rep[c]][i]]
-            if t != dead_cls:
+            t = quotient[c * sigma + i]
+            if t >= 0:
                 flat[new_id * sigma + i] = renum[t]
     return Dfa(dfa.alphabet, len(order), 0, bytes(finals), flat)
 
@@ -502,17 +500,8 @@ def equivalent(a: Dfa, b: Dfa) -> bool:
 def _canonical_form(dfa: Dfa) -> tuple:
     """BFS renumbering (alphabet order) of the reachable part, as a tuple."""
     sigma = len(dfa.alphabet)
-    renum = {dfa.initial: 0}
-    order = [dfa.initial]
-    head = 0
-    while head < len(order):
-        base = order[head] * sigma
-        head += 1
-        for i in range(sigma):
-            t = dfa.flat[base + i]
-            if t >= 0 and t not in renum:
-                renum[t] = len(renum)
-                order.append(t)
+    order = dfa.reachable()
+    renum = {s: i for i, s in enumerate(order)}
     edges = []
     for s in order:
         base = s * sigma
@@ -576,16 +565,8 @@ def export_dot(automaton: Dfa) -> str:
     initial, failure, is_final = automaton.initial, automaton.failure, automaton.finals
     n_states = automaton.n_states
 
-    renum = {initial: 0}
-    order = [initial]
-    head = 0
-    while head < len(order):
-        state = order[head]
-        head += 1
-        for _, target in _row_edges(flat, symbols, state):
-            if target not in renum:
-                renum[target] = len(renum)
-                order.append(target)
+    order = automaton.reachable()
+    renum = {state: i for i, state in enumerate(order)}
     for state in range(n_states):  # unreachable states, if any, come last
         if state not in renum:
             renum[state] = len(renum)

@@ -112,8 +112,11 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_fib_check(args) -> int:
-    ranks = [args.n] if args.n else list(range(1, args.upto + 1))
-    fibonacci_word(max(ranks))  # fail fast on the length guard
+    flag, rank = ("--n", args.n) if args.n is not None else ("--upto", args.upto)
+    if rank < 1:
+        raise ValueError(f"{flag} {rank}: Fibonacci ranks start at 1")
+    ranks = [rank] if args.n is not None else list(range(1, rank + 1))
+    fibonacci_word(rank)  # fail fast on the length guard
     reports = [verify_fibonacci(n) for n in ranks]
     if args.json:
         print(json.dumps([dataclasses.asdict(r) | {"passed": r.passed} for r in reports]))
@@ -136,6 +139,8 @@ def _cmd_fib_check(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.maxlen < 1:
+        raise ValueError(f"--maxlen {args.maxlen} is below 1")
     if args.maxlen > VERIFY_MAXLEN_CAP:
         raise LimitExceeded(
             f"--maxlen {args.maxlen} exceeds the cap of {VERIFY_MAXLEN_CAP}"

@@ -31,7 +31,7 @@ import numpy as np
 from ._kernel import kernel
 from .automata import Dfa, Trie, _avoidance_tables, _int_table
 from .factor_automaton import _suffix_automaton_buffer
-from .words import Alphabet, CircularWord, _encode
+from .words import Alphabet, CircularWord, _circular_input, _encode
 
 # Swaps the bytes 0 and 1 of a finals bitmap: the trie's sinks become the
 # avoidance automaton's only non-final states.
@@ -87,10 +87,5 @@ def circular_factor_dfa(cw: CircularWord | str, alphabet: Alphabet | None = None
     failure links.  Raises ``LimitExceeded`` before allocating when the
     suffix automaton of the doubled word would not fit the int32 tables.
     """
-    if isinstance(cw, str):
-        cw = CircularWord(cw, alphabet)
-    if alphabet is None:
-        alphabet = cw.alphabet
-    w = cw.linearization
-    alphabet.check_word(w)
+    _, alphabet, w = _circular_input(cw, alphabet)
     return _mf_automaton(w + w, alphabet, len(w))

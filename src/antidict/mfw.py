@@ -35,6 +35,7 @@ from .words import (
     BRUTE_FORCE_WORD_LIMIT,
     CircularWord,
     LimitExceeded,
+    _circular_input,
     _encode,
     circular_factor_set,
     factor_set,
@@ -61,6 +62,10 @@ MAX_MEMBER_SYMBOLS = 2**26
 # times the word's symbols, 150 when they hold an eighth; on a non-ASCII
 # alphabet (UTF-32): 130 and 45.
 SPELL_MEAN_LENGTH = 64
+
+# How far past |w| mfw_circular_bruteforce scans its candidates, so that its
+# test would also notice members longer than the word (there are none).
+CIRCULAR_SLACK = 2
 
 
 @dataclass(frozen=True)
@@ -283,6 +288,24 @@ def mfw_linear(word: str, alphabet: Alphabet | None = None) -> MfwSet:
     return MfwSet(tuple(_forbidden_words(word, alphabet)), alphabet, "linear", word)
 
 
+def _absent_words(present: set[str], symbols: tuple[str, ...], longest: int) -> list[str]:
+    """The minimal forbidden words of a factorial language, given the set
+    ``present`` of its words of at most ``longest`` symbols: the letters
+    absent from it, then each ``a + u + b`` of at most ``longest`` symbols
+    absent from it while ``a + u`` and ``u + b`` are in it."""
+    out = [a for a in symbols if a not in present]
+    for u in present:
+        if len(u) > longest - 2:
+            continue
+        for a in symbols:
+            if a + u not in present:
+                continue
+            for b in symbols:
+                if u + b in present and a + u + b not in present:
+                    out.append(a + u + b)
+    return out
+
+
 def mfw_linear_bruteforce(word: str, alphabet: Alphabet | None = None) -> MfwSet:
     """Minimal forbidden factors straight from the definition.
 
@@ -298,22 +321,9 @@ def mfw_linear_bruteforce(word: str, alphabet: Alphabet | None = None) -> MfwSet
     if alphabet is None:
         alphabet = Alphabet.of_word(word)
     alphabet.check_word(word)
-    factors = factor_set(word)
-    out = [a for a in alphabet.symbols if a not in factors]
-    for u in factors:
-        for a in alphabet.symbols:
-            if a + u not in factors:
-                continue
-            for b in alphabet.symbols:
-                if u + b in factors and a + u + b not in factors:
-                    out.append(a + u + b)
+    # no member of a linear word is longer than |w| + 1
+    out = _absent_words(factor_set(word), alphabet.symbols, len(word) + 1)
     return MfwSet.build(out, alphabet, "linear", word)
-
-
-def _as_circular(word, alphabet: Alphabet | None) -> CircularWord:
-    if isinstance(word, CircularWord):
-        return word
-    return CircularWord(word, alphabet)
 
 
 def mfw_circular(cw: CircularWord | str, alphabet: Alphabet | None = None) -> MfwSet:
@@ -323,41 +333,22 @@ def mfw_circular(cw: CircularWord | str, alphabet: Alphabet | None = None) -> Mf
     longer than the word itself; any linearization gives the same set, and
     the canonical one is used.
     """
-    cw = _as_circular(cw, alphabet)
-    if alphabet is None:
-        alphabet = cw.alphabet
-    w = cw.linearization
-    alphabet.check_word(w)
+    _, alphabet, w = _circular_input(cw, alphabet)
     forbidden = _forbidden_words(w + w, alphabet, max_len=len(w))
     return MfwSet(tuple(forbidden), alphabet, "circular", w)
 
 
 def mfw_circular_bruteforce(
-    cw: CircularWord | str, alphabet: Alphabet | None = None, *, slack: int = 2
+    cw: CircularWord | str, alphabet: Alphabet | None = None
 ) -> MfwSet:
     """Circular minimal forbidden factors from the definition.
 
     Applies the absent-with-present-sides test against the factors of powers
-    of the word, scanning candidates up to ``|w| + slack`` so the test would
-    also notice members longer than the word (there are none).
+    of the word, scanning candidates up to ``|w| + CIRCULAR_SLACK`` symbols.
     """
-    cw = _as_circular(cw, alphabet)
-    if alphabet is None:
-        alphabet = cw.alphabet
-    w = cw.linearization
-    alphabet.check_word(w)
-    horizon = len(w) + slack
-    present = circular_factor_set(cw, horizon)
-    out = [a for a in alphabet.symbols if a not in present]
-    for u in present:
-        if len(u) > horizon - 2:
-            continue
-        for a in alphabet.symbols:
-            if a + u not in present:
-                continue
-            for b in alphabet.symbols:
-                if u + b in present and a + u + b not in present:
-                    out.append(a + u + b)
+    cw, alphabet, w = _circular_input(cw, alphabet)
+    horizon = len(w) + CIRCULAR_SLACK
+    out = _absent_words(circular_factor_set(cw, horizon), alphabet.symbols, horizon)
     return MfwSet.build(out, alphabet, "circular", w)
 
 
@@ -405,15 +396,11 @@ def check_cardinality_bounds(
     members hold about ``n^2/2`` symbols, such as a.b^(n-1), is counted
     in linear time.
     """
-    cw = _as_circular(cw, alphabet)
-    if alphabet is None:
-        alphabet = cw.alphabet
-    w = cw.linearization
-    alphabet.check_word(w)
+    _, alphabet, w = _circular_input(cw, alphabet)
     count = len(_forbidden_sites(_encode(w + w, alphabet), len(alphabet), len(w)))
     return CardinalityReport(
         word=w,
-        length=cw.length,
+        length=len(w),
         alphabet_size=len(alphabet),
         occurring_letters=len(set(w)),
         count=count,

@@ -4,8 +4,9 @@ A finite word is pinned down exactly by its set of minimal forbidden
 factors; a primitive circular word likewise.  Both directions run the
 avoidance construction on the trie of the candidate set and read the word
 off the completed table in the compiled kernel, with the sinks read as
-missing edges: as the unique longest path for a linear word, as a cycle for
-a circular one.  Every successful return is post-verified by recomputing the
+missing edges, by one depth-first walk: the first cycle it closes spells a
+circular word and, when it closes none, the unique longest path spells a
+linear word.  Every successful return is post-verified by recomputing the
 antidictionary of the result, so a set that is not of the expected form
 fails loudly instead of corrupting.
 """
@@ -19,51 +20,51 @@ from .automata import _avoidance_tables, build_trie
 from .mfw import MfwSet, mfw_circular, mfw_linear
 from .words import CircularWord, _decode
 
-# Codes longest_path returns instead of a length.
-INFINITE, TIED = -1, -2
+# What the kernel walk returns when two longest words tie; a word's length
+# is at least 0, a cycle's length comes back complemented, below TIED.
+TIED = -1
 
 
 class ReconstructionError(ValueError):
     """The given set is not the antidictionary of the requested kind of word."""
 
 
-def _walk(mfws: MfwSet, walk: str) -> tuple[int, np.ndarray]:
-    """What the kernel walk of that name returns on the completed avoidance
-    table of the set's trie, and the scratch room whose front holds the
-    ranks it wrote."""
+def _walk(mfws: MfwSet, circular: bool) -> str:
+    """The word the kernel walk reads off the completed avoidance table of
+    the set's trie, unverified: the labels of the first cycle a depth-first
+    search closes when ``circular``, else the unique longest word."""
     sigma = len(mfws.alphabet)
+    # the failure links are dropped at once and the table after the walk, so
+    # that neither adds to the memory the walk's scratch and the decode take
     try:
-        flat, _ = _avoidance_tables(build_trie(mfws.words, mfws.alphabet))
+        flat = _avoidance_tables(build_trie(mfws.words, mfws.alphabet))[0]
     except ValueError as exc:
         raise ReconstructionError(str(exc)) from exc
     n = len(flat) // sigma
-    scratch = np.empty(3 * n, dtype=np.int32)
-    return getattr(kernel(), walk)(np.frombuffer(flat, np.int32), n, sigma, scratch), scratch
-
-
-def _longest_word(mfws: MfwSet) -> str:
-    """The unique longest word avoiding the set, unverified."""
-    length, scratch = _walk(mfws, "longest_path")
-    if length == INFINITE:
-        raise ReconstructionError(
-            "the avoiding language is infinite: not the antidictionary of a finite word"
-        )
-    if length == TIED:
-        raise ReconstructionError(
-            "longest avoiding word is not unique: not the antidictionary of a single word"
-        )
-    return _decode(scratch[:length], mfws.alphabet)
-
-
-def _cycle_word(mfws: MfwSet) -> str:
-    """The labels of the first cycle a depth-first search of the avoidance
-    automaton closes, unverified."""
-    length, scratch = _walk(mfws, "find_cycle")
-    if not length:
+    scratch = np.empty(4 * n, dtype=np.int32)
+    code = kernel().walk(np.frombuffer(flat, np.int32), n, sigma, scratch)
+    del flat
+    if circular and code >= TIED:
         raise ReconstructionError(
             "the avoidance automaton is acyclic: not the antidictionary of a circular word"
         )
-    return _decode(scratch[:length], mfws.alphabet)
+    if not circular and code < TIED:
+        raise ReconstructionError(
+            "the avoiding language is infinite: not the antidictionary of a finite word"
+        )
+    if code == TIED:
+        raise ReconstructionError(
+            "longest avoiding word is not unique: not the antidictionary of a single word"
+        )
+    return _decode(scratch[: ~code if circular else code], mfws.alphabet)
+
+
+def _longest_word(mfws: MfwSet) -> str:
+    return _walk(mfws, circular=False)
+
+
+def _cycle_word(mfws: MfwSet) -> str:
+    return _walk(mfws, circular=True)
 
 
 def reconstruct_word(mfws: MfwSet) -> str:

@@ -274,6 +274,19 @@ class CircularWord:
         return f"CircularWord({self.linearization!r})"
 
 
+def _circular_input(
+    word: CircularWord | str, alphabet: Alphabet | None
+) -> tuple[CircularWord, Alphabet, str]:
+    """A circular word given as a :class:`CircularWord` or a string, with
+    the alphabet, the given one or else the word's own, and its canonical
+    linearization, checked against that alphabet."""
+    cw = word if isinstance(word, CircularWord) else CircularWord(word, alphabet)
+    if alphabet is None:
+        alphabet = cw.alphabet
+    alphabet.check_word(cw.linearization)
+    return cw, alphabet, cw.linearization
+
+
 def circular_factor_membership(cw: CircularWord, x: str) -> bool:
     """True when ``x`` occurs as a factor of some power of the circular word.
 

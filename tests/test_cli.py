@@ -253,6 +253,13 @@ class TestFibCheckCommand:
         code, _, err = run(capsys, "fib-check", "--upto", "200")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("flag", ["--n", "--upto"])
+    @pytest.mark.parametrize("rank", ["0", "-3"])
+    def test_rank_below_one(self, capsys, flag, rank):
+        code, out, err = run(capsys, "fib-check", flag, rank)
+        assert code == 2 and not out
+        assert err == f"error: {flag} {rank}: Fibonacci ranks start at 1\n"
+
 
 class TestVerifyCommand:
     def test_small_sweep(self, capsys):
@@ -264,6 +271,12 @@ class TestVerifyCommand:
     def test_maxlen_cap(self, capsys):
         code, _, err = run(capsys, "verify", "--maxlen", "30")
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize("maxlen", ["0", "-1"])
+    def test_maxlen_below_one(self, capsys, maxlen):
+        code, out, err = run(capsys, "verify", "--maxlen", maxlen)
+        assert code == 2 and not out
+        assert err == f"error: --maxlen {maxlen} is below 1\n"
 
 
 class TestParser:

@@ -116,6 +116,12 @@ class TestBuild:
             _kernel.build(tmp_path / "cache")
         assert list((tmp_path / "cache").iterdir()) == []
 
+    def test_registered_names_are_the_exports(self):
+        # a definition at the start of a line without `static` is exported
+        source = _kernel.SOURCE.read_text()
+        exports = re.findall(r"^(?!static\b)[A-Za-z_][\w \t*]*?\b(\w+)\(", source, re.MULTILINE)
+        assert sorted(exports) == sorted(name for name, _, _ in _kernel.SIGNATURES)
+
     def test_missing_compiler_raises_import_error(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PATH", str(tmp_path))
         with pytest.raises(ImportError, match="C compiler"):
