@@ -14,14 +14,17 @@ once and already in :class:`MfwSet` order, so neither sorts; the
 brute-force routes and other foreign input go through :meth:`MfwSet.build`,
 which checks their order in one kernel pass and sorts only when it fails,
 so the JSON hand-off, written in that order, is not sorted either.  The
-walk yields sites, a text slice and a letter each; short members are
-spelled from them by the kernel into one buffer that one ``str.split``
-cuts into strings, long ones are sliced out of the word.
+walk yields sites, a text slice and a letter each, and the fast routes
+return the set as those sites, the compact form of Barton, Heliou, Mouchard
+and Pissis (2014): its size, longest member and equality with another such
+set are read off them, and the members are spelled only when they are read.
+Short members are spelled by the kernel into one buffer that one
+``str.split`` cuts into strings, long ones are sliced out of the word.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from itertools import chain, compress, groupby, islice
 from operator import ne
 
@@ -42,19 +45,18 @@ from .words import (
 )
 
 
-# Most symbols the members of one computed antidictionary may hold together.
-# Every member of mfw_linear and mfw_circular is a Python string, copied out
-# of the word once (and, for short members, once more through the kernel's
-# spelling buffer), so a word whose antidictionary is long in total --
-# a.b^(n-1), circular or squared, has about n^2/2 symbols -- would
-# otherwise fill memory.  Random binary and acgt words of 10^6 symbols need
-# about 1.6 and 2.0 * 10^7, the circular Fibonacci word of rank 30 about
-# 3.0 * 10^6.  It does not guard circular_factor_dfa, whose kernel pass
-# (l_automaton._mf_automaton) reads the members off the suffix automaton
-# and makes none of them.
+# Most symbols the members of one computed antidictionary may hold together
+# when they are spelled.  mfw_linear and mfw_circular keep only the sites,
+# and count, measure and compare them without this cap; the first read of
+# MfwSet.words makes every member a Python string, copied out of the word
+# once (and, for short members, once more through the kernel's spelling
+# buffer), so a word whose antidictionary is long in total -- a.b^(n-1),
+# circular or squared, has about n^2/2 symbols -- would otherwise fill
+# memory.  Random binary and acgt words of 10^6 symbols need about 1.6 and
+# 2.0 * 10^7, the circular Fibonacci word of rank 30 about 3.0 * 10^6.
 MAX_MEMBER_SYMBOLS = 2**26
 
-# Longest mean member length at which _forbidden_words spells the members
+# Longest mean member length at which _spell spells the members
 # in the kernel and splits them.  Slicing each member out of the word costs
 # about 0.6 us a member; spelling costs a pass over every member symbol and,
 # to encode the word, over every text symbol.  Measured break-even on acgt
@@ -68,24 +70,67 @@ SPELL_MEAN_LENGTH = 64
 CIRCULAR_SLACK = 2
 
 
-@dataclass(frozen=True)
 class MfwSet:
     """An antidictionary: the sorted set of minimal forbidden factors.
 
     ``words`` are ordered by length, then lexicographically under the
-    alphabet order, each once.  The constructor takes them as they are:
-    :func:`mfw_linear` and :func:`mfw_circular` emit their members in that
-    order, while :meth:`build` sorts and deduplicates words from any other
-    source unless a kernel pass finds them in order already.  ``kind``
-    records which pipeline produced the set (``"linear"`` or
-    ``"circular"``) and ``source`` the word it was computed from; both are
-    informative only.
+    alphabet order, each once.  The constructor takes them as they are,
+    while :meth:`build` sorts and deduplicates words from any other source
+    unless a kernel pass finds them in order already.  :func:`mfw_linear`
+    and :func:`mfw_circular` return a set held as the kernel's sites
+    instead, in that order: a ``(count, 3)`` int32 array of triples
+    ``(start, stop, letter)``, each the member ``text[start:stop]`` followed
+    by the letter of that rank, where the text is ``source``, doubled for a
+    circular set.  Such a set spells its members on the first read of
+    ``words``, which raises ``LimitExceeded`` when they would hold more than
+    ``MAX_MEMBER_SYMBOLS`` symbols, and keeps them; ``len``,
+    :meth:`max_length`, ``==`` and ``hash`` read the sites and spell
+    nothing.  ``kind`` records which pipeline produced the set
+    (``"linear"`` or ``"circular"``) and ``source`` the word it was
+    computed from.
+
+    Two sets are equal when their alphabets and members are: two
+    site-backed sets of the same source, kind and alphabet compare their
+    triples, any other pair its members.
     """
 
-    words: tuple[str, ...]
-    alphabet: Alphabet
-    kind: str = "linear"
-    source: str | None = None
+    __slots__ = ("alphabet", "kind", "source", "_words", "_sites")
+
+    def __init__(self, words, alphabet: Alphabet, kind: str = "linear", source: str | None = None):
+        self._fill(tuple(words), None, alphabet, kind, source)
+
+    @classmethod
+    def _of_sites(cls, sites: np.ndarray, alphabet: Alphabet, kind: str, source: str) -> "MfwSet":
+        mfws = cls.__new__(cls)
+        mfws._fill(None, sites, alphabet, kind, source)
+        return mfws
+
+    def _fill(self, words, sites, alphabet, kind, source) -> None:
+        for name, value in zip(self.__slots__, (alphabet, kind, source, words, sites)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        if self._sites is None:
+            return MfwSet, (self._words, self.alphabet, self.kind, self.source)
+        return MfwSet._of_sites, (self._sites, self.alphabet, self.kind, self.source)
+
+    @property
+    def words(self) -> tuple[str, ...]:
+        """The members, spelled from the sites on the first read and kept.
+        Every spelling of a set gives an equal tuple, so threads racing to
+        keep theirs leave the set as it would be after either."""
+        words = self._words
+        if words is None:
+            text = self.source * 2 if self.kind == "circular" else self.source
+            words = _spell(self._sites, text, self.alphabet)
+            object.__setattr__(self, "_words", words)
+        return words
 
     @classmethod
     def build(
@@ -111,7 +156,11 @@ class MfwSet:
         return frozenset(self.words)
 
     def max_length(self) -> int:
-        return max((len(w) for w in self.words), default=0)
+        sites = self._sites
+        if sites is None:
+            return max(map(len, self._words), default=0)
+        # the sites are in order, the longest member last
+        return int(sites[-1, 1] - sites[-1, 0]) + 1 if len(sites) else 0
 
     def check_antifactorial(self) -> None:
         """Raise ``ValueError`` unless no member is a proper factor of another."""
@@ -148,6 +197,7 @@ class MfwSet:
         if not alphabet._covers(joined):
             for word in words:  # name the first member holding a stray symbol
                 alphabet.check_word(word)
+        del joined  # not held across the order check, which joins them again
         mfws = cls.build(words, alphabet, "circular" if circular else "linear", source)
         if mfws.words[:1] == ("",):  # the shortest member comes first
             raise ValueError("the empty word '' cannot be a minimal forbidden factor")
@@ -157,10 +207,27 @@ class MfwSet:
         return iter(self.words)
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self._words if self._sites is None else self._sites)
 
     def __contains__(self, word: str) -> bool:
         return word in self.words
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MfwSet):
+            return NotImplemented
+        if self.alphabet != other.alphabet:
+            return False
+        mine, theirs = self._sites, other._sites
+        if mine is not None and theirs is not None and (self.source, self.kind) == (other.source, other.kind):
+            return np.array_equal(mine, theirs)
+        # an unsorted set from the constructor matches as a set
+        return self.words == other.words or self.as_set() == other.as_set()
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet, self.max_length()))
+
+    def __repr__(self) -> str:
+        return f"<MfwSet of {len(self)} {self.kind} members over {self.alphabet!r}>"
 
 
 def _sort(words, alphabet: Alphabet) -> tuple[str, ...]:
@@ -214,25 +281,25 @@ def _forbidden_sites(code: np.ndarray, sigma: int, max_len: int) -> np.ndarray:
     of a rank-coded word, in :class:`MfwSet` order, found by the kernel's
     breadth-first walk of the word's suffix automaton.
 
-    Returns a ``(count, 3)`` int32 view of the kernel's triples
+    Returns a ``(count, 3)`` int32 array of the kernel's triples
     ``(start, stop, letter)``: the member of a site is the word's slice
     ``start:stop`` (the shortest word of its state, empty at the root)
-    followed by the letter of rank ``letter``.
+    followed by the letter of rank ``letter``.  The triples are copied out
+    of the kernel's buffer, so that its queue and slack are freed.
     """
     tables, cap, size = _suffix_automaton_buffer(code, sigma)
     # the queue, then at most size*(sigma-1) + 1 site triples (see the kernel)
     out = np.empty(size + 3 * (size * (sigma - 1) + 1), dtype=np.int32)
     count = kernel().forbidden_sites(tables, cap, size, sigma, max_len, out)
-    return out[size : size + 3 * count].reshape(count, 3)
+    return out[size : size + 3 * count].reshape(count, 3).copy()
 
 
-def _forbidden_words(word: str, alphabet: Alphabet, max_len: int | None = None) -> list[str]:
-    """The minimal forbidden factors of a word, of length at most
-    ``max_len`` when it is given, each once and in :class:`MfwSet` order.
+def _spell(sites: np.ndarray, text: str, alphabet: Alphabet) -> tuple[str, ...]:
+    """The members of the sites on a text, in the sites' order.
 
     Each member's shortest-word part has an occurrence ending at its
     state's recorded text position, so it is copied straight out of the
-    input instead of being rebuilt from parent edges.  Short members, at
+    text instead of being rebuilt from parent edges.  Short members, at
     most ``SPELL_MEAN_LENGTH`` symbols on average, are spelled by the
     kernel into one buffer, separated by a symbol outside the alphabet,
     which is decoded once and split; longer ones are sliced out one by one,
@@ -240,9 +307,6 @@ def _forbidden_words(word: str, alphabet: Alphabet, max_len: int | None = None) 
     ``LimitExceeded`` before copying when the members would hold more than
     ``MAX_MEMBER_SYMBOLS`` symbols together.
     """
-    if max_len is None:
-        max_len = len(word) + 1  # no member of a linear word is longer
-    sites = _forbidden_sites(_encode(word, alphabet), len(alphabet), max_len)
     count = len(sites)
     total = int((sites[:, 1] - sites[:, 0]).sum(dtype=np.int64)) + count
     if total > MAX_MEMBER_SYMBOLS:
@@ -252,16 +316,16 @@ def _forbidden_words(word: str, alphabet: Alphabet, max_len: int | None = None) 
         )
     symbols = alphabet.symbols
     if total > SPELL_MEAN_LENGTH * count:
-        return [word[start:stop] + symbols[c] for start, stop, c in sites.tolist()]
+        return tuple([text[start:stop] + symbols[c] for start, stop, c in sites.tolist()])
     if not count:
-        return []  # "".split(sep) would be [""]
+        return ()  # "".split(sep) would be [""]
     # no member holds a symbol outside the alphabet, so none holds sep
     sep, encoding, width = _byte_form("".join(symbols))
     units = "".join(symbols) + sep
     # surrogatepass: a lone surrogate is a symbol like any other
     spelled = np.empty((total + count) * width, dtype=np.uint8)
     kernel().spell_sites(
-        np.frombuffer(word.encode(encoding, "surrogatepass"), np.uint8),
+        np.frombuffer(text.encode(encoding, "surrogatepass"), np.uint8),
         width,
         sites,
         count,
@@ -270,7 +334,7 @@ def _forbidden_words(word: str, alphabet: Alphabet, max_len: int | None = None) 
         spelled,
     )
     # every member is followed by sep; the last one's is left out
-    return str(memoryview(spelled)[:-width], encoding, "surrogatepass").split(sep)
+    return tuple(str(memoryview(spelled)[:-width], encoding, "surrogatepass").split(sep))
 
 
 def mfw_linear(word: str, alphabet: Alphabet | None = None) -> MfwSet:
@@ -280,12 +344,15 @@ def mfw_linear(word: str, alphabet: Alphabet | None = None) -> MfwSet:
     suffix links are the failure function) and emits one forbidden word per
     (state, letter) pair where the letter is undefined at the state but
     defined at its suffix link; at the initial state the undefined letters
-    are the alphabet letters missing from the word.
+    are the alphabet letters missing from the word.  The set holds those
+    sites and spells its members when they are first read.
     """
     if alphabet is None:
         alphabet = Alphabet.of_word(word)
     alphabet.check_word(word)
-    return MfwSet(tuple(_forbidden_words(word, alphabet)), alphabet, "linear", word)
+    # no member of a linear word is longer than |w| + 1
+    sites = _forbidden_sites(_encode(word, alphabet), len(alphabet), len(word) + 1)
+    return MfwSet._of_sites(sites, alphabet, "linear", word)
 
 
 def _absent_words(present: set[str], symbols: tuple[str, ...], longest: int) -> list[str]:
@@ -331,11 +398,12 @@ def mfw_circular(cw: CircularWord | str, alphabet: Alphabet | None = None) -> Mf
 
     Equal to the forbidden factors of the doubled linearization that are no
     longer than the word itself; any linearization gives the same set, and
-    the canonical one is used.
+    the canonical one is used.  The set holds the sites on the doubled
+    word and spells its members when they are first read.
     """
     _, alphabet, w = _circular_input(cw, alphabet)
-    forbidden = _forbidden_words(w + w, alphabet, max_len=len(w))
-    return MfwSet(tuple(forbidden), alphabet, "circular", w)
+    sites = _forbidden_sites(_encode(w + w, alphabet), len(alphabet), len(w))
+    return MfwSet._of_sites(sites, alphabet, "circular", w)
 
 
 def mfw_circular_bruteforce(
@@ -391,17 +459,16 @@ def check_cardinality_bounds(
     For a circular word of length ``n`` over ``A`` with ``A(w)`` occurring
     letters, the count lies in ``[|A| - 1, |A| + (n - 1)|A(w)| - n]``.  The
     report is computed on the primitive reduction the type enforces.  The
-    members are counted as the kernel's sites on the doubled word, as
-    :func:`mfw_circular` finds them, and none is spelled, so a word whose
-    members hold about ``n^2/2`` symbols, such as a.b^(n-1), is counted
-    in linear time.
+    members are counted as the sites of :func:`mfw_circular` and none is
+    spelled, so a word whose members hold about ``n^2/2`` symbols, such as
+    a.b^(n-1), is counted in linear time.
     """
-    _, alphabet, w = _circular_input(cw, alphabet)
-    count = len(_forbidden_sites(_encode(w + w, alphabet), len(alphabet), len(w)))
+    mfws = mfw_circular(cw, alphabet)
+    w = mfws.source
     return CardinalityReport(
         word=w,
         length=len(w),
-        alphabet_size=len(alphabet),
+        alphabet_size=len(mfws.alphabet),
         occurring_letters=len(set(w)),
-        count=count,
+        count=len(mfws),
     )

@@ -7,8 +7,9 @@ off the completed table in the compiled kernel, with the sinks read as
 missing edges, by one depth-first walk: the first cycle it closes spells a
 circular word and, when it closes none, the unique longest path spells a
 linear word.  Every successful return is post-verified by recomputing the
-antidictionary of the result, so a set that is not of the expected form
-fails loudly instead of corrupting.
+antidictionary of the result and comparing it with the given set (by their
+sites when both come from the kernel, else by their members), so a set
+that is not of the expected form fails loudly instead of corrupting.
 """
 
 from __future__ import annotations
@@ -76,9 +77,9 @@ def reconstruct_word(mfws: MfwSet) -> str:
     mismatch, means the set belongs to no single word.
     """
     word = _longest_word(mfws)
-    fresh = mfw_linear(word, mfws.alphabet)
-    # equal tuples are equal sets; only a set out of canonical order is hashed
-    if fresh.words != mfws.words and fresh.as_set() != mfws.as_set():
+    # a set the kernel computed from the same word compares its sites, so
+    # the fresh set is not spelled
+    if mfw_linear(word, mfws.alphabet) != mfws:
         raise ReconstructionError(
             f"verification failed: {word!r} has a different antidictionary"
         )
@@ -97,8 +98,7 @@ def reconstruct_circular(mfws: MfwSet) -> CircularWord:
         cw = CircularWord(labels, mfws.alphabet)
     except ValueError as exc:
         raise ReconstructionError(str(exc)) from exc
-    fresh = mfw_circular(cw, mfws.alphabet)
-    if fresh.words != mfws.words and fresh.as_set() != mfws.as_set():
+    if mfw_circular(cw, mfws.alphabet) != mfws:
         raise ReconstructionError(
             f"verification failed: [{cw}] has a different antidictionary"
         )

@@ -10,6 +10,7 @@ that is obviously correct, and they refuse inputs large enough to hang.
 
 from __future__ import annotations
 
+import re
 from operator import methodcaller
 from typing import Iterable, Iterator
 
@@ -36,7 +37,7 @@ class Alphabet:
     comparisons, so ``Alphabet("ba")`` sorts ``b`` before ``a`` on purpose.
     """
 
-    __slots__ = ("symbols", "_rank", "_ascii", "_key")
+    __slots__ = ("symbols", "_rank", "_ascii", "_pattern", "_key")
 
     def __init__(self, symbols: Iterable[str]):
         syms = tuple(symbols)
@@ -52,8 +53,10 @@ class Alphabet:
         self.symbols = syms
         self._rank = {s: i for i, s in enumerate(syms)}
         joined = "".join(syms)
-        # the symbols as bytes when all are ASCII, for _covers()
+        # for _covers(): the symbols as bytes when all are ASCII, else a
+        # pattern matching the words over them
         self._ascii = joined.encode() if joined.isascii() else None
+        self._pattern = None if self._ascii is not None else re.compile(f"[{re.escape(joined)}]*")
         # sort key of the alphabet order: none when it is the code-point
         # order, else every symbol translated to the character of its rank
         self._key = (
@@ -88,13 +91,17 @@ class Alphabet:
     def _covers(self, word: str) -> bool:
         """Whether every symbol of the word is in this alphabet.
 
-        Decided at C speed for an ASCII alphabet and a string: a non-ASCII
+        Decided at C speed for a string: under an ASCII alphabet a non-ASCII
         string fails at once, an ASCII one passes when deleting the
-        alphabet's bytes from it leaves nothing.  Otherwise by a set.
+        alphabet's bytes from it leaves nothing; under any other alphabet
+        by one match of a character class of its symbols.  Any other
+        sequence by a set.
         """
-        if self._ascii is not None and isinstance(word, str):
+        if not isinstance(word, str):
+            return set(word) <= self._rank.keys()
+        if self._ascii is not None:
             return word.isascii() and not word.encode().translate(None, self._ascii)
-        return set(word) <= self._rank.keys()
+        return self._pattern.fullmatch(word) is not None
 
     def check_word(self, word: str) -> None:
         """Raise ``ValueError`` naming the first symbol of the word outside
@@ -279,12 +286,13 @@ def _circular_input(
 ) -> tuple[CircularWord, Alphabet, str]:
     """A circular word given as a :class:`CircularWord` or a string, with
     the alphabet, the given one or else the word's own, and its canonical
-    linearization, checked against that alphabet."""
-    cw = word if isinstance(word, CircularWord) else CircularWord(word, alphabet)
-    if alphabet is None:
-        alphabet = cw.alphabet
-    alphabet.check_word(cw.linearization)
-    return cw, alphabet, cw.linearization
+    linearization, checked against that alphabet: by the constructor, and
+    again only for a given circular word built over another alphabet."""
+    if not isinstance(word, CircularWord):
+        word = CircularWord(word, alphabet)
+    elif alphabet is not None and alphabet != word.alphabet:
+        alphabet.check_word(word.linearization)
+    return word, word.alphabet if alphabet is None else alphabet, word.linearization
 
 
 def circular_factor_membership(cw: CircularWord, x: str) -> bool:

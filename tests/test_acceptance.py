@@ -211,3 +211,33 @@ def test_c14_performance_on_a_million_symbols():
         f"10^6 symbols: antidictionary ({len(mfws)} words) in {mfw_seconds:.2f}s, "
         f"automaton ({automaton.n_states} states) in {build_seconds:.2f}s",
     )
+
+
+def test_c15_antidictionaries_counted_without_spelling():
+    # a.b^(n-1) has n circular members and n + 1 in its square, holding
+    # about n^2/2 symbols: the sets hold sites and spell none of them.
+    # Measured on a 2-core host: 0.01-0.04 s for both sets at n = 10^5,
+    # 0.13-0.16 s for the random 10^6 word; each bound leaves more than 3x
+    # headroom.
+    n = 10**5
+    word = "a" + "b" * (n - 1)
+    started = time.perf_counter()
+    circular = mfw_circular(word, AB)
+    squared = mfw_linear(word + word, AB)
+    family_seconds = time.perf_counter() - started
+    assert len(circular) == n and len(squared) == n + 1
+    assert circular.max_length() == n and squared.max_length() == n + 2
+    assert family_seconds < 0.5
+
+    rng = random.Random(0x5175)
+    text = "".join(rng.choices("ab", k=10**6))
+    started = time.perf_counter()
+    mfws = mfw_linear(text, AB)
+    text_seconds = time.perf_counter() - started
+    assert text_seconds < 1.0
+    assert len(mfws) == len(mfws.words)
+    report(
+        15,
+        f"a.b^(n-1), n = 10^5: {len(circular)} circular and {len(squared)} squared members "
+        f"in {family_seconds:.3f}s; random 10^6 word: {len(mfws)} members in {text_seconds:.2f}s",
+    )

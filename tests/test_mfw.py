@@ -1,6 +1,10 @@
+import copy
 import json
+import pickle
 import random
 import re
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -168,26 +172,89 @@ class TestOrderCheck:
         assert MfwSet.build(["é", "a"], ABC).words == ("a", "é")
 
 
+class TestSiteForm:
+    """A set held as the kernel's sites and the same members built from
+    strings read alike; the sites are read without spelling."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_agrees_with_the_string_form(self, data):
+        symbols = data.draw(st.sampled_from(["ab", "acgt", "aβγδ"]))
+        alphabet = Alphabet(symbols)
+        compute = data.draw(st.sampled_from([mfw_linear, mfw_circular]))
+        word, other = data.draw(st.lists(st.text(symbols, min_size=1, max_size=40), min_size=2, max_size=2))
+        sites = compute(word, alphabet)
+        again, rival = compute(word, alphabet), compute(other, alphabet)
+        read = len(sites), sites.max_length(), hash(sites)
+        assert sites == again and hash(again) == read[2]
+        assert sites._words is None is again._words  # none of the above spelled a member
+        same = word == other if compute is mfw_linear else CircularWord(word) == CircularWord(other)
+        assert (sites == rival) is same and (rival != sites) is not same
+        strings = MfwSet.build(list(sites.words), alphabet, sites.kind, sites.source)
+        assert sites == strings and strings == sites and hash(strings) == read[2]
+        assert (len(strings), strings.max_length()) == read[:2]
+        assert strings.as_set() == sites.as_set() == again.as_set()
+        assert json.dumps(strings.to_json()) == json.dumps(sites.to_json())
+        assert (rival == strings) is same
+
+    def test_threads_spelling_one_set_agree(self):
+        # the kernel spells with the interpreter lock released, so threads
+        # race to keep their tuples; each must read the same members
+        alphabet = Alphabet("acgt")
+        word = "".join(random.Random(7).choices("acgt", k=20_000))
+        expected = mfw_linear(word, alphabet).words
+        mfws = mfw_linear(word, alphabet)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda: results.append(mfws.words)) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 4 and all(words == expected for words in results)
+        assert mfws.words == expected
+
+    def test_immutable_and_copied_in_either_form(self):
+        for mfws in (mfw_linear("abaab"), MfwSet.build(["aa", "bab"], AB)):
+            with pytest.raises(AttributeError):
+                mfws.kind = "circular"
+            for back in (copy.copy(mfws), pickle.loads(pickle.dumps(mfws))):
+                assert back == mfws and back.words == mfws.words and back.kind == mfws.kind
+
+
 class TestMemberSymbolCap:
+    """The cap guards spelling the members, not computing the set: the
+    sites are counted and measured whatever the members would hold."""
+
     def test_cap_is_exact(self, monkeypatch):
         word = "a" + "b" * 40
         for compute in (mfw_linear, mfw_circular):
-            total = sum(map(len, compute(word)))
+            members = compute(word).words
+            total = sum(map(len, members))
             monkeypatch.setattr(mfw, "MAX_MEMBER_SYMBOLS", total)
-            assert sum(map(len, compute(word))) == total
+            assert compute(word).words == members
             monkeypatch.setattr(mfw, "MAX_MEMBER_SYMBOLS", total - 1)
+            mfws = compute(word)  # computing never raises
+            assert len(mfws) == len(members) and mfws.max_length() == 41
             with pytest.raises(LimitExceeded, match="more than the cap"):
-                compute(word)
+                mfws.words
             monkeypatch.undo()
 
     def test_quadratic_family_refused(self, monkeypatch):
         # a.b^k, circular or squared, has about k^2/2 member symbols
         monkeypatch.setattr(mfw, "MAX_MEMBER_SYMBOLS", 10**4)
         word = "a" + "b" * 200
-        with pytest.raises(LimitExceeded):
-            mfw_circular(word)
-        with pytest.raises(LimitExceeded):
-            mfw_linear(word * 2)
+        circular, squared = mfw_circular(word), mfw_linear(word * 2)
+        assert len(circular) == 201 and len(squared) == 202
+        for mfws in (circular, squared):
+            for read in (lambda m: m.words, list, MfwSet.as_set, MfwSet.to_json, lambda m: "a" in m):
+                with pytest.raises(LimitExceeded):
+                    read(mfws)
         assert mfw_linear(word).as_set() == {"aa", "ba", "b" * 201}
         # circular_factor_dfa reads its automaton off the suffix automaton
         # and makes no member, so the cap does not apply to it

@@ -19,7 +19,7 @@ from antidict import (
     reversal,
     rotations,
 )
-from antidict.words import FACTOR_ENUMERATION_LIMIT, _encode
+from antidict.words import FACTOR_ENUMERATION_LIMIT, _circular_input, _encode
 
 from .helpers import all_words, substrings
 
@@ -72,6 +72,19 @@ class TestAlphabet:
             alphabet = Alphabet(symbols)
             for word in all_words("abcβ", 4, min_len=0):
                 assert alphabet._covers(word) == (set(word) <= set(symbols)), (symbols, word)
+
+    @pytest.mark.parametrize("symbols", ["aβγδ", "\ud800]^-\\é", "\x00\nβ"])
+    def test_covers_a_non_ascii_alphabet(self, symbols):
+        # one character class of the escaped symbols: a lone surrogate and
+        # the class's metacharacters are symbols like any other
+        alphabet = Alphabet(symbols)
+        word = symbols * 3
+        assert alphabet._covers(word) and alphabet._covers("")
+        for stray in ("c", "[", "\ud801", "ε"):
+            for covered in (stray + word, word[:4] + stray + word[4:], word + stray):
+                assert not alphabet._covers(covered), (symbols, covered)
+                with pytest.raises(ValueError, match=re.escape(repr(stray))):
+                    alphabet.check_word(covered)
 
 
 class TestReversal:
@@ -200,6 +213,32 @@ class TestCircularWord:
         for w in ("ab" * 3, "abaab" * 4, "baab" * 2):
             cw = CircularWord(w, Alphabet("ba"))
             assert cw.linearization == canonical_rotation(primitive_root(w), Alphabet("ba")), w
+
+
+class TestCircularInput:
+    def test_other_alphabet_is_checked(self):
+        cw = CircularWord("abb", Alphabet("ab"))
+        with pytest.raises(ValueError, match="'b'"):
+            _circular_input(cw, Alphabet("a"))
+        assert _circular_input(cw, Alphabet("ba"))[1:] == (Alphabet("ba"), "abb")
+        assert _circular_input(cw, None)[1:] == (Alphabet("ab"), "abb")
+
+    def test_string_is_checked_once(self, monkeypatch):
+        calls = []
+        check = Alphabet.check_word
+
+        def counted(alphabet, word):
+            calls.append(word)
+            check(alphabet, word)
+
+        monkeypatch.setattr(Alphabet, "check_word", counted)
+        for alphabet in (Alphabet("ab"), None):
+            calls.clear()
+            cw, _, linearization = _circular_input("babab", alphabet)
+            assert calls == ["babab"] and linearization == "ababb"
+        calls.clear()
+        _circular_input(cw, cw.alphabet)
+        assert calls == []
 
 
 class TestEncode:
