@@ -465,7 +465,7 @@ int64_t trie_size(const int32_t *code, const int64_t *bounds, int64_t k)
  * flat[s*sigma + c] is the child of state s on rank c, or -1.  State 0 is
  * the root and states are numbered in insertion order.  finals, zeroed by
  * the caller, receives a 1 at the state each word ends at (one state for
- * equal words): the trie's sinks, the leaves other than the root. */
+ * equal words): the member ends, which avoidance() makes the sinks. */
 void trie(const int32_t *code, const int64_t *bounds, int64_t k, int32_t sigma,
           int32_t *flat, uint8_t *finals)
 {
@@ -488,34 +488,22 @@ void trie(const int32_t *code, const int64_t *bounds, int64_t k, int32_t sigma,
     }
 }
 
-/* Whether the row of a non-root state has no edge but self-loops: a sink
- * of the trie, before (no edge at all) or after (every letter loops back)
- * breadth-first completion.  Every other state keeps its trie children,
- * which are numbered after it. */
-static int is_sink(const int32_t *flat, int32_t sigma, int32_t s)
-{
-    const int32_t *row = flat + (int64_t)s * sigma;
-    for (int32_t c = 0; c < sigma; c++)
-        if (row[c] >= 0 && row[c] != s)
-            return 0;
-    return 1;
-}
-
-/* Completes in place the table of a trie of n states whose sinks are its
- * non-root leaves, into the avoidance automaton of its members (Aho and
- * Corasick, CACM 18, 1975; Crochemore, Mignosi and Restivo, IPL 67, 1998).
- * Breadth first from the root: a missing root edge becomes a self-loop;
- * any other state keeps its trie edges, setting each child's failure link
- * to its own failure's same-letter target, and borrows its missing edges
- * from its failure; a sink loops every letter back to itself.  failure[0]
- * is -1 and queue is scratch room for n states.  Returns 0; -1 as soon as
- * a failure link lands on a sink, since a member then occurs inside
- * another and the set is not antifactorial; -2 when the table is no tree
- * (a state with two parents, the root as a child or a state outside
+/* Completes in place the table of a trie of n states into the avoidance
+ * automaton of its members (Aho and Corasick, CACM 18, 1975; Crochemore,
+ * Mignosi and Restivo, IPL 67, 1998).  end marks the members' ends, the
+ * trie's finals, which become the sinks.  Breadth first from the root: a
+ * missing root edge becomes a self-loop; a sink loops every letter back to
+ * itself; any other state keeps its trie edges, setting each child's
+ * failure link to its own failure's same-letter target, and borrows its
+ * missing edges from its failure.  failure[0] is -1 and queue is scratch
+ * room for n states.  Returns 0; -1 as soon as a failure link lands on a
+ * sink, since a member then occurs inside another and the set is not
+ * antifactorial; -2 when the table is no tree (a member end with an edge,
+ * a state with two parents, the root as a child or a state outside
  * 0..n-1), so that no state is queued twice.  The tables are left half
  * written on failure. */
-int32_t avoidance(int32_t *flat, int64_t n, int32_t sigma, int32_t *failure,
-                  int32_t *queue)
+int32_t avoidance(int32_t *flat, int64_t n, int32_t sigma, const uint8_t *end,
+                  int32_t *failure, int32_t *queue)
 {
     int64_t head = 0, tail = 0;
     for (int64_t s = 1; s < n; s++)
@@ -527,9 +515,12 @@ int32_t avoidance(int32_t *flat, int64_t n, int32_t sigma, int32_t *failure,
     while (head < tail) {
         int32_t p = queue[head++];
         int32_t *row = flat + (int64_t)p * sigma;
-        if (p > 0 && is_sink(flat, sigma, p)) {
-            for (int32_t c = 0; c < sigma; c++)
+        if (end[p]) {
+            for (int32_t c = 0; c < sigma; c++) {
+                if (row[c] >= 0)
+                    return -2;
                 row[c] = p;
+            }
             continue;
         }
         const int32_t *fail_row = flat + (int64_t)(p > 0 ? failure[p] : 0) * sigma;
@@ -541,7 +532,7 @@ int32_t avoidance(int32_t *flat, int64_t n, int32_t sigma, int32_t *failure,
             }
             if (child >= n || failure[child] != -2)
                 return -2;
-            if (link > 0 && is_sink(flat, sigma, link))
+            if (end[link])
                 return -1;
             failure[child] = link;
             queue[tail++] = child;
@@ -550,35 +541,30 @@ int32_t avoidance(int32_t *flat, int64_t n, int32_t sigma, int32_t *failure,
     return 0;
 }
 
-/* Whether state t of a completed avoidance table is kept once the sinks are
- * stripped: an edge into a sink is read as a missing edge. */
-static int kept(const int32_t *flat, int32_t sigma, int32_t t)
-{
-    return t == 0 || !is_sink(flat, sigma, t);
-}
-
 /* Marks of walk()'s height table for a state not yet done. */
-enum { UNSEEN = -1, ON_STACK = -2, STRIPPED = -3 };
+enum { UNSEEN = -1, ON_STACK = -2 };
 
 /* Reads a word back from the avoidance automaton that avoidance() completed
  * in flat, n states, once its sinks are stripped (Crochemore, Mignosi and
  * Restivo, IPL 67, 1998): any cycle spells a power of a rotation of a
  * circular word, and an acyclic automaton's unique longest word is a linear
- * word.  One iterative depth-first search from the root, edges taken in
- * rank order, an edge into a sink read as a missing edge.  The first edge
- * into a state on the search stack closes a cycle and ends the search.
- * Otherwise each state, once done, gets its height (the length of the
- * longest word read from it) and whether two such words tie; since every
- * kept state is reachable from the root through trie edges, there is then
- * no cycle at all, and the root's longest word is read forward, each step
- * to the first successor one height lower.  scratch holds 4n entries: the
- * search stack, for each state on it one past the rank of the edge last
- * taken out of it, and per state its height and tie flag once done; the
- * height is one of the marks above until then.  Writes the ranks of the
- * word or cycle to scratch[0 ..) and returns the word's length, -1 when two
- * longest words tie, and a cycle's length complemented (~length, below
- * -1). */
-int64_t walk(const int32_t *flat, int64_t n, int32_t sigma, int32_t *scratch)
+ * word.  end marks the sinks, the member ends avoidance() was given.  One
+ * iterative depth-first search from the root, edges taken in rank order,
+ * an edge into a sink read as a missing edge.  The first edge into a state
+ * on the search stack closes a cycle and ends the search.  Otherwise each
+ * state, once done, gets its height (the length of the longest word read
+ * from it) and whether two such words tie; since every state but the sinks
+ * is reachable from the root through trie edges, there is then no cycle at
+ * all, and the root's longest word is read forward, each step to the first
+ * successor one height lower.  scratch holds 4n entries: the search stack,
+ * for each state on it one past the rank of the edge last taken out of it,
+ * and per state its height and tie flag once done; the height is one of
+ * the marks above until then, and a sink's stays UNSEEN.  Writes the ranks
+ * of the word or cycle to scratch[0 ..) and returns the word's length, -1
+ * when two longest words tie, and a cycle's length complemented (~length,
+ * below -1). */
+int64_t walk(const int32_t *flat, int64_t n, int32_t sigma, const uint8_t *end,
+             int32_t *scratch)
 {
     int32_t *stack = scratch, *next_rank = stack + n, *height = next_rank + n;
     int32_t *tie = height + n;
@@ -602,16 +588,14 @@ int64_t walk(const int32_t *flat, int64_t n, int32_t sigma, int32_t *scratch)
                     scratch[i - start] = next_rank[i] - 1;
                 return ~(top + 1 - start);
             }
-            if (height[t] == UNSEEN && !kept(flat, sigma, t)) {
-                height[t] = STRIPPED;
-            } else if (height[t] == UNSEEN) {
+            if (height[t] == UNSEEN && !end[t]) {
                 height[t] = ON_STACK;
                 stack[++top] = t;
                 next_rank[top] = 0;
             }
             continue;
         }
-        /* every successor of s is done or stripped */
+        /* every successor of s is done or a sink */
         int32_t best = 0, tied = 0;
         for (c = 0; c < sigma; c++) {
             int32_t t = row[c];

@@ -53,8 +53,8 @@ SIGNATURES = (
     ("least_rotation", [codes, int64], int64),
     ("trie_size", [codes, bounds, int64], int64),
     ("trie", [codes, bounds, int64, int32, table, bitmap], None),
-    ("avoidance", [table, int64, int32, table, table], int32),
-    ("walk", [codes, int64, int32, table], int64),
+    ("avoidance", [table, int64, int32, octets, table, table], int32),
+    ("walk", [codes, int64, int32, octets, table], int64),
 )
 
 

@@ -380,20 +380,22 @@ def _avoidance_tables(trie: Trie) -> tuple[array, array]:
     automaton of a trie, as ``array('i')``, filled by the compiled kernel in
     one breadth-first pass over a copy of the trie's table.
 
-    Root transitions on absent letters become self-loops; every other state
-    keeps its trie edges (the child's failure link is the failure's
-    same-letter target), borrows missing edges from its failure link, and
-    sinks loop every letter back to themselves.  A failure link landing on a
-    sink means a member is a proper suffix of a prefix of another member,
-    i.e. occurs inside it; since the trie shape already rules out prefixes,
-    this is exactly the failure of antifactoriality, and it raises
-    ``ValueError``, as does a table that is not a tree (a state with two
+    The sinks are the trie's final states, its members' ends, and loop every
+    letter back to themselves.  Root transitions on absent letters become
+    self-loops; every other state keeps its trie edges (the child's failure
+    link is the failure's same-letter target) and borrows missing edges from
+    its failure link.  A failure link landing on a sink means a member is a
+    proper suffix of a prefix of another member, i.e. occurs inside it;
+    since the trie shape already rules out prefixes, this is exactly the
+    failure of antifactoriality, and it raises ``ValueError``, as does a
+    table that is not a tree (a member end with an edge, a state with two
     parents, the root as a child or a state out of range).
     """
     n = trie.n_states
     flat, failure = trie.flat[:], array("i", [-1]) * n
     status = kernel().avoidance(
         np.frombuffer(flat, np.int32), n, len(trie.alphabet),
+        np.frombuffer(trie.finals, np.uint8),
         np.frombuffer(failure, np.int32), np.empty(n, dtype=np.int32),
     )
     if status == -2:

@@ -176,9 +176,9 @@ class MfwSet:
 
     @classmethod
     def from_json(cls, data) -> "MfwSet":
-        """Inverse of :meth:`to_json`; malformed data, a member holding a
-        symbol outside the alphabet and the empty member raise
-        ``ValueError``.
+        """Inverse of :meth:`to_json`; malformed data (a ``"circular"``
+        that is not a bool or null among them), a member holding a symbol
+        outside the alphabet and the empty member raise ``ValueError``.
 
         The members go through :meth:`build`, so any order and repeats are
         accepted; members in the order :meth:`to_json` writes are checked in
@@ -194,6 +194,8 @@ class MfwSet:
             raise ValueError("'mfw' must be a list of strings")
         if not (source is None or isinstance(source, str)):
             raise ValueError("'word' must be a string or null")
+        if not (circular is None or isinstance(circular, bool)):
+            raise ValueError(f"'circular' must be true, false or null, got {circular!r}")
         if not alphabet._covers(joined):
             for word in words:  # name the first member holding a stray symbol
                 alphabet.check_word(word)

@@ -3,8 +3,9 @@
 A finite word is pinned down exactly by its set of minimal forbidden
 factors; a primitive circular word likewise.  Both directions run the
 avoidance construction on the trie of the candidate set and read the word
-off the completed table in the compiled kernel, with the sinks read as
-missing edges, by one depth-first walk: the first cycle it closes spells a
+off the completed table in the compiled kernel, by one depth-first walk
+that reads an edge into a member end (a final state of the trie, and a sink
+of the table) as a missing edge: the first cycle it closes spells a
 circular word and, when it closes none, the unique longest path spells a
 linear word.  Every successful return is post-verified by recomputing the
 antidictionary of the result and comparing it with the given set (by their
@@ -19,7 +20,7 @@ import numpy as np
 from ._kernel import kernel
 from .automata import _avoidance_tables, build_trie
 from .mfw import MfwSet, mfw_circular, mfw_linear
-from .words import CircularWord, _decode
+from .words import CircularWord, LimitExceeded, _decode
 
 # What the kernel walk returns when two longest words tie; a word's length
 # is at least 0, a cycle's length comes back complemented, below TIED.
@@ -33,17 +34,24 @@ class ReconstructionError(ValueError):
 def _walk(mfws: MfwSet, circular: bool) -> str:
     """The word the kernel walk reads off the completed avoidance table of
     the set's trie, unverified: the labels of the first cycle a depth-first
-    search closes when ``circular``, else the unique longest word."""
+    search closes when ``circular``, else the unique longest word.  A set
+    too large to spell or to hold in a trie raises ``LimitExceeded``."""
     sigma = len(mfws.alphabet)
-    # the failure links are dropped at once and the table after the walk, so
-    # that neither adds to the memory the walk's scratch and the decode take
+    # the trie and its failure links are dropped before the walk's scratch is
+    # allocated and the table after the walk, so that none adds to the
+    # memory the scratch and the decode take; only the sinks' bitmap stays
     try:
-        flat = _avoidance_tables(build_trie(mfws.words, mfws.alphabet))[0]
+        trie = build_trie(mfws.words, mfws.alphabet)
+        flat = _avoidance_tables(trie)[0]
+    except LimitExceeded:
+        raise
     except ValueError as exc:
         raise ReconstructionError(str(exc)) from exc
+    end = np.frombuffer(trie.finals, np.uint8)
+    del trie
     n = len(flat) // sigma
     scratch = np.empty(4 * n, dtype=np.int32)
-    code = kernel().walk(np.frombuffer(flat, np.int32), n, sigma, scratch)
+    code = kernel().walk(np.frombuffer(flat, np.int32), n, sigma, end, scratch)
     del flat
     if circular and code >= TIED:
         raise ReconstructionError(
@@ -60,14 +68,6 @@ def _walk(mfws: MfwSet, circular: bool) -> str:
     return _decode(scratch[: ~code if circular else code], mfws.alphabet)
 
 
-def _longest_word(mfws: MfwSet) -> str:
-    return _walk(mfws, circular=False)
-
-
-def _cycle_word(mfws: MfwSet) -> str:
-    return _walk(mfws, circular=True)
-
-
 def reconstruct_word(mfws: MfwSet) -> str:
     """The unique word whose antidictionary is the given set.
 
@@ -76,7 +76,7 @@ def reconstruct_word(mfws: MfwSet) -> str:
     and no finite word fits; a tie for the longest path, or a verification
     mismatch, means the set belongs to no single word.
     """
-    word = _longest_word(mfws)
+    word = _walk(mfws, circular=False)
     # a set the kernel computed from the same word compares its sites, so
     # the fresh set is not spelled
     if mfw_linear(word, mfws.alphabet) != mfws:
@@ -93,7 +93,7 @@ def reconstruct_circular(mfws: MfwSet) -> CircularWord:
     rotation of the word, and a depth-first search finds one; the result is
     canonicalized and verified.
     """
-    labels = _cycle_word(mfws)
+    labels = _walk(mfws, circular=True)
     try:
         cw = CircularWord(labels, mfws.alphabet)
     except ValueError as exc:

@@ -338,7 +338,7 @@ def is_balanced(word: str, alphabet: Alphabet | None = None) -> bool:
         return True
     if len(word) > BALANCE_SCAN_LIMIT:
         raise LimitExceeded(f"balance scan is limited to length {BALANCE_SCAN_LIMIT}")
-    marks = np.frombuffer(word.encode("ascii"), dtype=np.uint8) == ord(symbols[0])
+    marks = np.frombuffer(word.encode("utf-32-le", "surrogatepass"), "<u4") == ord(symbols[0])
     prefix = np.concatenate(([0], np.cumsum(marks, dtype=np.int64)))
     n = len(word)
     for width in range(2, n):

@@ -228,6 +228,12 @@ class TestReconstructCommand:
         code, _, err = run(capsys, "reconstruct", "--mfw", str(path))
         assert code == 2 and "nested too deeply" in err
 
+    def test_circular_that_is_no_bool(self, capsys, tmp_path):
+        path = tmp_path / "mfw.json"
+        path.write_text(json.dumps({"alphabet": "ab", "circular": "false", "mfw": ["aa"]}))
+        code, out, err = run(capsys, "reconstruct", "--mfw", str(path))
+        assert code == 2 and not out and "'circular'" in err
+
     def test_not_a_single_word(self, capsys, tmp_path):
         path = tmp_path / "mfw.json"
         path.write_text(json.dumps({"alphabet": "ab", "circular": False, "mfw": ["aa", "ba"]}))

@@ -31,7 +31,7 @@ from antidict.automata import _avoidance_tables
 from antidict.factor_automaton import _suffix_automaton_buffer
 from antidict.l_automaton import _mf_automaton
 from antidict.mfw import _forbidden_sites
-from antidict.reconstruction import _cycle_word, _longest_word
+from antidict.reconstruction import _walk
 from antidict.words import _encode
 
 from .helpers import (
@@ -521,6 +521,13 @@ class TestTrieAndAvoidance:
         trie = Trie(ab, 3, 0, b"\x00\x01\x01", array("i", [1, 2, -1, -1, -1, -1]))
         assert l_automaton(trie).n_states == 3
 
+    def test_a_member_end_with_an_edge_is_no_tree(self):
+        # state 1 is final, a member's end and so a sink, yet has a child
+        trie = Trie(Alphabet("ab"), 3, 0, b"\x00\x01\x00", array("i", [1, -1, 2, -1, -1, -1]))
+        with pytest.raises(ValueError, match="not a tree"):
+            l_automaton(trie)
+        assert not trie.is_antifactorial()
+
     def test_guard_fires_before_allocating(self, monkeypatch):
         # the trie of {aa, ab, b} has 5 states
         monkeypatch.setattr(automata, "MAX_STATES", 4)
@@ -530,10 +537,10 @@ class TestTrieAndAvoidance:
         assert build_trie(["aa", "ab", "b"], Alphabet("ab")).n_states == 5
 
 
-def walk_outcome(walk, *args) -> str:
+def walk_outcome(walk, *args, **kwargs) -> str:
     """The word a walk reads, or the class of the error it raises."""
     try:
-        word = walk(*args)
+        word = walk(*args, **kwargs)
     except ValueError as exc:
         return next(kind for kind in ("infinite", "not unique", "acyclic") if kind in str(exc))
     return "acyclic" if word is None else word
@@ -544,8 +551,8 @@ def assert_same_walks(words, alphabet: Alphabet) -> None:
     read on the stripped automaton; the words must be antifactorial."""
     mfws = MfwSet.build(words, alphabet)
     dfa = strip_sinks(l_automaton(build_trie(words, alphabet)))
-    assert walk_outcome(_longest_word, mfws) == walk_outcome(longest_path_reference, dfa), words
-    assert walk_outcome(_cycle_word, mfws) == walk_outcome(find_cycle_reference, dfa), words
+    for circular, reference in ((False, longest_path_reference), (True, find_cycle_reference)):
+        assert walk_outcome(_walk, mfws, circular=circular) == walk_outcome(reference, dfa), words
 
 
 def antifactorial_core(words) -> list[str]:
@@ -581,10 +588,10 @@ class TestWalks:
         ]
         for words, longest, cycle in cases:
             mfws = MfwSet.build(words, ab)
-            assert walk_outcome(_longest_word, mfws) == longest, words
-            assert walk_outcome(_cycle_word, mfws) == cycle, words
+            assert walk_outcome(_walk, mfws, circular=False) == longest, words
+            assert walk_outcome(_walk, mfws, circular=True) == cycle, words
             assert_same_walks(words, ab)
-        assert walk_outcome(_cycle_word, MfwSet.build([], Alphabet("ba"))) == "b"
+        assert walk_outcome(_walk, MfwSet.build([], Alphabet("ba")), circular=True) == "b"
 
     def test_every_small_binary_set(self):
         # every antifactorial set of up to four binary words of length <= 3

@@ -94,6 +94,10 @@ class TestMfwSet:
             {"alphabet": "ab", "mfw": ["aa", 3]},
             {"alphabet": "ab", "mfw": ["aa"], "word": 7},
             {"alphabet": 5, "mfw": []},
+            # to_json writes "circular" as a bool: nothing else selects a kind
+            {"alphabet": "ab", "mfw": ["aa"], "circular": "false"},
+            {"alphabet": "ab", "mfw": ["aa"], "circular": 1},
+            {"alphabet": "ab", "mfw": ["aa"], "circular": 0},
         ],
     )
     def test_json_rejects_malformed(self, data):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from antidict import (
     Alphabet,
     CircularWord,
+    LimitExceeded,
     MfwSet,
     ReconstructionError,
     check_cardinality_bounds,
@@ -17,6 +18,7 @@ from antidict import (
     reconstruct_circular,
     reconstruct_word,
 )
+from antidict import automata, mfw
 
 from .helpers import all_words
 
@@ -56,6 +58,15 @@ class TestReconstructWord:
     def test_non_antifactorial_rejected(self):
         with pytest.raises(ReconstructionError):
             reconstruct_word(MfwSet.build(["a", "ab"], AB))
+
+    @pytest.mark.parametrize("module, cap", [(mfw, "MAX_MEMBER_SYMBOLS"), (automata, "MAX_STATES")])
+    def test_size_refusals_stay_limits(self, monkeypatch, module, cap):
+        # the set is valid: a cap on the members' symbols or the trie's
+        # states refuses its size, not its form
+        mfws = mfw_linear("aabbabb")
+        monkeypatch.setattr(module, cap, 10)
+        with pytest.raises(LimitExceeded):
+            reconstruct_word(mfws)
 
     def test_round_trip(self):
         for w in all_words("ab", 9):

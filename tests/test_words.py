@@ -310,6 +310,13 @@ class TestBalance:
             assert is_balanced(f)
             assert is_balanced(f + f)
 
+    def test_non_ascii_alphabet(self):
+        greek = str.maketrans("ab", "αβ")
+        for word in all_words("ab", 10, min_len=0):
+            image = word.translate(greek)
+            assert is_balanced(image, Alphabet("αβ")) == is_balanced(word, Alphabet("ab")), word
+            assert is_balanced(image) == is_balanced(word), word
+
     def test_non_binary_rejected(self):
         with pytest.raises(ValueError):
             is_balanced("abc")
