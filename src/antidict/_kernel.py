@@ -62,13 +62,16 @@ def build(cache_dir: Path) -> ctypes.CDLL:
     """The kernel library in ``cache_dir``, compiled there first if absent.
 
     The compiler writes to a temporary name that is then renamed into place,
-    so a process racing this one loads either nothing or a whole file.
+    so a process racing this one loads either nothing or a whole file.  A
+    fresh build then removes the libraries of older sources built there for
+    this interpreter; a cache hit removes nothing.
     """
     import subprocess
     from importlib.util import source_hash
 
     digest = source_hash(SOURCE.read_bytes()).hex()
-    path = Path(cache_dir) / f"_kernel-{digest}.{sys.implementation.cache_tag}.so"
+    tag = sys.implementation.cache_tag
+    path = Path(cache_dir) / f"_kernel-{digest}.{tag}.so"
     if not path.exists():
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(prefix="_kernel-", suffix=".so.tmp", dir=path.parent)
@@ -83,6 +86,9 @@ def build(cache_dir: Path) -> ctypes.CDLL:
             if proc.returncode != 0:
                 raise ImportError(f"cc failed to build {SOURCE.name}:\n{proc.stderr}")
             os.replace(tmp, path)
+            for stale in path.parent.glob(f"_kernel-*.{tag}.so"):
+                if stale != path:
+                    stale.unlink(missing_ok=True)
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)

@@ -134,7 +134,14 @@ class Dfa:
                 fail[src] = dst
         return cls(alphabet, n_states, initial, bytes(bitmap), flat, fail)
 
+    def _check_state(self, state: int) -> None:
+        """Raise ``ValueError`` for a state outside ``0..n_states - 1``,
+        which would otherwise index another state's row or wrap around."""
+        if not 0 <= state < self.n_states:
+            raise ValueError(f"state {state} is outside 0..{self.n_states - 1}")
+
     def step(self, state: int, symbol: str) -> int | None:
+        self._check_state(state)
         target = self.flat[state * len(self.alphabet) + self.alphabet.rank(symbol)]
         return None if target < 0 else target
 
@@ -153,6 +160,7 @@ class Dfa:
         return self.finals[state] != 0
 
     def out_edges(self, state: int) -> list[tuple[str, int]]:
+        self._check_state(state)
         return _row_edges(self.flat, self.alphabet.symbols, state)
 
     def transitions(self) -> Iterator[tuple[int, str, int]]:
@@ -409,8 +417,10 @@ def minimize(dfa: Dfa) -> Dfa:
     """The unique minimal DFA of the same language.
 
     Moore partition refinement over the completed automaton (one added dead
-    state), then the dead class and unreachable states are dropped again.
-    Failure links do not survive minimization.
+    state), then the dead class and unreachable states are dropped again
+    and the rest numbered by :func:`_canonical`, so that equivalent
+    automata minimize to equal tables.  Failure links do not survive
+    minimization.
     """
     sigma = len(dfa.alphabet)
     reach = dfa.reachable()
@@ -451,26 +461,16 @@ def minimize(dfa: Dfa) -> Dfa:
     rep: dict[int, int] = {}
     for s in range(n + 1):
         rep.setdefault(cls_ids[s], s)
-    # the quotient over the class ids, edges into the dead class dropped,
-    # renumbered in the canonical BFS order of its reachable part
+    # the quotient over the class ids, edges into the dead class dropped
     quotient = array("i", [-1]) * (n_classes * sigma)
+    finals = bytearray(n_classes)
     for c, s in rep.items():
+        finals[c] = is_final[s]
         for i in range(sigma):
             t = cls_ids[table[s][i]]
             if t != dead_cls:
                 quotient[c * sigma + i] = t
-    order = Dfa(dfa.alphabet, n_classes, init_cls, bytes(n_classes), quotient).reachable()
-    renum = {c: i for i, c in enumerate(order)}
-    flat = array("i", [-1]) * (len(order) * sigma)
-    finals = bytearray(len(order))
-    for c in order:
-        new_id = renum[c]
-        finals[new_id] = is_final[rep[c]]
-        for i in range(sigma):
-            t = quotient[c * sigma + i]
-            if t >= 0:
-                flat[new_id * sigma + i] = renum[t]
-    return Dfa(dfa.alphabet, len(order), 0, bytes(finals), flat)
+    return _canonical(Dfa(dfa.alphabet, n_classes, init_cls, bytes(finals), quotient))
 
 
 def equivalent(a: Dfa, b: Dfa) -> bool:
@@ -499,25 +499,25 @@ def equivalent(a: Dfa, b: Dfa) -> bool:
     return True
 
 
-def _canonical_form(dfa: Dfa) -> tuple:
-    """BFS renumbering (alphabet order) of the reachable part, as a tuple."""
-    sigma = len(dfa.alphabet)
-    order = dfa.reachable()
-    renum = {s: i for i, s in enumerate(order)}
-    edges = []
-    for s in order:
-        base = s * sigma
-        edges.append(
-            tuple(renum[dfa.flat[base + i]] if dfa.flat[base + i] >= 0 else -1 for i in range(sigma))
-        )
-    return len(order), bytes(map(dfa.finals.__getitem__, order)), tuple(edges)
+def _canonical(dfa: Dfa) -> Dfa:
+    """The reachable part of an automaton, its states numbered in BFS order
+    from the initial state, 0, taking edges in alphabet order: the one
+    numbering isomorphic automata share.  Failure links are dropped."""
+    order = np.array(dfa.reachable(), dtype=np.int32)
+    # renum[s] numbers state s; its extra last entry keeps a missing edge -1
+    renum = np.full(dfa.n_states + 1, -1, dtype=np.int32)
+    renum[order] = np.arange(order.size, dtype=np.int32)
+    rows = np.frombuffer(dfa.flat, dtype=np.int32).reshape(dfa.n_states, len(dfa.alphabet))
+    finals = np.frombuffer(dfa.finals, dtype=np.uint8)[order].tobytes()
+    return Dfa(dfa.alphabet, order.size, 0, finals, _int_table(renum[rows[order]]))
 
 
 def isomorphic(a: Dfa, b: Dfa) -> bool:
     """Structural equality up to renaming of states (reachable parts)."""
     if a.alphabet.symbols != b.alphabet.symbols:
         return False
-    return _canonical_form(a) == _canonical_form(b)
+    a, b = _canonical(a), _canonical(b)
+    return a.finals == b.finals and a.flat == b.flat
 
 
 def strip_sinks(dfa: Dfa) -> Dfa:

@@ -71,10 +71,9 @@ def check_linear_oracle_agreement(max_binary: int = 12, max_ternary: int = 8) ->
         alphabet = Alphabet(symbols)
         for w in words_over(symbols, bound):
             cases += 1
-            fast = mfw_linear(w, alphabet).as_set()
-            slow = mfw_linear_bruteforce(w, alphabet).as_set()
+            fast, slow = mfw_linear(w, alphabet), mfw_linear_bruteforce(w, alphabet)
             if fast != slow:
-                failures.append(f"{w}: {sorted(fast ^ slow)}")
+                failures.append(f"{w}: {sorted(fast.as_set() ^ slow.as_set())}")
     return _collect("linear antidictionary oracle agreement", failures, cases)
 
 
@@ -103,10 +102,9 @@ def check_circular_oracle_agreement(max_len: int = 12) -> CheckResult:
     for w in primitive_necklaces("ab", max_len):
         cases += 1
         cw = CircularWord(w, alphabet)
-        fast = mfw_circular(cw, alphabet).as_set()
-        slow = mfw_circular_bruteforce(cw, alphabet).as_set()
+        fast, slow = mfw_circular(cw, alphabet), mfw_circular_bruteforce(cw, alphabet)
         if fast != slow:
-            failures.append(f"[{w}]: {sorted(fast ^ slow)}")
+            failures.append(f"[{w}]: {sorted(fast.as_set() ^ slow.as_set())}")
     return _collect("circular antidictionary oracle agreement", failures, cases)
 
 

@@ -114,7 +114,7 @@ def mfw_fibonacci_closed_form(n: int, max_length: int = DEFAULT_MAX_LENGTH) -> M
         words = [fibonacci_family(i, max_length).forbidden for i in range(3, n + 1)]
         words.append(fibonacci_family(n, max_length).singular)
     source = fibonacci_word(n, max_length)
-    return MfwSet.build(words, BINARY, "circular", source)
+    return MfwSet(words, BINARY, "circular", source)
 
 
 def _longest_repeated_prefix(word: str) -> int:
@@ -178,7 +178,7 @@ def verify_fibonacci(n: int, max_length: int = DEFAULT_MAX_LENGTH) -> FibonacciV
     cw = CircularWord(fam.word, BINARY)
     computed = mfw_circular(cw, BINARY)
     closed = mfw_fibonacci_closed_form(n, max_length)
-    closed_form_ok = computed.as_set() == closed.as_set()
+    closed_form_ok = computed == closed
 
     cardinality_ok = len(computed) == n - 1 if n >= 4 else None
 

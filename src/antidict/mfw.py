@@ -11,7 +11,7 @@ precisely because ``x`` is shortest).  The circular set is the set of the
 doubled word filtered to length at most ``|w|``.  Both fast routes walk the
 automaton breadth first in the compiled kernel, which emits every member
 once and already in :class:`MfwSet` order, so neither sorts; the
-brute-force routes and other foreign input go through :meth:`MfwSet.build`,
+brute-force routes and other foreign input go through its constructor,
 which checks their order in one kernel pass and sorts only when it fails,
 so the JSON hand-off, written in that order, is not sorted either.  The
 walk yields sites, a text slice and a letter each, and the fast routes
@@ -74,11 +74,12 @@ class MfwSet:
     """An antidictionary: the sorted set of minimal forbidden factors.
 
     ``words`` are ordered by length, then lexicographically under the
-    alphabet order, each once.  The constructor takes them as they are,
-    while :meth:`build` sorts and deduplicates words from any other source
-    unless a kernel pass finds them in order already.  :func:`mfw_linear`
-    and :func:`mfw_circular` return a set held as the kernel's sites
-    instead, in that order: a ``(count, 3)`` int32 array of triples
+    alphabet order, each once: the constructor takes them in any order and
+    possibly repeated, and sorts and deduplicates them unless one kernel
+    pass finds them in that order already, each once and none empty, as
+    those of :meth:`to_json` are.  :func:`mfw_linear` and
+    :func:`mfw_circular` return a set held as the kernel's sites instead,
+    in that order: a ``(count, 3)`` int32 array of triples
     ``(start, stop, letter)``, each the member ``text[start:stop]`` followed
     by the letter of that rank, where the text is ``source``, doubled for a
     circular set.  Such a set spells its members on the first read of
@@ -91,13 +92,16 @@ class MfwSet:
 
     Two sets are equal when their alphabets and members are: two
     site-backed sets of the same source, kind and alphabet compare their
-    triples, any other pair its members.
+    triples, any other pair its members, both in the one order.
     """
 
     __slots__ = ("alphabet", "kind", "source", "_words", "_sites")
 
     def __init__(self, words, alphabet: Alphabet, kind: str = "linear", source: str | None = None):
-        self._fill(tuple(words), None, alphabet, kind, source)
+        words = tuple(words)
+        if not _in_order(words, alphabet):
+            words = _sort(words, alphabet)
+        self._fill(words, None, alphabet, kind, source)
 
     @classmethod
     def _of_sites(cls, sites: np.ndarray, alphabet: Alphabet, kind: str, source: str) -> "MfwSet":
@@ -134,32 +138,20 @@ class MfwSet:
 
     @classmethod
     def build(
-        cls,
-        words,
-        alphabet: Alphabet,
-        kind: str = "linear",
-        source: str | None = None,
+        cls, words, alphabet: Alphabet, kind: str = "linear", source: str | None = None
     ) -> "MfwSet":
-        """The set of ``words``, in any order and possibly repeated: sorted
-        by length, then in alphabet order, with equal words kept once.
-
-        One kernel pass first checks whether the words are already in that
-        order, each once and none empty, as those of :meth:`to_json` are;
-        they are then kept as they are, and only otherwise sorted.
-        """
-        words = tuple(words)
-        if not _in_order(words, alphabet):
-            words = _sort(words, alphabet)
+        """The constructor under its former name, which callers keep:
+        ``perfbench/run.py`` times the sort of shuffled members through it."""
         return cls(words, alphabet, kind, source)
 
     def as_set(self) -> frozenset[str]:
         return frozenset(self.words)
 
     def max_length(self) -> int:
+        # either form is in order, the longest member last
         sites = self._sites
         if sites is None:
-            return max(map(len, self._words), default=0)
-        # the sites are in order, the longest member last
+            return len(self._words[-1]) if self._words else 0
         return int(sites[-1, 1] - sites[-1, 0]) + 1 if len(sites) else 0
 
     def check_antifactorial(self) -> None:
@@ -180,9 +172,9 @@ class MfwSet:
         that is not a bool or null among them), a member holding a symbol
         outside the alphabet and the empty member raise ``ValueError``.
 
-        The members go through :meth:`build`, so any order and repeats are
-        accepted; members in the order :meth:`to_json` writes are checked in
-        one kernel pass and not sorted.
+        The members go through the constructor, so any order and repeats
+        are accepted; members in the order :meth:`to_json` writes are
+        checked in one kernel pass and not sorted.
         """
         try:
             alphabet = Alphabet(data["alphabet"])
@@ -200,7 +192,7 @@ class MfwSet:
             for word in words:  # name the first member holding a stray symbol
                 alphabet.check_word(word)
         del joined  # not held across the order check, which joins them again
-        mfws = cls.build(words, alphabet, "circular" if circular else "linear", source)
+        mfws = cls(words, alphabet, "circular" if circular else "linear", source)
         if mfws.words[:1] == ("",):  # the shortest member comes first
             raise ValueError("the empty word '' cannot be a minimal forbidden factor")
         return mfws
@@ -222,8 +214,7 @@ class MfwSet:
         mine, theirs = self._sites, other._sites
         if mine is not None and theirs is not None and (self.source, self.kind) == (other.source, other.kind):
             return np.array_equal(mine, theirs)
-        # an unsorted set from the constructor matches as a set
-        return self.words == other.words or self.as_set() == other.as_set()
+        return self.words == other.words
 
     def __hash__(self) -> int:
         return hash((self.alphabet, self.max_length()))
@@ -392,7 +383,7 @@ def mfw_linear_bruteforce(word: str, alphabet: Alphabet | None = None) -> MfwSet
     alphabet.check_word(word)
     # no member of a linear word is longer than |w| + 1
     out = _absent_words(factor_set(word), alphabet.symbols, len(word) + 1)
-    return MfwSet.build(out, alphabet, "linear", word)
+    return MfwSet(out, alphabet, "linear", word)
 
 
 def mfw_circular(cw: CircularWord | str, alphabet: Alphabet | None = None) -> MfwSet:
@@ -419,7 +410,7 @@ def mfw_circular_bruteforce(
     cw, alphabet, w = _circular_input(cw, alphabet)
     horizon = len(w) + CIRCULAR_SLACK
     out = _absent_words(circular_factor_set(cw, horizon), alphabet.symbols, horizon)
-    return MfwSet.build(out, alphabet, "circular", w)
+    return MfwSet(out, alphabet, "circular", w)
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,21 @@ def figure_trie() -> Trie:
     return build_trie(["aa", "ba"], AB, antifactorial=True)
 
 
+def relabeled(dfa: Dfa) -> Dfa:
+    """A copy of an automaton with every state id rotated by one."""
+    n, sigma = dfa.n_states, len(dfa.alphabet)
+    perm = [(i + 1) % n for i in range(n)]
+    flat = array("i", [-1]) * (n * sigma)
+    finals = bytearray(n)
+    for s in range(n):
+        finals[perm[s]] = dfa.finals[s]
+        for i in range(sigma):
+            t = dfa.flat[s * sigma + i]
+            if t >= 0:
+                flat[perm[s] * sigma + i] = perm[t]
+    return Dfa(dfa.alphabet, n, perm[dfa.initial], bytes(finals), flat)
+
+
 FIB5 = ["bb", "aaa", "aabaa", "babab"]  # antidictionary of the rank-5 Fibonacci word
 
 # to_json and export_dot of figure_trie() and of the FIB5 trie, as the
@@ -237,6 +252,15 @@ class TestAccepts:
         with pytest.raises(ValueError):
             dfa.accepts("abc")
 
+    @pytest.mark.parametrize("state", [-1, 5])
+    def test_step_and_out_edges_refuse_a_state_outside(self, state):
+        dfa = circular_factor_dfa("aab")
+        assert dfa.n_states == 5 and dfa.step(4, "a") == 2 and dfa.out_edges(4) == [("a", 2)]
+        with pytest.raises(ValueError, match=f"state {state} is outside 0..4"):
+            dfa.step(state, "a")
+        with pytest.raises(ValueError, match=f"state {state} is outside 0..4"):
+            dfa.out_edges(state)
+
 
 class TestEnumerateLanguage:
     def test_avoiding_language_of_figure_example(self):
@@ -282,6 +306,12 @@ class TestMinimize:
     def test_unreachable_states_dropped(self):
         dfa = Dfa.from_edges(AB, 3, 0, [0, 2], [(0, "a", 0), (2, "b", 0)])
         assert minimize(dfa).n_states == 1
+
+    def test_relabeled_copy_minimizes_to_equal_tables(self):
+        dfa = build_factor_automaton("aabbabb")
+        mini, again = minimize(dfa), minimize(relabeled(dfa))
+        assert again.initial == mini.initial == 0
+        assert (again.flat, again.finals) == (mini.flat, mini.finals)
 
     def test_empty_language_minimizes_to_one_state(self):
         dfa = Dfa.from_edges(AB, 2, 0, [], [(0, "a", 1), (1, "b", 0)])
@@ -339,22 +369,15 @@ class TestStripSinks:
 class TestIsomorphic:
     def test_relabeled_copy(self):
         dfa = build_factor_automaton("aabbabb")
-        n = dfa.n_states
-        perm = [(i + 1) % n for i in range(n)]  # rotate all state ids
-        sigma = len(dfa.alphabet)
-        flat = array("i", [-1]) * (n * sigma)
-        finals = bytearray(n)
-        for s in range(n):
-            finals[perm[s]] = dfa.finals[s]
-            for i in range(sigma):
-                t = dfa.flat[s * sigma + i]
-                if t >= 0:
-                    flat[perm[s] * sigma + i] = perm[t]
-        relabeled = Dfa(AB, n, perm[dfa.initial], bytes(finals), flat)
-        assert isomorphic(dfa, relabeled)
+        assert isomorphic(dfa, relabeled(dfa))
 
     def test_detects_difference(self):
         assert not isomorphic(build_factor_automaton("ab"), build_factor_automaton("aab"))
+
+    def test_detects_different_finals_on_equal_tables(self):
+        dfa = build_factor_automaton("aab")
+        finals = dfa.finals[:-1] + b"\x00"
+        assert not isomorphic(dfa, Dfa(AB, dfa.n_states, dfa.initial, finals, dfa.flat))
 
 
 class TestDotExport:

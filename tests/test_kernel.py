@@ -108,6 +108,21 @@ class TestBuild:
         assert again.least_rotation(coded, coded.size) == 2
         assert lib.least_rotation(coded, coded.size) == 2
 
+    def test_fresh_build_removes_stale_libraries(self, tmp_path):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        stale = cache / f"_kernel-0000000000000000.{sys.implementation.cache_tag}.so"
+        other_tag = cache / "_kernel-0000000000000000.cpython-0.so"
+        stale.write_bytes(b"")
+        other_tag.write_bytes(b"")
+        _kernel.build(cache)
+        assert not stale.exists() and other_tag.exists()
+        (built,) = set(cache.iterdir()) - {other_tag}
+        # a cache hit removes nothing
+        stale.write_bytes(b"")
+        _kernel.build(cache)
+        assert set(cache.iterdir()) == {built, other_tag, stale}
+
     def test_compiler_errors_raise_import_error(self, tmp_path, monkeypatch):
         broken = tmp_path / "_kernel.c"
         broken.write_text("int suffix_automaton(void) { return undeclared; }\n")

@@ -58,6 +58,16 @@ class TestMfwSet:
         assert MfwSet.build(expected, alphabet).words == expected
         assert MfwSet.build(expected + expected[::2], alphabet).words == expected
 
+    @pytest.mark.parametrize("ws", [("aa", "bab", "bbb", "abaa"), ("b", "aa", "abb", "ba")])
+    def test_constructor_orders_members(self, ws):
+        canonical = MfwSet(key_sort(ws, "ab"), AB)
+        assert canonical.words == key_sort(ws, "ab")
+        for mfws in (MfwSet(reversed(ws), AB), MfwSet(ws + ws[1:2], AB)):
+            assert mfws.words == canonical.words
+            assert mfws == canonical and hash(mfws) == hash(canonical)
+            assert mfws.max_length() == max(map(len, ws))
+            assert pickle.loads(pickle.dumps(mfws)).words == canonical.words
+
     def test_container_protocol(self):
         s = mfw_linear("aabbabb")
         assert len(s) == 5
