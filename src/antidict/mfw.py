@@ -40,6 +40,7 @@ from .words import (
     LimitExceeded,
     _circular_input,
     _encode,
+    _ranks,
     circular_factor_set,
     factor_set,
 )
@@ -246,27 +247,41 @@ def _in_order(words: tuple[str, ...], alphabet: Alphabet) -> bool:
     """Whether the words are in :class:`MfwSet` order, each once and none
     empty: decided by the kernel's one pass over them joined by a separator.
 
-    An alphabet whose order is not code-point order is first translated by
-    ``Alphabet._key``, every symbol to the character of its rank, the key
-    the sort compares.  Words holding a symbol outside the alphabet may be
-    sent to the sort needlessly but never pass wrongly: the kernel counts
-    the separators it meets against the words.
+    An alphabet whose order is not code-point order is compared by rank:
+    an ASCII one is first translated by ``Alphabet._key``, every symbol to
+    the character of its rank, the key the sort compares; any other is
+    mapped to rank units by :func:`words._ranks`, the separator to the unit
+    after the last rank, since ``_key`` would look every symbol up in a
+    dict.  Words holding a symbol outside the alphabet may be sent to the
+    sort needlessly but never pass wrongly: such a symbol fails the rank
+    lookup or the ASCII encoding, or is the separator, and the kernel
+    counts the separators it meets against the words.
     """
     symbols = "".join(alphabet.symbols)
     key = alphabet._key
-    if key is not None:
-        symbols = key(symbols)
-    sep, encoding, width = _byte_form(symbols)
-    text = sep.join(words)
-    if key is not None:
-        text = key(text)
-    try:
-        # surrogatepass: a lone surrogate is a symbol like any other
-        data = text.encode(encoding, "surrogatepass")
-    except UnicodeEncodeError:  # a symbol outside an ASCII alphabet
-        return False
+    if key is not None and not symbols.isascii():
+        sep = _byte_form(symbols)[0]
+        ranks = _ranks(sep.join(words), symbols + sep)
+        if ranks is None:  # a symbol outside the alphabet
+            return False
+        unit = np.dtype(np.uint8 if len(symbols) < 256 else ">u4")
+        data, width = ranks.astype(unit).tobytes(), unit.itemsize
+        sep_unit = np.array([len(symbols)], unit).tobytes()
+    else:
+        if key is not None:
+            symbols = key(symbols)
+        sep, encoding, width = _byte_form(symbols)
+        text = sep.join(words)
+        if key is not None:
+            text = key(text)
+        try:
+            # surrogatepass: a lone surrogate is a symbol like any other
+            data = text.encode(encoding, "surrogatepass")
+        except UnicodeEncodeError:  # a symbol outside an ASCII alphabet
+            return False
+        sep_unit = sep.encode(encoding)
     count = len(words)
-    return kernel().shortlex_run(data, len(data), width, sep.encode(encoding), count) == count
+    return kernel().shortlex_run(data, len(data), width, sep_unit, count) == count
 
 
 def _forbidden_sites(code: np.ndarray, sigma: int, max_len: int) -> np.ndarray:
@@ -277,14 +292,18 @@ def _forbidden_sites(code: np.ndarray, sigma: int, max_len: int) -> np.ndarray:
     Returns a ``(count, 3)`` int32 array of the kernel's triples
     ``(start, stop, letter)``: the member of a site is the word's slice
     ``start:stop`` (the shortest word of its state, empty at the root)
-    followed by the letter of rank ``letter``.  The triples are copied out
-    of the kernel's buffer, so that its queue and slack are freed.
+    followed by the letter of rank ``letter``.  The kernel's buffer holds
+    ``size + 1`` queue entries, then room for the ``size*(sigma-1) + 1``
+    triples there can be and one spare: while its queue is wide the walk
+    writes every child and every candidate triple and keeps only some, so
+    a discarded write can land one past the queue's states or the last
+    triple.  The triples are copied out of the buffer, so that its queue
+    and slack are freed.
     """
     tables, cap, size = _suffix_automaton_buffer(code, sigma)
-    # the queue, then at most size*(sigma-1) + 1 site triples (see the kernel)
-    out = np.empty(size + 3 * (size * (sigma - 1) + 1), dtype=np.int32)
+    out = np.empty(size + 1 + 3 * (size * (sigma - 1) + 2), dtype=np.int32)
     count = kernel().forbidden_sites(tables, cap, size, sigma, max_len, out)
-    return out[size : size + 3 * count].reshape(count, 3).copy()
+    return out[size + 1 : size + 1 + 3 * count].reshape(count, 3).copy()
 
 
 def _spell(sites: np.ndarray, text: str, alphabet: Alphabet) -> tuple[str, ...]:

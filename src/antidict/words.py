@@ -134,18 +134,27 @@ class Alphabet:
 def _encode(word: str, alphabet: Alphabet) -> np.ndarray:
     """Rank codes of a word whose symbols are all in the alphabet, as an
     int32 array: translated as bytes when the alphabet is ASCII, else
-    searched as code points."""
+    searched as code points by :func:`_ranks`."""
     symbols = "".join(alphabet.symbols)
     if symbols.isascii():
         table = bytes.maketrans(symbols.encode(), bytes(range(len(symbols))))
         return np.frombuffer(word.encode().translate(table), np.uint8).astype(np.int32)
-    # otherwise as UTF-32 code points, each found among the sorted symbols'
-    # points and mapped back to its rank; surrogatepass admits a symbol that
-    # is a lone surrogate, though through the encoder's slow error handler
+    return _ranks(word, symbols)
+
+
+def _ranks(word: str, symbols: str) -> np.ndarray | None:
+    """The index in ``symbols`` of each symbol of the word, as an int32
+    array, or None when the word holds a symbol outside them: its UTF-32
+    code points looked up in a table of the points up to one past the
+    symbols' largest, where every other point reads -1 (a larger one is
+    clipped to the last).  surrogatepass admits a symbol that is a lone
+    surrogate, though through the encoder's slow error handler."""
     points = np.frombuffer(symbols.encode("utf-32-le", "surrogatepass"), "<u4")
-    by_point = np.argsort(points).astype(np.int32)
+    table = np.full(int(points.max()) + 2, -1, dtype=np.int32)
+    table[points] = np.arange(len(points), dtype=np.int32)
     code = np.frombuffer(word.encode("utf-32-le", "surrogatepass"), "<u4")
-    return by_point[np.searchsorted(points[by_point], code)]
+    ranks = table.take(code, mode="clip")
+    return None if (ranks < 0).any() else ranks
 
 
 def _decode(code: np.ndarray, alphabet: Alphabet) -> str:

@@ -461,3 +461,97 @@ def find_cycle_reference(dfa: Dfa) -> str | None:
             stack.append(target)
             next_rank.append(0)
     return None
+
+
+# Two primes below 2**31 and a base for each: a product of two residues
+# fits in an int64, and a window is keyed by both residues at once.
+HASH_MODULI = (2**31 - 1, 2**31 - 19)
+HASH_BASES = (1_000_003, 998_244_353)
+
+
+def _powers(base: int, n: int, mod: int) -> np.ndarray:
+    """base**0 .. base**n modulo mod, each block of the table the block
+    before it times the next power of base."""
+    out = np.ones(n + 1, dtype=np.int64)
+    filled, step = 1, base % mod
+    while filled <= n:
+        block = min(filled, n + 1 - filled)
+        out[filled : filled + block] = out[:block] * step % mod
+        filled, step = filled + block, step * step % mod
+    return out
+
+
+class WindowHashes:
+    """Polynomial hashes of the windows of a string, modulo two primes.
+
+    The prefix sums ``H[i]`` of ``code[j] * base**j`` give the window
+    ``s[i:i+L]`` the key ``(H[i+L] - H[i]) * base**-i``, so windows at
+    different positions compare by key.  The code is the string's code
+    points; nothing here reads an automaton.
+    """
+
+    def __init__(self, s: str):
+        code = np.frombuffer(s.encode("utf-32-le", "surrogatepass"), "<u4").astype(np.int64)
+        self.tables = []
+        for base, mod in zip(HASH_BASES, HASH_MODULI):
+            prefix = np.zeros(len(code) + 1, dtype=np.int64)
+            np.cumsum(code * _powers(base, len(code), mod)[:-1] % mod, out=prefix[1:])
+            inverse = _powers(pow(base, -1, mod), len(code), mod)
+            self.tables.append((prefix % mod, inverse, mod))
+
+    def keys(self, starts: np.ndarray, length) -> np.ndarray:
+        """The key of each window ``s[start:start+length]``; ``length`` is
+        one for all or one per start."""
+        key = np.zeros(len(starts), dtype=np.int64)
+        for prefix, inverse, mod in self.tables:
+            residue = (prefix[starts + length] - prefix[starts]) % mod * inverse[starts] % mod
+            key = key << 31 | residue
+        return key
+
+
+def unsound_members(members, text: str) -> list[str]:
+    """The members ``aub`` that fail the definition of a minimal forbidden
+    factor of ``text``: ``aub`` occurs in it, or ``au`` or ``ub`` does not.
+    A circular word is given as ``w + w[:-1]``, whose windows of at most
+    ``|w|`` symbols are its factors.
+
+    A soundness certificate that shares no code with the suffix automaton
+    (after Mignosi, Restivo and Sciortino, TCS 273, 2002): the windows of
+    the text of each length a member has, and one less, are kept as sorted
+    arrays of hash keys, and every member, its prefix and its suffix are
+    looked up there.  Only two different windows sharing both residues,
+    which two moduli near 2**31 make unlikely at these sizes, could hide a
+    failure.
+    """
+    members = list(members)
+    if not members:
+        return []
+    lengths = np.fromiter(map(len, members), dtype=np.int64, count=len(members))
+    starts = np.zeros(len(members), dtype=np.int64)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    member_hashes, text_hashes = WindowHashes("".join(members)), WindowHashes(text)
+    whole = member_hashes.keys(starts, lengths)
+    prefix = member_hashes.keys(starts, lengths - 1)
+    suffix = member_hashes.keys(starts + 1, lengths - 1)
+    windows = {}  # length -> sorted keys of the text's windows of that length
+
+    def occur(keys, length):
+        if length == 0:
+            return np.ones(len(keys), dtype=bool)
+        if length > len(text):
+            return np.zeros(len(keys), dtype=bool)
+        if length not in windows:
+            windows[length] = np.sort(text_hashes.keys(np.arange(len(text) - length + 1), length))
+        table = windows[length]
+        at = np.minimum(np.searchsorted(table, keys), len(table) - 1)
+        return table[at] == keys
+
+    bad = np.zeros(len(members), dtype=bool)
+    for length in np.unique(lengths).tolist():
+        of_length = np.flatnonzero(lengths == length)
+        bad[of_length] = (
+            occur(whole[of_length], length)
+            | ~occur(prefix[of_length], length - 1)
+            | ~occur(suffix[of_length], length - 1)
+        )
+    return [members[i] for i in np.flatnonzero(bad).tolist()]

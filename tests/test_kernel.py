@@ -277,6 +277,107 @@ class TestForbiddenSites:
         assert_same_sites(word, Alphabet(symbols), max_len)
 
 
+def frontier_widths(word: str, alphabet: Alphabet, max_len: int) -> list[int]:
+    """The queue length left behind as each state leaves forbidden_sites'
+    breadth-first walk, the width its wide/narrow switch reads, replayed on
+    the kernel's suffix automaton."""
+    trans, link, length, _ = suffix_automaton_tables(_encode(word, alphabet), len(alphabet))
+    trans, link, length = trans.tolist(), link.tolist(), length.tolist()
+    queue, widths = [0], []
+    for head, p in enumerate(queue):  # the loop sees the children it appends
+        shortest = length[link[p]] + 1 if p else 0
+        if shortest + 1 > max_len:
+            break
+        widths.append(len(queue) - head - 1)
+        queue += [t for t in trans[p] if t >= 0 and length[link[t]] == shortest]
+    return widths
+
+
+SENTINEL = -7
+
+
+def sites_buffer(word: str, alphabet: Alphabet, max_len: int):
+    """forbidden_sites' output buffer, sized as mfw._forbidden_sites sizes it
+    and filled with a sentinel first, with the state and site counts."""
+    sigma = len(alphabet)
+    tables, cap, size = _suffix_automaton_buffer(_encode(word, alphabet), sigma)
+    out = np.full(size + 1 + 3 * (size * (sigma - 1) + 2), SENTINEL, dtype=np.int32)
+    count = _kernel.kernel().forbidden_sites(tables, cap, size, sigma, max_len, out)
+    return out, size, count
+
+
+class TestWideFrontier:
+    """Sites across the kernel's switch between the narrow, branching loop
+    and the wide, branch-free one, and the spare slots the latter writes."""
+
+    WIDE = 16  # the kernel's WIDE_FRONTIER
+
+    @pytest.mark.parametrize("sigma", [2, 3, 4, 5])
+    def test_random_words_cross_the_switch_both_ways(self, sigma):
+        symbols = "abcde"[:sigma]
+        rng = random.Random(sigma)
+        word = "".join(rng.choice(symbols) for _ in range(2**12))
+        alphabet = Alphabet(symbols)
+        for text, max_len in ((word, len(word) + 1), (word + word, len(word))):
+            widths = frontier_widths(text, alphabet, max_len)
+            wide = [i for i, width in enumerate(widths) if width >= self.WIDE]
+            assert wide and widths[0] < self.WIDE and wide[-1] < len(widths) - 1, sigma
+            assert_same_sites(text, alphabet, max_len)
+
+    @pytest.mark.parametrize(
+        "word",
+        [fibonacci_word(18), fibonacci_word(19)[:3000], "a" + "b" * 2000, "ab" * 1000 + "a"],
+        ids=["fib18", "fib19-prefix", "ab^k", "(ab)^k.a"],
+    )
+    def test_narrow_words(self, word):
+        alphabet = Alphabet("ab")
+        for text, max_len in ((word, len(word) + 1), (word + word, len(word))):
+            assert max(frontier_widths(text, alphabet, max_len)) < self.WIDE
+            assert_same_sites(text, alphabet, max_len)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 17, 100])
+    def test_unary_words_meet_the_site_bound(self, n):
+        # a^n has n + 1 states and the one site a^(n+1): size*(sigma-1) + 1
+        alphabet = Alphabet("a")
+        out, size, count = sites_buffer("a" * n, alphabet, n + 1)
+        assert size == n + 1 and count == size * (len(alphabet) - 1) + 1
+        assert out[size + 1 : size + 4].tolist() == [0, n, 0]
+        # a queue one state wide takes the narrow path, which leaves the
+        # spare triple unwritten
+        assert out[size + 4 :].tolist() == [SENTINEL] * 3
+        assert_same_sites("a" * n, alphabet, n + 1)
+
+    @pytest.mark.parametrize("symbols, order", [("ab", 10), ("acgt", 5)])
+    def test_spare_queue_entry_and_triple(self, symbols, order):
+        # in a de Bruijn word nearly every state's shortest word is one of
+        # the order's length, so the walk's last level is wide: the linear
+        # cap queues every state, and the wide rows after the last one is
+        # queued write a discarded child to the spare queue entry
+        word = de_bruijn(symbols, order)
+        alphabet = Alphabet(symbols)
+        out, size, count = sites_buffer(word, alphabet, len(word) + 1)
+        assert sorted(out[:size].tolist()) == list(range(size))
+        assert -1 <= out[size] < size  # written over the sentinel
+        # nothing past the spare triple
+        assert (out[size + 1 + 3 * (count + 1) :] == SENTINEL).all()
+        assert_same_sites(word, alphabet, len(word) + 1)
+
+
+def de_bruijn(symbols: str, order: int) -> str:
+    """A word holding every word of the given length over the symbols once,
+    by appending the last symbol that makes a new window (Martin, 1934)."""
+    word, seen = symbols[0] * order, {symbols[0] * order}
+    while True:
+        for c in reversed(symbols):
+            window = word[len(word) - order + 1 :] + c
+            if window not in seen:
+                seen.add(window)
+                word += c
+                break
+        else:
+            return word
+
+
 class TestSpellSites:
     @pytest.mark.parametrize(
         "text, units, encoding, width",

@@ -18,6 +18,7 @@ from antidict import (
     circular_factor_dfa,
     circular_factor_membership,
     factor_set,
+    fibonacci_word,
     mfw_circular,
     mfw_circular_bruteforce,
     mfw_linear,
@@ -26,10 +27,14 @@ from antidict import (
 )
 from antidict import mfw
 
-from .helpers import all_words, words_avoiding
+from .helpers import all_words, unsound_members, words_avoiding
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
+
+
+# 300 symbols in reverse code-point order
+CJK_300 = "".join(map(chr, range(0x4E00 + 299, 0x4E00 - 1, -1)))
 
 
 def key_sort(words, symbols: str) -> tuple[str, ...]:
@@ -184,6 +189,25 @@ class TestOrderCheck:
         assert MfwSet.build(["a", "b\x00"], ABC).words == ("a", "b\x00")
         # an ASCII alphabet given a non-ASCII word falls back to the sort
         assert MfwSet.build(["é", "a"], ABC).words == ("a", "é")
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_rank_units_agree_with_the_sort(self, data):
+        # a non-ASCII alphabet out of code-point order maps its members to
+        # rank units; stray symbols, the separator among them, never pass
+        # the last alphabet has too many ranks for one byte a unit
+        symbols = data.draw(st.sampled_from(["δγβa", "γaβ", "βa", CJK_300]))
+        alphabet = Alphabet(symbols)
+        letters = symbols + data.draw(st.sampled_from(["", "\x00", "b", "é", "\ud800", "\U0001f600"]))
+        words = data.draw(st.lists(st.text(letters, max_size=6), max_size=12))
+        for members in (words, list(mfw._sort(words, alphabet))):
+            expected = (
+                alphabet._covers("".join(members))
+                and "" not in members
+                and tuple(members) == mfw._sort(members, alphabet)
+            )
+            assert mfw._in_order(tuple(members), alphabet) == expected, members
 
 
 class TestSiteForm:
@@ -435,6 +459,37 @@ class TestCircular:
         # tight for Fibonacci words, not tight for aabbab
         assert mfw_circular("abaab").max_length() == 5
         assert mfw_circular("aabbab").max_length() == 4
+
+
+class TestSoundnessAtScale:
+    """Every member of a large antidictionary satisfies the definition,
+    checked by hashed window lookups that share no code with the suffix
+    automaton."""
+
+    def test_certificate_against_the_definition(self):
+        # every candidate a + u + b over the factors u of a word, member or not
+        for w in ("aabbabb", "abaababa", "abcacba"):
+            present = factor_set(w)
+            candidates = sorted({a + u + b for u in present for a in set(w) for b in set(w)})
+            candidates += sorted(set(w))
+            flagged = set(unsound_members(candidates, w))
+            for v in candidates:
+                sound = v not in present and v[:-1] in present and v[1:] in present
+                assert (v in flagged) is not sound, (w, v)
+
+    @pytest.mark.parametrize("symbols", ["ab", "acgt"])
+    def test_random_words(self, symbols):
+        rng = random.Random(symbols)
+        w = "".join(rng.choice(symbols) for _ in range(10**5))
+        assert unsound_members(mfw_linear(w).words, w) == []
+        necklace = mfw_circular(w)
+        v = necklace.source
+        assert unsound_members(necklace.words, v + v[:-1]) == []
+
+    def test_fibonacci_word(self):
+        w = fibonacci_word(25)
+        assert unsound_members(mfw_linear(w).words, w) == []
+        assert unsound_members(mfw_circular(w).words, w + w[:-1]) == []
 
 
 class TestOrder:
