@@ -248,32 +248,24 @@ def _in_order(words: tuple[str, ...], alphabet: Alphabet) -> bool:
     empty: decided by the kernel's one pass over them joined by a separator.
 
     An alphabet whose order is not code-point order is compared by rank:
-    an ASCII one is first translated by ``Alphabet._key``, every symbol to
-    the character of its rank, the key the sort compares; any other is
-    mapped to rank units by :func:`words._ranks`, the separator to the unit
-    after the last rank, since ``_key`` would look every symbol up in a
-    dict.  Words holding a symbol outside the alphabet may be sent to the
-    sort needlessly but never pass wrongly: such a symbol fails the rank
-    lookup or the ASCII encoding, or is the separator, and the kernel
-    counts the separators it meets against the words.
+    the joined text is mapped to rank units by :func:`words._ranks`, the
+    separator to the unit after the last rank.  Words holding a symbol
+    outside the alphabet may be sent to the sort needlessly but never pass
+    wrongly: such a symbol fails the rank lookup or the ASCII encoding, or
+    is the separator, and the kernel counts the separators it meets against
+    the words.
     """
     symbols = "".join(alphabet.symbols)
-    key = alphabet._key
-    if key is not None and not symbols.isascii():
-        sep = _byte_form(symbols)[0]
-        ranks = _ranks(sep.join(words), symbols + sep)
+    sep, encoding, width = _byte_form(symbols)
+    text = sep.join(words)
+    if alphabet._key is not None:
+        ranks = _ranks(text, symbols + sep)
         if ranks is None:  # a symbol outside the alphabet
             return False
         unit = np.dtype(np.uint8 if len(symbols) < 256 else ">u4")
         data, width = ranks.astype(unit).tobytes(), unit.itemsize
         sep_unit = np.array([len(symbols)], unit).tobytes()
     else:
-        if key is not None:
-            symbols = key(symbols)
-        sep, encoding, width = _byte_form(symbols)
-        text = sep.join(words)
-        if key is not None:
-            text = key(text)
         try:
             # surrogatepass: a lone surrogate is a symbol like any other
             data = text.encode(encoding, "surrogatepass")

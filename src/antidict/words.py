@@ -137,24 +137,36 @@ def _encode(word: str, alphabet: Alphabet) -> np.ndarray:
     searched as code points by :func:`_ranks`."""
     symbols = "".join(alphabet.symbols)
     if symbols.isascii():
+        # unchecked: a pass looking for outsiders would cost the hot path
         table = bytes.maketrans(symbols.encode(), bytes(range(len(symbols))))
         return np.frombuffer(word.encode().translate(table), np.uint8).astype(np.int32)
-    return _ranks(word, symbols)
+    ranks = _ranks(word, symbols)
+    assert ranks is not None, "a symbol outside the alphabet"
+    return ranks
 
 
 def _ranks(word: str, symbols: str) -> np.ndarray | None:
-    """The index in ``symbols`` of each symbol of the word, as an int32
-    array, or None when the word holds a symbol outside them: its UTF-32
-    code points looked up in a table of the points up to one past the
-    symbols' largest, where every other point reads -1 (a larger one is
-    clipped to the last).  surrogatepass admits a symbol that is a lone
+    """The index in ``symbols`` of each symbol of the word, or None when the
+    word holds a symbol outside them.  Under ASCII symbols its bytes are
+    translated to a uint8 array, every other byte to 255; else its UTF-32
+    code points are each found among the symbols' sorted points and mapped
+    back to an int32 index.  surrogatepass admits a symbol that is a lone
     surrogate, though through the encoder's slow error handler."""
+    if symbols.isascii():
+        if not word.isascii():
+            return None
+        table = np.full(256, 255, dtype=np.uint8)
+        table[np.frombuffer(symbols.encode(), np.uint8)] = np.arange(len(symbols))
+        ranks = word.encode().translate(table.tobytes())
+        return None if 255 in ranks else np.frombuffer(ranks, np.uint8)
     points = np.frombuffer(symbols.encode("utf-32-le", "surrogatepass"), "<u4")
-    table = np.full(int(points.max()) + 2, -1, dtype=np.int32)
-    table[points] = np.arange(len(points), dtype=np.int32)
+    by_point = np.argsort(points).astype(np.int32)
+    sorted_points = points[by_point]
     code = np.frombuffer(word.encode("utf-32-le", "surrogatepass"), "<u4")
-    ranks = table.take(code, mode="clip")
-    return None if (ranks < 0).any() else ranks
+    at = np.searchsorted(sorted_points, code)
+    if not np.array_equal(sorted_points.take(at, mode="clip"), code):
+        return None
+    return by_point.take(at, mode="clip")
 
 
 def _decode(code: np.ndarray, alphabet: Alphabet) -> str:

@@ -310,7 +310,7 @@ class TestWideFrontier:
     """Sites across the kernel's switch between the narrow, branching loop
     and the wide, branch-free one, and the spare slots the latter writes."""
 
-    WIDE = 16  # the kernel's WIDE_FRONTIER
+    WIDE = int(re.search(r"WIDE_FRONTIER = (\d+)", _kernel.SOURCE.read_text())[1])
 
     @pytest.mark.parametrize("sigma", [2, 3, 4, 5])
     def test_random_words_cross_the_switch_both_ways(self, sigma):

@@ -190,16 +190,16 @@ class TestOrderCheck:
         # an ASCII alphabet given a non-ASCII word falls back to the sort
         assert MfwSet.build(["é", "a"], ABC).words == ("a", "é")
 
-
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_rank_units_agree_with_the_sort(self, data):
-        # a non-ASCII alphabet out of code-point order maps its members to
-        # rank units; stray symbols, the separator among them, never pass
-        # the last alphabet has too many ranks for one byte a unit
-        symbols = data.draw(st.sampled_from(["δγβa", "γaβ", "βa", CJK_300]))
+        # an alphabet out of code-point order, ASCII or not, maps its
+        # members to rank units; stray symbols, the separator among them,
+        # never pass; the last alphabet has too many ranks for one byte a unit
+        symbols = data.draw(st.sampled_from(["tgca", "ba", "δγβa", "γaβ", "βa", CJK_300]))
         alphabet = Alphabet(symbols)
-        letters = symbols + data.draw(st.sampled_from(["", "\x00", "b", "é", "\ud800", "\U0001f600"]))
+        strays = ["", "\x00", "\x01", "b", "z", "é", "\ud800", "\U0001f600", "\U0010ffff"]
+        letters = symbols + data.draw(st.sampled_from(strays))
         words = data.draw(st.lists(st.text(letters, max_size=6), max_size=12))
         for members in (words, list(mfw._sort(words, alphabet))):
             expected = (

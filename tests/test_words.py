@@ -19,7 +19,7 @@ from antidict import (
     reversal,
     rotations,
 )
-from antidict.words import FACTOR_ENUMERATION_LIMIT, _circular_input, _encode
+from antidict.words import FACTOR_ENUMERATION_LIMIT, _circular_input, _encode, _ranks
 
 from .helpers import all_words, substrings
 
@@ -250,6 +250,15 @@ class TestEncode:
             code = _encode(w, alphabet)
             assert code.dtype == "int32", symbols
             assert code.tolist() == [alphabet.rank(c) for c in w], w
+
+    @pytest.mark.parametrize("symbols", ["ba", "aβγδ", "a\U0001f600b", "\ud800aβ"])
+    def test_ranks_reject_symbols_outside(self, symbols):
+        # points below, between and above the symbols' points
+        for stray in ("\x00", "`", "c", "é", "\U0001f601", "\U0010ffff"):
+            if stray not in symbols:
+                assert _ranks(symbols + stray + symbols, symbols) is None, stray
+        assert _ranks(symbols[::-1], symbols).tolist() == list(range(len(symbols)))[::-1]
+        assert _ranks("", symbols).tolist() == []
 
 
 class TestCircularFactors:
