@@ -357,11 +357,12 @@ def build_trie(
     alphabet.sort(members)
     if members and not members[0]:
         raise ValueError("the empty word cannot be a trie member")
-    joined = "".join(members)
-    if not alphabet._covers(joined):
+    try:
+        code = _encode("".join(members), alphabet)
+    except ValueError:
         for word in members:  # name the first member holding a stray symbol
             alphabet.check_word(word)
-    code = _encode(joined, alphabet)
+        raise
     bounds = np.zeros(len(members) + 1, dtype=np.int64)
     np.cumsum(np.fromiter(map(len, members), np.int64, len(members)), out=bounds[1:])
     lib = kernel()

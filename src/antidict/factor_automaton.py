@@ -69,7 +69,6 @@ def build_factor_automaton(word: str, alphabet: Alphabet | None = None) -> Dfa:
         raise ValueError("the factor automaton is defined for nonempty words")
     if alphabet is None:
         alphabet = Alphabet.of_word(word)
-    alphabet.check_word(word)
     sigma = len(alphabet)
     tables, cap, size = _suffix_automaton_buffer(_encode(word, alphabet), sigma)
     scratch = np.empty(2 * size + 1, dtype=np.int32)

@@ -189,9 +189,12 @@ class MfwSet:
             raise ValueError("'word' must be a string or null")
         if not (circular is None or isinstance(circular, bool)):
             raise ValueError(f"'circular' must be true, false or null, got {circular!r}")
-        if not alphabet._covers(joined):
+        try:
+            alphabet.check_word(joined)
+        except ValueError:
             for word in words:  # name the first member holding a stray symbol
                 alphabet.check_word(word)
+            raise
         del joined  # not held across the order check, which joins them again
         mfws = cls(words, alphabet, "circular" if circular else "linear", source)
         if mfws.words[:1] == ("",):  # the shortest member comes first
@@ -353,7 +356,6 @@ def mfw_linear(word: str, alphabet: Alphabet | None = None) -> MfwSet:
     """
     if alphabet is None:
         alphabet = Alphabet.of_word(word)
-    alphabet.check_word(word)
     # no member of a linear word is longer than |w| + 1
     sites = _forbidden_sites(_encode(word, alphabet), len(alphabet), len(word) + 1)
     return MfwSet._of_sites(sites, alphabet, "linear", word)

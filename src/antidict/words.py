@@ -2,15 +2,16 @@
 
 Words are plain Python strings.  An :class:`Alphabet` fixes the set of legal
 symbols and, crucially, their order: the order drives every lexicographic
-comparison in the package (least rotations, sorted antidictionaries).  The
-enumeration oracles in this module are deliberately naive; they exist so that
-the automaton-based algorithms elsewhere can be checked against something
-that is obviously correct, and they refuse inputs large enough to hang.
+comparison in the package (least rotations, sorted antidictionaries).  A word
+reaches the compiled kernel only through :func:`_encode`, which refuses a
+symbol outside the alphabet itself.  The enumeration oracles in this module
+are deliberately naive; they exist so that the automaton-based algorithms
+elsewhere can be checked against something that is obviously correct, and
+they refuse inputs large enough to hang.
 """
 
 from __future__ import annotations
 
-import re
 from operator import methodcaller
 from typing import Iterable, Iterator
 
@@ -37,7 +38,7 @@ class Alphabet:
     comparisons, so ``Alphabet("ba")`` sorts ``b`` before ``a`` on purpose.
     """
 
-    __slots__ = ("symbols", "_rank", "_ascii", "_pattern", "_key")
+    __slots__ = ("symbols", "_rank", "_key")
 
     def __init__(self, symbols: Iterable[str]):
         syms = tuple(symbols)
@@ -52,11 +53,6 @@ class Alphabet:
             seen.add(s)
         self.symbols = syms
         self._rank = {s: i for i, s in enumerate(syms)}
-        joined = "".join(syms)
-        # for _covers(): the symbols as bytes when all are ASCII, else a
-        # pattern matching the words over them
-        self._ascii = joined.encode() if joined.isascii() else None
-        self._pattern = None if self._ascii is not None else re.compile(f"[{re.escape(joined)}]*")
         # sort key of the alphabet order: none when it is the code-point
         # order, else every symbol translated to the character of its rank
         self._key = (
@@ -88,29 +84,18 @@ class Alphabet:
         """
         words.sort(key=self._key)
 
-    def _covers(self, word: str) -> bool:
-        """Whether every symbol of the word is in this alphabet.
-
-        Decided at C speed for a string: under an ASCII alphabet a non-ASCII
-        string fails at once, an ASCII one passes when deleting the
-        alphabet's bytes from it leaves nothing; under any other alphabet
-        by one match of a character class of its symbols.  Any other
-        sequence by a set.
-        """
-        if not isinstance(word, str):
-            return set(word) <= self._rank.keys()
-        if self._ascii is not None:
-            return word.isascii() and not word.encode().translate(None, self._ascii)
-        return self._pattern.fullmatch(word) is not None
-
     def check_word(self, word: str) -> None:
         """Raise ``ValueError`` naming the first symbol of the word outside
-        this alphabet, if there is one."""
-        if self._covers(word):
+        this alphabet, if there is one.  An ASCII word passes when deleting
+        the alphabet's bytes from it leaves nothing, any other when
+        :func:`_ranks` finds its symbols; :func:`_encode` needs no such call."""
+        symbols = "".join(self.symbols)
+        if word.isascii():
+            if not word.encode().translate(None, symbols.encode("utf-8", "surrogatepass")):
+                return
+        elif _ranks(word, symbols) is not None:
             return
-        for c in word:
-            if c not in self._rank:
-                raise ValueError(f"symbol {c!r} of {word!r} is not in alphabet {self}")
+        raise _stray(word, self)
 
     def __contains__(self, symbol: str) -> bool:
         return symbol in self._rank
@@ -131,33 +116,37 @@ class Alphabet:
         return f"Alphabet({''.join(self.symbols)!r})"
 
 
+def _stray(word: str, alphabet: Alphabet) -> ValueError:
+    """The error naming the first symbol of the word outside the alphabet."""
+    stray = next(c for c in word if c not in alphabet)
+    return ValueError(f"symbol {stray!r} of {word!r} is not in alphabet {alphabet}")
+
+
 def _encode(word: str, alphabet: Alphabet) -> np.ndarray:
-    """Rank codes of a word whose symbols are all in the alphabet, as an
-    int32 array: translated as bytes when the alphabet is ASCII, else
-    searched as code points by :func:`_ranks`."""
-    symbols = "".join(alphabet.symbols)
-    if symbols.isascii():
-        # unchecked: a pass looking for outsiders would cost the hot path
-        table = bytes.maketrans(symbols.encode(), bytes(range(len(symbols))))
-        return np.frombuffer(word.encode().translate(table), np.uint8).astype(np.int32)
-    ranks = _ranks(word, symbols)
-    assert ranks is not None, "a symbol outside the alphabet"
-    return ranks
+    """Rank codes of a word, as an int32 array, by :func:`_ranks`: the only
+    route from a string to the kernel, and its symbol gate.  A symbol outside
+    the alphabet raises :meth:`Alphabet.check_word`'s ``ValueError``, so no
+    code reaches the alphabet's size and indexes past a kernel table row."""
+    ranks = _ranks(word, "".join(alphabet.symbols))
+    if ranks is None:
+        raise _stray(word, alphabet)
+    return ranks.astype(np.int32, copy=False)
 
 
 def _ranks(word: str, symbols: str) -> np.ndarray | None:
     """The index in ``symbols`` of each symbol of the word, or None when the
     word holds a symbol outside them.  Under ASCII symbols its bytes are
-    translated to a uint8 array, every other byte to 255; else its UTF-32
-    code points are each found among the symbols' sorted points and mapped
-    back to an int32 index.  surrogatepass admits a symbol that is a lone
-    surrogate, though through the encoder's slow error handler."""
+    translated by a 256-byte table to a uint8 array, every other byte to 255;
+    else its UTF-32 code points are each found among the symbols' sorted
+    points and mapped back to an int32 index.  surrogatepass admits a symbol
+    that is a lone surrogate, though through the encoder's slow error handler."""
     if symbols.isascii():
         if not word.isascii():
             return None
-        table = np.full(256, 255, dtype=np.uint8)
-        table[np.frombuffer(symbols.encode(), np.uint8)] = np.arange(len(symbols))
-        ranks = word.encode().translate(table.tobytes())
+        table = bytearray(b"\xff") * 256
+        for rank, byte in enumerate(symbols.encode()):
+            table[byte] = rank
+        ranks = word.encode().translate(table)
         return None if 255 in ranks else np.frombuffer(ranks, np.uint8)
     points = np.frombuffer(symbols.encode("utf-32-le", "surrogatepass"), "<u4")
     by_point = np.argsort(points).astype(np.int32)
@@ -173,7 +162,7 @@ def _decode(code: np.ndarray, alphabet: Alphabet) -> str:
     """The word of an array of rank codes, the inverse of :func:`_encode`:
     gathered as UTF-32 code points in one pass."""
     points = np.array([ord(s) for s in alphabet.symbols], dtype="<u4")
-    return points[code].tobytes().decode("utf-32-le")
+    return points[code].tobytes().decode("utf-32-le", "surrogatepass")
 
 
 def reversal(word: str) -> str:
@@ -241,14 +230,13 @@ def canonical_rotation(word: str, alphabet: Alphabet | None = None) -> str:
         raise ValueError("the empty word has no rotations")
     if alphabet is None:
         alphabet = Alphabet.of_word(word)
-    alphabet.check_word(word)
     return _least_rotation(word, alphabet)[0]
 
 
 def _least_rotation(word: str, alphabet: Alphabet) -> tuple[str, bool]:
-    """The least rotation of a nonempty word whose symbols are all in the
-    alphabet, and whether the word is primitive, both from one kernel scan
-    (which reports a proper power as ``-1 - start``)."""
+    """The least rotation of a nonempty word, and whether the word is
+    primitive, both from one kernel scan (which reports a proper power as
+    ``-1 - start``); a symbol outside the alphabet raises ``ValueError``."""
     start = kernel().least_rotation(_encode(word, alphabet), len(word))
     primitive = start >= 0
     if not primitive:
@@ -272,7 +260,6 @@ class CircularWord:
             raise ValueError("a circular word must be nonempty")
         if alphabet is None:
             alphabet = Alphabet.of_word(word)
-        alphabet.check_word(word)
         rotation, primitive = _least_rotation(word, alphabet)
         self.reduced = not primitive
         # the least rotation of a power is that of its root, repeated
@@ -378,6 +365,8 @@ def bispecial_factors(word: str, alphabet: Alphabet | None = None) -> set[str]:
     symbols = alphabet.symbols if alphabet is not None else tuple(sorted(set(word)))
     if len(symbols) > 2:
         raise ValueError("bispecial factors are defined over a binary alphabet")
+    if alphabet is not None:
+        alphabet.check_word(word)
     if len(symbols) < 2:
         return set()
     x, y = symbols

@@ -120,6 +120,29 @@ class TestReconstructCircular:
             assert reconstruct_circular(mfw_circular(cw, AB)) == cw, w
 
 
+@pytest.mark.parametrize("symbols", ["\ud800a", "b\udfffa"])
+class TestLoneSurrogateSymbols:
+    """A lone surrogate is a symbol like any other: it is decoded as it
+    was encoded, and survives the JSON hand-off."""
+
+    def test_linear(self, symbols):
+        alphabet = Alphabet(symbols)
+        for w in all_words(symbols, 6):
+            mfws = mfw_linear(w, alphabet)
+            assert reconstruct_word(mfws) == w, w
+            assert reconstruct_word(MfwSet.from_json(mfws.to_json())) == w, w
+
+    def test_circular(self, symbols):
+        alphabet = Alphabet(symbols)
+        for w in all_words(symbols, 6):
+            cw = CircularWord(w, alphabet)
+            if cw.reduced:
+                continue
+            mfws = mfw_circular(cw, alphabet)
+            assert reconstruct_circular(mfws) == cw, w
+            assert reconstruct_circular(MfwSet.from_json(mfws.to_json())) == cw, w
+
+
 def random_primitive_word(symbols: str, length: int, seed: int) -> str:
     rng = random.Random(seed)
     while True:

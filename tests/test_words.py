@@ -6,8 +6,12 @@ from antidict import (
     Alphabet,
     CircularWord,
     LimitExceeded,
+    MfwSet,
     bispecial_factors,
+    build_factor_automaton,
+    build_trie,
     canonical_rotation,
+    circular_factor_dfa,
     circular_factor_membership,
     circular_factor_set,
     count_occurrences,
@@ -15,6 +19,8 @@ from antidict import (
     fibonacci_word,
     is_balanced,
     is_primitive,
+    mfw_circular,
+    mfw_linear,
     primitive_root,
     reversal,
     rotations,
@@ -71,20 +77,28 @@ class TestAlphabet:
         for symbols in ("ab", "ba", "acgt", "aβ", "αβγ"):
             alphabet = Alphabet(symbols)
             for word in all_words("abcβ", 4, min_len=0):
-                assert alphabet._covers(word) == (set(word) <= set(symbols)), (symbols, word)
+                covered = set(word) <= set(symbols)
+                assert (_ranks(word, symbols) is not None) == covered, (symbols, word)
+                if covered:
+                    alphabet.check_word(word)
+                else:
+                    with pytest.raises(ValueError):
+                        alphabet.check_word(word)
 
     @pytest.mark.parametrize("symbols", ["aβγδ", "\ud800]^-\\é", "\x00\nβ"])
     def test_covers_a_non_ascii_alphabet(self, symbols):
-        # one character class of the escaped symbols: a lone surrogate and
-        # the class's metacharacters are symbols like any other
+        # a lone surrogate and characters special to a pattern are symbols
+        # like any other
         alphabet = Alphabet(symbols)
         word = symbols * 3
-        assert alphabet._covers(word) and alphabet._covers("")
+        for covered in (word, ""):
+            alphabet.check_word(covered)
+            assert _ranks(covered, symbols) is not None
         for stray in ("c", "[", "\ud801", "ε"):
-            for covered in (stray + word, word[:4] + stray + word[4:], word + stray):
-                assert not alphabet._covers(covered), (symbols, covered)
+            for outside in (stray + word, word[:4] + stray + word[4:], word + stray):
+                assert _ranks(outside, symbols) is None, (symbols, outside)
                 with pytest.raises(ValueError, match=re.escape(repr(stray))):
-                    alphabet.check_word(covered)
+                    alphabet.check_word(outside)
 
 
 class TestReversal:
@@ -224,18 +238,25 @@ class TestCircularInput:
         assert _circular_input(cw, None)[1:] == (Alphabet("ab"), "abb")
 
     def test_string_is_checked_once(self, monkeypatch):
+        # the constructor's encoding is the check: one pass of _ranks over
+        # the word, and no check_word
         calls = []
         check = Alphabet.check_word
 
-        def counted(alphabet, word):
-            calls.append(word)
+        def ranks(word, symbols):
+            calls.append(("_ranks", word))
+            return _ranks(word, symbols)
+
+        def check_word(alphabet, word):
+            calls.append(("check_word", word))
             check(alphabet, word)
 
-        monkeypatch.setattr(Alphabet, "check_word", counted)
+        monkeypatch.setattr("antidict.words._ranks", ranks)
+        monkeypatch.setattr(Alphabet, "check_word", check_word)
         for alphabet in (Alphabet("ab"), None):
             calls.clear()
             cw, _, linearization = _circular_input("babab", alphabet)
-            assert calls == ["babab"] and linearization == "ababb"
+            assert calls == [("_ranks", "babab")] and linearization == "ababb"
         calls.clear()
         _circular_input(cw, cw.alphabet)
         assert calls == []
@@ -259,6 +280,55 @@ class TestEncode:
                 assert _ranks(symbols + stray + symbols, symbols) is None, stray
         assert _ranks(symbols[::-1], symbols).tolist() == list(range(len(symbols)))[::-1]
         assert _ranks("", symbols).tolist() == []
+
+
+def among_members(word: str, alphabet: Alphabet) -> list[str]:
+    """The word as the one member of three holding a stray symbol, which
+    the error must name."""
+    return [alphabet.symbols[0] * 2, word, alphabet.symbols[-1]]
+
+
+class TestSymbolGate:
+    """Every route to the kernel refuses a symbol outside the alphabet
+    with check_word's message, whatever the alphabet's kind."""
+
+    # ASCII, reordered, non-ASCII, astral and lone-surrogate alphabets
+    ALPHABETS = ["ab", "tgca", "aβγδ", "a\U0001f600b", "\ud800a"]
+    STRAYS = ["\x00", "z", "é", "\U0001f601", "\udfff"]
+    ENTRY_POINTS = {
+        "mfw_linear": mfw_linear,
+        "mfw_circular": mfw_circular,
+        "build_factor_automaton": build_factor_automaton,
+        "circular_factor_dfa": circular_factor_dfa,
+        "CircularWord": CircularWord,
+        "canonical_rotation": canonical_rotation,
+        "build_trie": lambda word, alphabet: build_trie(among_members(word, alphabet), alphabet),
+        "MfwSet.from_json": lambda word, alphabet: MfwSet.from_json(
+            {"alphabet": "".join(alphabet.symbols), "mfw": among_members(word, alphabet)}
+        ),
+    }
+
+    @pytest.mark.parametrize("symbols", ALPHABETS)
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_stray_symbol_refused(self, entry, symbols):
+        alphabet, call = Alphabet(symbols), self.ENTRY_POINTS[entry]
+        for stray in self.STRAYS:
+            for word in (stray + symbols, symbols + stray + symbols, symbols * 2 + stray):
+                message = f"symbol {stray!r} of {word!r} is not in alphabet Alphabet({symbols!r})"
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    call(word, alphabet)
+
+    @pytest.mark.parametrize("symbols", ALPHABETS)
+    def test_encode_never_passes_a_stray(self, symbols):
+        alphabet = Alphabet(symbols)
+        for word in all_words(symbols + "z\udfff", 3, min_len=0):
+            if set(word) <= set(symbols):
+                code = _encode(word, alphabet)
+                assert code.tolist() == [alphabet.rank(c) for c in word], word
+                assert code.dtype == "int32" and (code < len(alphabet)).all(), word
+            else:
+                with pytest.raises(ValueError, match="is not in alphabet"):
+                    _encode(word, alphabet)
 
 
 class TestCircularFactors:
@@ -340,6 +410,12 @@ class TestBispecial:
     def test_non_binary_rejected(self):
         with pytest.raises(ValueError):
             bispecial_factors("abc")
+
+    def test_stray_symbol_refused(self):
+        # as is_balanced does, and under a one-letter alphabet too
+        for symbols, word, stray in (("ab", "abcab", "c"), ("a", "aab", "b")):
+            with pytest.raises(ValueError, match=re.escape(f"symbol {stray!r} of {word!r}")):
+                bispecial_factors(word, Alphabet(symbols))
 
     def test_definition_directly(self):
         for w in all_words("ab", 7):
