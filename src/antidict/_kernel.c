@@ -481,27 +481,38 @@ int64_t least_rotation(const int32_t *code, int64_t n)
     return k == n ? -1 - start : start;
 }
 
+/* Length of the common prefix of word i > 0 and word i - 1, the i-th word
+ * being code[bounds[i] .. bounds[i+1]).  Inline: as one call a member it
+ * made trie_size about 10% slower on random texts' many short members. */
+static inline int64_t common_prefix(const int32_t *code, const int64_t *bounds, int64_t i)
+{
+    const int32_t *prev = code + bounds[i - 1], *word = code + bounds[i];
+    int64_t prev_len = bounds[i] - bounds[i - 1], len = bounds[i + 1] - bounds[i];
+    int64_t longest = prev_len < len ? prev_len : len, common = 0;
+    while (common < longest && prev[common] == word[common])
+        common++;
+    return common;
+}
+
 /* Node count of the trie of k words sorted in alphabet order, the i-th word
  * being code[bounds[i] .. bounds[i+1]): 1 + sum of |m_i| - lcp(m_{i-1}, m_i),
  * since in sorted order each word shares with the trie built so far exactly
  * its common prefix with its predecessor.  An equal neighbour adds nothing.
  * Returns -1 - i when word i properly extends word i - 1: the set is not
  * prefix-free (in sorted order every extension of a word follows it
- * directly, so neighbours are all that need testing). */
+ * directly, so neighbours are all that need testing).  trie() resumes each
+ * word at the end of the same common prefix. */
 int64_t trie_size(const int32_t *code, const int64_t *bounds, int64_t k)
 {
     int64_t size = 1;
     for (int64_t i = 0; i < k; i++) {
-        int64_t start = bounds[i], stop = bounds[i + 1], common = 0;
+        int64_t length = bounds[i + 1] - bounds[i], common = 0;
         if (i > 0) {
-            int64_t prev = bounds[i - 1], prev_len = start - prev;
-            while (common < prev_len && start + common < stop &&
-                   code[prev + common] == code[start + common])
-                common++;
-            if (common == prev_len && stop - start > prev_len)
+            common = common_prefix(code, bounds, i);
+            if (common == bounds[i] - bounds[i - 1] && length > common)
                 return -1 - i;
         }
-        size += stop - start - common;
+        size += length - common;
     }
     return size;
 }
@@ -509,28 +520,34 @@ int64_t trie_size(const int32_t *code, const int64_t *bounds, int64_t k)
 /* Inserts the k sorted, prefix-free words that trie_size measured into
  * flat, a table of as many rows as it counted, sigma entries a row:
  * flat[s*sigma + c] is the child of state s on rank c, or -1.  State 0 is
- * the root and states are numbered in insertion order.  finals, zeroed by
- * the caller, receives a 1 at the state each word ends at (one state for
- * equal words): the member ends, which avoidance() makes the sinks. */
+ * the root and states are numbered in insertion order; every row is
+ * written here.  finals, zeroed by the caller, receives a 1 at the state
+ * each word ends at (one state for equal words): the member ends, which
+ * avoidance() makes the sinks.
+ *
+ * In sorted order word i leaves the trie built so far exactly where its
+ * common prefix with word i - 1 ends, on a rank no earlier word took there,
+ * so it needs no walk from the root: path[d] holds the state at depth d on
+ * the previous word's path, the new word resumes at path[lcp] and appends
+ * its remaining symbols as a chain of new states.  path is scratch room
+ * for the longest word's length + 1 states.  On the 23 circular members of
+ * the rank-24 Fibonacci word (167,758 symbols, 92,758 states) the fill
+ * took 0.18 ms against 0.74 ms walking each word down from the root, one
+ * dependent load a symbol (process time, best of 40, x86-64, -O2). */
 void trie(const int32_t *code, const int64_t *bounds, int64_t k, int32_t sigma,
-          int32_t *flat, uint8_t *finals)
+          int32_t *flat, uint8_t *finals, int32_t *path)
 {
-    int32_t size = 1;
-    for (int32_t c = 0; c < sigma; c++)
-        flat[c] = -1;
+    int64_t nodes = 0;
+    path[0] = new_node(flat, sigma, &nodes);
     for (int64_t i = 0; i < k; i++) {
-        int32_t state = 0;
-        for (int64_t j = bounds[i]; j < bounds[i + 1]; j++) {
-            int32_t *slot = flat + (int64_t)state * sigma + code[j];
-            if (*slot < 0) {
-                int32_t *row = flat + (int64_t)size * sigma;
-                for (int32_t c = 0; c < sigma; c++)
-                    row[c] = -1;
-                *slot = size++;
-            }
-            state = *slot;
+        int64_t start = bounds[i], length = bounds[i + 1] - start;
+        int64_t depth = i > 0 ? common_prefix(code, bounds, i) : 0;
+        for (; depth < length; depth++) {
+            int32_t child = new_node(flat, sigma, &nodes);
+            flat[(int64_t)path[depth] * sigma + code[start + depth]] = child;
+            path[depth + 1] = child;
         }
-        finals[state] = 1;
+        finals[path[length]] = 1;
     }
 }
 

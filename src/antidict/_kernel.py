@@ -52,7 +52,7 @@ SIGNATURES = (
     ("mf_automaton", [table, int64, int32, int64, table], int64),
     ("least_rotation", [codes, int64], int64),
     ("trie_size", [codes, bounds, int64], int64),
-    ("trie", [codes, bounds, int64, int32, table, bitmap], None),
+    ("trie", [codes, bounds, int64, int32, table, bitmap, table], None),
     ("avoidance", [table, int64, int32, octets, table, table], int32),
     ("walk", [codes, int64, int32, octets, table], int64),
 )

@@ -8,10 +8,12 @@ keeps million-state automata cheap and lets the walks read the table
 directly.  A :class:`Trie` is a ``Dfa`` too: the tree-shaped acceptor of a
 finite set, final exactly at its leaves.  The compiled kernel
 (``_kernel.c``) builds a trie's table through a numpy view of it, and
-completes a copy of it, breadth first, into the avoidance automaton's table
-and failure links.  Transition functions are partial everywhere; completion
-with a dead state happens only inside :func:`minimize` and
-:func:`equivalent`.
+completes it, breadth first, into the avoidance automaton's table and
+failure links: a copy of a :class:`Trie`'s table for ``l_automaton`` and
+:meth:`Trie.is_antifactorial`, and for the reconstructions the private
+table of :func:`_trie_tables` itself.  Transition functions are partial
+everywhere; completion with a dead state happens only inside
+:func:`minimize` and :func:`equivalent`.
 """
 
 from __future__ import annotations
@@ -353,6 +355,17 @@ def build_trie(
     linear time.  The table is sized exactly before it is filled: sorted,
     each word adds the symbols after its common prefix with its predecessor.
     """
+    flat, finals = _trie_tables(words, alphabet)
+    trie = Trie(alphabet, len(finals), 0, finals.tobytes(), flat)
+    if antifactorial:
+        _avoidance_tables(trie)
+    return trie
+
+
+def _trie_tables(words: Iterable[str], alphabet: Alphabet) -> tuple[array, np.ndarray]:
+    """The flat table and the finals bitmap (a uint8 array) of the trie
+    :func:`build_trie` makes, which a caller that completes the table
+    itself need not copy."""
     members = list(words)
     alphabet.sort(members)
     if members and not members[0]:
@@ -363,8 +376,9 @@ def build_trie(
         for word in members:  # name the first member holding a stray symbol
             alphabet.check_word(word)
         raise
+    lengths = np.fromiter(map(len, members), np.int64, len(members))
     bounds = np.zeros(len(members) + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, members), np.int64, len(members)), out=bounds[1:])
+    np.cumsum(lengths, out=bounds[1:])
     lib = kernel()
     size = lib.trie_size(code, bounds, len(members))
     if size < 0:  # word -1 - size extends its sorted predecessor
@@ -377,11 +391,10 @@ def build_trie(
         )
     flat = array("i", [-1]) * (size * len(alphabet))
     finals = np.zeros(size, dtype=np.uint8)
-    lib.trie(code, bounds, len(members), len(alphabet), np.frombuffer(flat, np.int32), finals)
-    trie = Trie(alphabet, size, 0, finals.tobytes(), flat)
-    if antifactorial:
-        _avoidance_tables(trie)
-    return trie
+    # the path of the longest word, one state more than its length
+    path = np.empty(lengths.max(initial=0) + 1, dtype=np.int32)
+    lib.trie(code, bounds, len(members), len(alphabet), np.frombuffer(flat, np.int32), finals, path)
+    return flat, finals
 
 
 def _avoidance_tables(trie: Trie) -> tuple[array, array]:
@@ -402,16 +415,20 @@ def _avoidance_tables(trie: Trie) -> tuple[array, array]:
     """
     n = trie.n_states
     flat, failure = trie.flat[:], array("i", [-1]) * n
-    status = kernel().avoidance(
+    _check_avoidance(kernel().avoidance(
         np.frombuffer(flat, np.int32), n, len(trie.alphabet),
         np.frombuffer(trie.finals, np.uint8),
         np.frombuffer(failure, np.int32), np.empty(n, dtype=np.int32),
-    )
+    ))
+    return flat, failure
+
+
+def _check_avoidance(status: int) -> None:
+    """Raise the ``ValueError`` the kernel's ``avoidance`` status names."""
     if status == -2:
         raise ValueError("the transition table is not a tree rooted at state 0")
     if status < 0:
         raise ValueError("the set is not antifactorial: a member occurs inside another")
-    return flat, failure
 
 
 def minimize(dfa: Dfa) -> Dfa:

@@ -11,7 +11,9 @@ small-case sweeps).  Exit codes: 0 success, 1 a verification failed,
 from __future__ import annotations
 
 import argparse
+import codecs
 import dataclasses
+import io
 import json
 import sys
 
@@ -27,6 +29,18 @@ from .words import Alphabet, CircularWord, LimitExceeded
 VERIFY_MAXLEN_CAP = 13
 # argv caps one argument at 128 KiB on Linux, so long words come from a file
 INPUT_HELP = "read the word from a file ('-' = stdin) instead of the argument"
+
+
+def _surrogates(exc: UnicodeEncodeError) -> tuple[bytes, int]:
+    """Error handler of the text output for lone surrogates, which a symbol
+    may be: one that stands for an undecodable input byte (U+DC80..U+DCFF,
+    as Python reads stdin and argv) is written back as that byte, any other
+    in its UTF-8 form (surrogatepass, the handler ``_encode`` and
+    ``_decode`` use)."""
+    try:
+        return codecs.lookup_error("surrogateescape")(exc)
+    except UnicodeEncodeError:
+        return codecs.lookup_error("surrogatepass")(exc)
 
 
 def _alphabet_for(word: str, symbols: str | None) -> Alphabet:
@@ -212,6 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        codecs.register_error("antidict.surrogates", _surrogates)
+        sys.stdout.reconfigure(errors="antidict.surrogates")
     try:
         return args.func(args)
     except (ReconstructionError, LimitExceeded, ValueError, OSError, json.JSONDecodeError) as exc:

@@ -2,15 +2,16 @@
 
 A finite word is pinned down exactly by its set of minimal forbidden
 factors; a primitive circular word likewise.  Both directions run the
-avoidance construction on the trie of the candidate set and read the word
-off the completed table in the compiled kernel, by one depth-first walk
-that reads an edge into a member end (a final state of the trie, and a sink
-of the table) as a missing edge: the first cycle it closes spells a
-circular word and, when it closes none, the unique longest path spells a
-linear word.  Every successful return is post-verified by recomputing the
-antidictionary of the result and comparing it with the given set (by their
-sites when both come from the kernel, else by their members), so a set
-that is not of the expected form fails loudly instead of corrupting.
+avoidance construction on the trie of the candidate set, completing the
+trie's own table in place, and read the word off the completed table in the
+compiled kernel, by one depth-first walk that reads an edge into a member
+end (a final state of the trie, and a sink of the table) as a missing edge:
+the first cycle it closes spells a circular word and, when it closes none,
+the unique longest path spells a linear word.  Every successful return is
+post-verified by recomputing the antidictionary of the result and comparing
+it with the given set (by their sites when both come from the kernel, else
+by their members), so a set that is not of the expected form fails loudly
+instead of corrupting.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._kernel import kernel
-from .automata import _avoidance_tables, build_trie
+from .automata import _check_avoidance, _trie_tables
 from .mfw import MfwSet, mfw_circular, mfw_linear
 from .words import CircularWord, LimitExceeded, _decode
 
@@ -37,22 +38,21 @@ def _walk(mfws: MfwSet, circular: bool) -> str:
     search closes when ``circular``, else the unique longest word.  A set
     too large to spell or to hold in a trie raises ``LimitExceeded``."""
     sigma = len(mfws.alphabet)
-    # the trie and its failure links are dropped before the walk's scratch is
-    # allocated and the table after the walk, so that none adds to the
-    # memory the scratch and the decode take; only the sinks' bitmap stays
+    # the trie's own table is completed in place, no copy of it made, and
+    # the failure links and queue borrow the walk's scratch, allocated once
+    # the fill's buffers are freed
+    lib = kernel()
     try:
-        trie = build_trie(mfws.words, mfws.alphabet)
-        flat = _avoidance_tables(trie)[0]
+        flat, end = _trie_tables(mfws.words, mfws.alphabet)
+        n, table = len(end), np.frombuffer(flat, np.int32)
+        scratch = np.empty(4 * n, dtype=np.int32)
+        _check_avoidance(lib.avoidance(table, n, sigma, end, scratch[:n], scratch[n : 2 * n]))
     except LimitExceeded:
         raise
     except ValueError as exc:
         raise ReconstructionError(str(exc)) from exc
-    end = np.frombuffer(trie.finals, np.uint8)
-    del trie
-    n = len(flat) // sigma
-    scratch = np.empty(4 * n, dtype=np.int32)
-    code = kernel().walk(np.frombuffer(flat, np.int32), n, sigma, end, scratch)
-    del flat
+    code = lib.walk(table, n, sigma, end, scratch)
+    del table, flat
     if circular and code >= TIED:
         raise ReconstructionError(
             "the avoidance automaton is acyclic: not the antidictionary of a circular word"

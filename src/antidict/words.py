@@ -162,7 +162,7 @@ def _decode(code: np.ndarray, alphabet: Alphabet) -> str:
     """The word of an array of rank codes, the inverse of :func:`_encode`:
     gathered as UTF-32 code points in one pass."""
     points = np.array([ord(s) for s in alphabet.symbols], dtype="<u4")
-    return points[code].tobytes().decode("utf-32-le", "surrogatepass")
+    return points.take(code).tobytes().decode("utf-32-le", "surrogatepass")
 
 
 def reversal(word: str) -> str:

@@ -234,6 +234,22 @@ class TestReconstructCommand:
         code, out, err = run(capsys, "reconstruct", "--mfw", str(path))
         assert code == 2 and not out and "'circular'" in err
 
+    @pytest.mark.parametrize("symbol, raw", [("\ud800", b"\xed\xa0\x80"), ("\udcff", b"\xff")])
+    def test_lone_surrogate_symbol(self, capsysbinary, tmp_path, symbol, raw):
+        # a lone surrogate is written in UTF-8 under surrogatepass, as it is
+        # encoded, unless it stands for an undecodable input byte
+        def written(text):
+            return text.encode("utf-8", "surrogatepass").replace(symbol.encode("utf-8", "surrogatepass"), raw)
+
+        word, alphabet = f"a{symbol}aa{symbol}", symbol + "a"
+        mfws = mfw_linear(word, Alphabet(alphabet))
+        path = tmp_path / "mfw.json"
+        path.write_text(json.dumps(mfws.to_json()))
+        assert main(["reconstruct", "--mfw", str(path)]) == 0
+        assert capsysbinary.readouterr().out == written(word + "\n")
+        assert main(["mfw", word, "--alphabet", alphabet]) == 0
+        assert capsysbinary.readouterr().out == written("".join(f"{m}\n" for m in mfws.words))
+
     def test_not_a_single_word(self, capsys, tmp_path):
         path = tmp_path / "mfw.json"
         path.write_text(json.dumps({"alphabet": "ab", "circular": False, "mfw": ["aa", "ba"]}))

@@ -582,6 +582,19 @@ class TestTrieAndAvoidance:
         assert_same_avoidance(["ab", "ba", "ab", "aa", "ba"], Alphabet("ab"))
         assert build_trie(["ab", "ab"], Alphabet("ab")).n_states == 3
 
+    def test_deep_paths(self):
+        # the fill resumes each member at the end of its common prefix with
+        # its sorted predecessor: long members sharing long prefixes, and
+        # a duplicate that shares its whole path
+        ab = Alphabet("ab")
+        for rank in range(10, 19):
+            word = fibonacci_word(rank)
+            assert_same_avoidance(mfw_linear(word, ab).words, ab)
+            assert_same_avoidance(mfw_circular(word, ab).words, ab)
+        for k in (1, 2, 3, 64, 299, 300):
+            assert_same_avoidance(mfw_circular("a" + "b" * k, ab).words, ab)
+        assert_same_avoidance(["a" * 150 + "b", "a" * 149 + "ba", "a" * 150 + "b"], ab)
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_random_sets(self, data):

@@ -156,6 +156,13 @@ class TestRoundTripAtScale:
         word = fibonacci_word(20)  # 6,765 symbols
         assert reconstruct_circular(mfw_circular(word)) == CircularWord(word)
 
+    def test_fibonacci_of_rank_25(self):
+        # 75,025 symbols: members as long as the word, the deepest paths the
+        # trie fill resumes from
+        word = fibonacci_word(25)
+        assert reconstruct_word(mfw_linear(word)) == word
+        assert reconstruct_circular(mfw_circular(word)) == CircularWord(word)
+
     @pytest.mark.parametrize("symbols, length", [("ab", 2**12), ("acgt", 2**11)])
     def test_random_linear(self, symbols, length):
         word = random_primitive_word(symbols, length, seed=length)
