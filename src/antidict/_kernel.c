@@ -482,70 +482,111 @@ int64_t least_rotation(const int32_t *code, int64_t n)
 }
 
 /* Length of the common prefix of word i > 0 and word i - 1, the i-th word
- * being code[bounds[i] .. bounds[i+1]).  Inline: as one call a member it
- * made trie_size about 10% slower on random texts' many short members. */
+ * being code[bounds[i] .. bounds[i+1] - 1).  Inline: as one call a member
+ * it made trie_size about 10% slower on random texts' many short members. */
 static inline int64_t common_prefix(const int32_t *code, const int64_t *bounds, int64_t i)
 {
     const int32_t *prev = code + bounds[i - 1], *word = code + bounds[i];
-    int64_t prev_len = bounds[i] - bounds[i - 1], len = bounds[i + 1] - bounds[i];
+    int64_t prev_len = bounds[i] - bounds[i - 1] - 1, len = bounds[i + 1] - bounds[i] - 1;
     int64_t longest = prev_len < len ? prev_len : len, common = 0;
     while (common < longest && prev[common] == word[common])
         common++;
     return common;
 }
 
-/* Node count of the trie of k words sorted in alphabet order, the i-th word
- * being code[bounds[i] .. bounds[i+1]): 1 + sum of |m_i| - lcp(m_{i-1}, m_i),
- * since in sorted order each word shares with the trie built so far exactly
- * its common prefix with its predecessor.  An equal neighbour adds nothing.
+/* Node count of the trie of k words sorted in alphabet order and joined by
+ * separators: code holds n ranks, the words one after another with the
+ * rank sigma between neighbours, so that the words' ends are read off the
+ * one buffer the caller encoded, with no per-word lengths built for them.
+ * The count is 1 + sum of |m_i| - lcp(m_{i-1}, m_i), since in sorted order
+ * each word shares with the trie built so far exactly its common prefix
+ * with its predecessor.  An equal neighbour adds nothing.  Each word is
+ * compared with its predecessor first, whose end is known, and only the
+ * symbols after their common prefix are searched for the separator, so
+ * no symbol is tested for both.  Writes to bounds, k + 2 entries, the
+ * start of each word, then the start a word after the last would have
+ * (n + 1, or 0 with no word), then the longest word's length: trie()
+ * reads the words' ends off the same bounds, with no separator test, and
+ * its path is sized by the longest word.  Building per-word lengths in
+ * Python instead cost more than the kernel work on short members (25 us
+ * for the 689 members of a dna necklace in np.fromiter alone), and each array
+ * argument costs a call about 1 us through _kernel.Array (2.7 us through
+ * ndpointer), so one bounds array carries all three.
  * Returns -1 - i when word i properly extends word i - 1: the set is not
  * prefix-free (in sorted order every extension of a word follows it
- * directly, so neighbours are all that need testing).  trie() resumes each
- * word at the end of the same common prefix. */
-int64_t trie_size(const int32_t *code, const int64_t *bounds, int64_t k)
+ * directly, so neighbours are all that need testing).  Returns -1 - k when
+ * code does not hold exactly k words, as when a word held the separator;
+ * a stray separator may instead split a word into an extension of its
+ * neighbour, so the caller looks for one before naming an extension. */
+int64_t trie_size(const int32_t *code, int64_t n, int64_t k, int32_t sigma, int64_t *bounds)
 {
-    int64_t size = 1;
+    int64_t size = 1, start = 0, prev_len = 0, longest = 0;
     for (int64_t i = 0; i < k; i++) {
-        int64_t length = bounds[i + 1] - bounds[i], common = 0;
+        if (start > n)
+            return -1 - k;
+        const int32_t *word = code + start;
+        int64_t common = 0;
         if (i > 0) {
-            common = common_prefix(code, bounds, i);
-            if (common == bounds[i] - bounds[i - 1] && length > common)
-                return -1 - i;
+            /* prev holds no separator, so the loop stops at word's end */
+            const int32_t *prev = word - prev_len - 1;
+            int64_t limit = prev_len < n - start ? prev_len : n - start;
+            while (common < limit && prev[common] == word[common])
+                common++;
         }
+        int64_t length = common;
+        while (start + length < n && word[length] != sigma)
+            length++;
+        if (i > 0 && common == prev_len && length > common)
+            return -1 - i;
         size += length - common;
+        if (length > longest)
+            longest = length;
+        bounds[i] = start;
+        start += length + 1;
+        prev_len = length;
     }
+    /* every rank read: the last word ended at n, or there was none */
+    if (k > 0 ? start != n + 1 : n > 0)
+        return -1 - k;
+    bounds[k] = start;
+    bounds[k + 1] = longest;
     return size;
 }
 
 /* Inserts the k sorted, prefix-free words that trie_size measured into
  * flat, a table of as many rows as it counted, sigma entries a row:
- * flat[s*sigma + c] is the child of state s on rank c, or -1.  State 0 is
- * the root and states are numbered in insertion order; every row is
- * written here.  finals, zeroed by the caller, receives a 1 at the state
- * each word ends at (one state for equal words): the member ends, which
- * avoidance() makes the sinks.
+ * flat[s*sigma + c] is the child of state s on rank c, or -1.  code and
+ * bounds are trie_size's, word i being code[bounds[i] .. bounds[i+1] - 1).
+ * State 0 is the root and states are numbered in insertion order.  flat
+ * arrives filled with -1, and only the edges are written here: writing
+ * each new row's -1s again, as the fill once did, took half its time on
+ * the rank-24 Fibonacci members (0.26 against 0.13 ms a call, best of
+ * 400, x86-64 Xeon).  finals, zeroed by the caller, receives a 1 at the
+ * state each word ends at (one state for equal words): the member ends,
+ * which avoidance() makes the sinks.
  *
  * In sorted order word i leaves the trie built so far exactly where its
  * common prefix with word i - 1 ends, on a rank no earlier word took there,
  * so it needs no walk from the root: path[d] holds the state at depth d on
  * the previous word's path, the new word resumes at path[lcp] and appends
  * its remaining symbols as a chain of new states.  path is scratch room
- * for the longest word's length + 1 states.  On the 23 circular members of
- * the rank-24 Fibonacci word (167,758 symbols, 92,758 states) the fill
- * took 0.18 ms against 0.74 ms walking each word down from the root, one
- * dependent load a symbol (process time, best of 40, x86-64, -O2). */
+ * for the longest word's length + 1 states, bounds[k + 1] + 1.  On the 23
+ * circular members of the rank-24 Fibonacci word (167,758 symbols, 92,758
+ * states) resuming took 0.18 ms against 0.74 ms walking each word down
+ * from the root, one dependent load a symbol (process time, best of 40,
+ * x86-64, -O2).  The separators are never compared here: the common
+ * prefix and the chain stop at the ends trie_size wrote. */
 void trie(const int32_t *code, const int64_t *bounds, int64_t k, int32_t sigma,
           int32_t *flat, uint8_t *finals, int32_t *path)
 {
-    int64_t nodes = 0;
-    path[0] = new_node(flat, sigma, &nodes);
+    int32_t nodes = 1;
+    path[0] = 0;
     for (int64_t i = 0; i < k; i++) {
-        int64_t start = bounds[i], length = bounds[i + 1] - start;
+        int64_t start = bounds[i], length = bounds[i + 1] - start - 1;
         int64_t depth = i > 0 ? common_prefix(code, bounds, i) : 0;
         for (; depth < length; depth++) {
-            int32_t child = new_node(flat, sigma, &nodes);
-            flat[(int64_t)path[depth] * sigma + code[start + depth]] = child;
-            path[depth + 1] = child;
+            flat[(int64_t)path[depth] * sigma + code[start + depth]] = nodes;
+            path[depth + 1] = nodes++;
         }
         finals[path[length]] = 1;
     }
@@ -564,9 +605,12 @@ void trie(const int32_t *code, const int64_t *bounds, int64_t k, int32_t sigma,
  * antifactorial; -2 when the table is no tree (a member end with an edge,
  * a state with two parents, the root as a child or a state outside
  * 0..n-1), so that no state is queued twice.  The tables are left half
- * written on failure. */
-int32_t avoidance(int32_t *flat, int64_t n, int32_t sigma, const uint8_t *end,
-                  int32_t *failure, int32_t *queue)
+ * written on failure.  Exported as avoidance() below and inlined into
+ * walk(): a call from walk() to the exported function would go through
+ * the library's PLT, whose added entry moved every kernel in the library
+ * by 16 bytes, and mf_automaton() ran 2-3% slower at its new alignment. */
+static inline int32_t complete(int32_t *flat, int64_t n, int32_t sigma, const uint8_t *end,
+                               int32_t *failure, int32_t *queue)
 {
     int64_t head = 0, tail = 0;
     for (int64_t s = 1; s < n; s++)
@@ -604,31 +648,49 @@ int32_t avoidance(int32_t *flat, int64_t n, int32_t sigma, const uint8_t *end,
     return 0;
 }
 
+int32_t avoidance(int32_t *flat, int64_t n, int32_t sigma, const uint8_t *end,
+                  int32_t *failure, int32_t *queue)
+{
+    return complete(flat, n, sigma, end, failure, queue);
+}
+
 /* Marks of walk()'s height table for a state not yet done. */
 enum { UNSEEN = -1, ON_STACK = -2 };
 
-/* Reads a word back from the avoidance automaton that avoidance() completed
- * in flat, n states, once its sinks are stripped (Crochemore, Mignosi and
- * Restivo, IPL 67, 1998): any cycle spells a power of a rotation of a
- * circular word, and an acyclic automaton's unique longest word is a linear
- * word.  end marks the sinks, the member ends avoidance() was given.  One
- * iterative depth-first search from the root, edges taken in rank order,
- * an edge into a sink read as a missing edge.  The first edge into a state
- * on the search stack closes a cycle and ends the search.  Otherwise each
- * state, once done, gets its height (the length of the longest word read
- * from it) and whether two such words tie; since every state but the sinks
- * is reachable from the root through trie edges, there is then no cycle at
- * all, and the root's longest word is read forward, each step to the first
- * successor one height lower.  scratch holds 4n entries: the search stack,
- * for each state on it one past the rank of the edge last taken out of it,
- * and per state its height and tie flag once done; the height is one of
- * the marks above until then, and a sink's stays UNSEEN.  Writes the ranks
- * of the word or cycle to scratch[0 ..) and returns the word's length, -1
- * when two longest words tie, and a cycle's length complemented (~length,
- * below -1). */
-int64_t walk(const int32_t *flat, int64_t n, int32_t sigma, const uint8_t *end,
+/* What walk() returns when avoidance() fails with status s, -1 or -2:
+ * AVOIDANCE_FAILED - s, below the complemented length of any cycle. */
+#define AVOIDANCE_FAILED INT64_MIN
+
+/* Completes the table of a trie of n states into its avoidance automaton
+ * by avoidance(), then reads a word back from it once its sinks are
+ * stripped (Crochemore, Mignosi and Restivo, IPL 67, 1998): any cycle
+ * spells a power of a rotation of a circular word, and an acyclic
+ * automaton's unique longest word is a linear word.  One call does both,
+ * so a reconstruction crosses into the kernel once for the two; the
+ * failure links and queue avoidance() needs are the first 2n entries of
+ * scratch, which the walk then reuses.  end marks the sinks, the trie's
+ * member ends.  One iterative depth-first search from the root, edges
+ * taken in rank order, an edge into a sink read as a missing edge.  The
+ * first edge into a state on the search stack closes a cycle and ends the
+ * search.  Otherwise each state, once done, gets its height (the length of
+ * the longest word read from it) and whether two such words tie; since
+ * every state but the sinks is reachable from the root through trie
+ * edges, there is then no cycle at all, and the root's longest word is
+ * read forward, each step to the first successor one height lower.
+ * scratch holds 4n entries: the search stack, for each state on it one
+ * past the rank of the edge last taken out of it, and per state its
+ * height and tie flag once done; the height is one of the marks above
+ * until then, and a sink's stays UNSEEN.  Writes the ranks of the word or
+ * cycle to scratch[0 ..) and returns the word's length, -1 when two
+ * longest words tie, a cycle's length complemented (~length, below -1,
+ * at least ~n), and AVOIDANCE_FAILED - s when avoidance() fails with
+ * status s, the table then left half written. */
+int64_t walk(int32_t *flat, int64_t n, int32_t sigma, const uint8_t *end,
              int32_t *scratch)
 {
+    int32_t status = complete(flat, n, sigma, end, scratch, scratch + n);
+    if (status < 0)
+        return AVOIDANCE_FAILED - status;
     int32_t *stack = scratch, *next_rank = stack + n, *height = next_rank + n;
     int32_t *tie = height + n;
     int64_t top = 0;

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from ._kernel import MAX_STATES, kernel
-from .words import Alphabet, LimitExceeded, _encode
+from .words import Alphabet, LimitExceeded, _ranks, _separator
 
 # Cap on the number of words one language enumeration may touch.
 ENUMERATION_LIMIT = 1_000_000
@@ -365,23 +365,34 @@ def build_trie(
 def _trie_tables(words: Iterable[str], alphabet: Alphabet) -> tuple[array, np.ndarray]:
     """The flat table and the finals bitmap (a uint8 array) of the trie
     :func:`build_trie` makes, which a caller that completes the table
-    itself need not copy."""
+    itself need not copy.
+
+    The sorted members are joined by a separator that :func:`_ranks` codes
+    as the alphabet's size, and the kernel reads their ends off that one
+    buffer.  A member holding the separator splits into more words than
+    were joined, which ``trie_size`` reports, and raises the stray-symbol
+    error like any other symbol outside the alphabet.
+    """
     members = list(words)
     alphabet.sort(members)
     if members and not members[0]:
         raise ValueError("the empty word cannot be a trie member")
-    try:
-        code = _encode("".join(members), alphabet)
-    except ValueError:
-        for word in members:  # name the first member holding a stray symbol
-            alphabet.check_word(word)
-        raise
-    lengths = np.fromiter(map(len, members), np.int64, len(members))
-    bounds = np.zeros(len(members) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=bounds[1:])
+    symbols, k, sigma = "".join(alphabet.symbols), len(members), len(alphabet)
+    sep = _separator(symbols)
+    ranks = _ranks(sep.join(members), symbols + sep)
+    if ranks is None:
+        _name_stray(members, alphabet)
+    # neither the joined text nor its byte ranks outlive the encoding
+    code = ranks.astype(np.int32, copy=False)
+    del ranks
+    # the start of each member, one past the last, then the longest length
+    bounds = np.empty(k + 2, dtype=np.int64)
     lib = kernel()
-    size = lib.trie_size(code, bounds, len(members))
-    if size < 0:  # word -1 - size extends its sorted predecessor
+    size = lib.trie_size(code, len(code), k, sigma, bounds)
+    if size < 0:
+        if any(sep in word for word in members):
+            _name_stray(members, alphabet)
+        # member -1 - size extends its sorted predecessor
         raise ValueError(
             f"{members[-1 - size]!r} extends another member: the set is not prefix-free"
         )
@@ -389,12 +400,21 @@ def _trie_tables(words: Iterable[str], alphabet: Alphabet) -> tuple[array, np.nd
         raise LimitExceeded(
             f"a trie of {size} states is more than the {MAX_STATES} its tables can number"
         )
-    flat = array("i", [-1]) * (size * len(alphabet))
+    # every edge missing until the kernel writes the trie's own
+    flat = array("i", [-1]) * (size * sigma)
     finals = np.zeros(size, dtype=np.uint8)
-    # the path of the longest word, one state more than its length
-    path = np.empty(lengths.max(initial=0) + 1, dtype=np.int32)
-    lib.trie(code, bounds, len(members), len(alphabet), np.frombuffer(flat, np.int32), finals, path)
+    # the path of the longest member, one state more than its length
+    path = np.empty(bounds[k + 1] + 1, dtype=np.int32)
+    lib.trie(code, bounds, k, sigma, np.frombuffer(flat, np.int32), finals, path)
     return flat, finals
+
+
+def _name_stray(members: list[str], alphabet: Alphabet) -> None:
+    """Raise :meth:`Alphabet.check_word`'s error for the first of the
+    members that holds a symbol outside the alphabet; there must be one."""
+    for word in members:
+        alphabet.check_word(word)
+    raise AssertionError("no member holds a stray symbol")
 
 
 def _avoidance_tables(trie: Trie) -> tuple[array, array]:

@@ -50,14 +50,19 @@ def _alphabet_for(word: str, symbols: str | None) -> Alphabet:
 def _word_of(args) -> str:
     """The word given as the argument or, with ``--input``, read from a file
     or from stdin for ``-``, trailing line breaks dropped; exactly one of the
-    two must be given."""
+    two must be given.  Both routes decode UTF-8 under surrogateescape,
+    whatever the locale, so the same bytes read the same: an undecodable
+    byte becomes a lone surrogate, a symbol like any other, which the
+    output writes back as that byte."""
     if (args.word is None) == (args.input is None):
         raise ValueError("give the word either as an argument or with --input, not both")
     if args.input is None:
         return args.word
     if args.input == "-":
+        if isinstance(sys.stdin, io.TextIOWrapper):
+            sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
         return sys.stdin.read().rstrip("\r\n")
-    with open(args.input) as handle:
+    with open(args.input, encoding="utf-8", errors="surrogateescape") as handle:
         return handle.read().rstrip("\r\n")
 
 

@@ -41,6 +41,7 @@ from .words import (
     _circular_input,
     _encode,
     _ranks,
+    _separator,
     circular_factor_set,
     factor_set,
 )
@@ -242,7 +243,7 @@ def _byte_form(symbols: str) -> tuple[str, str, int]:
     encoding and the bytes a symbol in which the symbols and the separator
     compare bytewise in code-point order: ASCII when all of them are ASCII,
     else big-endian UTF-32."""
-    sep = next(chr(i) for i in range(len(symbols) + 1) if chr(i) not in symbols)
+    sep = _separator(symbols)
     return (sep, "ascii", 1) if (symbols + sep).isascii() else (sep, "utf-32-be", 4)
 
 

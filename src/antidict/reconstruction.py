@@ -3,11 +3,11 @@
 A finite word is pinned down exactly by its set of minimal forbidden
 factors; a primitive circular word likewise.  Both directions run the
 avoidance construction on the trie of the candidate set, completing the
-trie's own table in place, and read the word off the completed table in the
-compiled kernel, by one depth-first walk that reads an edge into a member
-end (a final state of the trie, and a sink of the table) as a missing edge:
-the first cycle it closes spells a circular word and, when it closes none,
-the unique longest path spells a linear word.  Every successful return is
+trie's own table in place, and read the word off the completed table, both
+in one call of the compiled kernel, by one depth-first walk that reads an
+edge into a member end (a final state of the trie, and a sink of the table)
+as a missing edge: the first cycle it closes spells a circular word and,
+when it closes none, the unique longest path spells a linear word.  Every successful return is
 post-verified by recomputing the antidictionary of the result and comparing
 it with the given set (by their sites when both come from the kernel, else
 by their members), so a set that is not of the expected form fails loudly
@@ -26,6 +26,10 @@ from .words import CircularWord, LimitExceeded, _decode
 # What the kernel walk returns when two longest words tie; a word's length
 # is at least 0, a cycle's length comes back complemented, below TIED.
 TIED = -1
+# What the kernel walk returns when its completion of the table fails with
+# status s, -1 or -2 as _check_avoidance reads it: AVOIDANCE_FAILED - s,
+# below every complemented cycle length.
+AVOIDANCE_FAILED = -(2**63)
 
 
 class ReconstructionError(ValueError):
@@ -38,21 +42,21 @@ def _walk(mfws: MfwSet, circular: bool) -> str:
     search closes when ``circular``, else the unique longest word.  A set
     too large to spell or to hold in a trie raises ``LimitExceeded``."""
     sigma = len(mfws.alphabet)
-    # the trie's own table is completed in place, no copy of it made, and
-    # the failure links and queue borrow the walk's scratch, allocated once
-    # the fill's buffers are freed
-    lib = kernel()
+    # one kernel call completes the trie's own table in place, no copy of
+    # it made, and walks it; the failure links and queue borrow the walk's
+    # scratch, allocated once the fill's buffers are freed
     try:
         flat, end = _trie_tables(mfws.words, mfws.alphabet)
-        n, table = len(end), np.frombuffer(flat, np.int32)
+        n = len(end)
         scratch = np.empty(4 * n, dtype=np.int32)
-        _check_avoidance(lib.avoidance(table, n, sigma, end, scratch[:n], scratch[n : 2 * n]))
+        code = kernel().walk(np.frombuffer(flat, np.int32), n, sigma, end, scratch)
+        if code < AVOIDANCE_FAILED + 3:
+            _check_avoidance(AVOIDANCE_FAILED - code)
     except LimitExceeded:
         raise
     except ValueError as exc:
         raise ReconstructionError(str(exc)) from exc
-    code = lib.walk(table, n, sigma, end, scratch)
-    del table, flat
+    del flat
     if circular and code >= TIED:
         raise ReconstructionError(
             "the avoidance automaton is acyclic: not the antidictionary of a circular word"

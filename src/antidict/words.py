@@ -3,8 +3,10 @@
 Words are plain Python strings.  An :class:`Alphabet` fixes the set of legal
 symbols and, crucially, their order: the order drives every lexicographic
 comparison in the package (least rotations, sorted antidictionaries).  A word
-reaches the compiled kernel only through :func:`_encode`, which refuses a
-symbol outside the alphabet itself.  The enumeration oracles in this module
+reaches the compiled kernel only as the ranks of :func:`_ranks`: through
+:func:`_encode`, which refuses a symbol outside the alphabet itself, or, as a
+trie member, joined to the others by a separator ranked after the alphabet,
+which the kernel counts.  The enumeration oracles in this module
 are deliberately naive; they exist so that the automaton-based algorithms
 elsewhere can be checked against something that is obviously correct, and
 they refuse inputs large enough to hang.
@@ -12,6 +14,7 @@ they refuse inputs large enough to hang.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import methodcaller
 from typing import Iterable, Iterator
 
@@ -123,8 +126,9 @@ def _stray(word: str, alphabet: Alphabet) -> ValueError:
 
 
 def _encode(word: str, alphabet: Alphabet) -> np.ndarray:
-    """Rank codes of a word, as an int32 array, by :func:`_ranks`: the only
-    route from a string to the kernel, and its symbol gate.  A symbol outside
+    """Rank codes of a word, as an int32 array, by :func:`_ranks`: the
+    route from a string to the kernel, and its symbol gate, for every word
+    but the members of a trie.  A symbol outside
     the alphabet raises :meth:`Alphabet.check_word`'s ``ValueError``, so no
     code reaches the alphabet's size and indexes past a kernel table row."""
     ranks = _ranks(word, "".join(alphabet.symbols))
@@ -143,19 +147,44 @@ def _ranks(word: str, symbols: str) -> np.ndarray | None:
     if symbols.isascii():
         if not word.isascii():
             return None
-        table = bytearray(b"\xff") * 256
-        for rank, byte in enumerate(symbols.encode()):
-            table[byte] = rank
-        ranks = word.encode().translate(table)
+        ranks = word.encode().translate(_ascii_ranks(symbols))
         return None if 255 in ranks else np.frombuffer(ranks, np.uint8)
-    points = np.frombuffer(symbols.encode("utf-32-le", "surrogatepass"), "<u4")
-    by_point = np.argsort(points).astype(np.int32)
-    sorted_points = points[by_point]
+    sorted_points, by_point = _sorted_points(symbols)
     code = np.frombuffer(word.encode("utf-32-le", "surrogatepass"), "<u4")
     at = np.searchsorted(sorted_points, code)
     if not np.array_equal(sorted_points.take(at, mode="clip"), code):
         return None
     return by_point.take(at, mode="clip")
+
+
+# The lookups of _ranks, built once per symbol string: each encode of a
+# reconstruction, at least three, rebuilt them before.
+@lru_cache(maxsize=64)
+def _ascii_ranks(symbols: str) -> bytes:
+    """The 256-byte table mapping each byte of ASCII symbols to its index,
+    every other byte to 255."""
+    table = bytearray(b"\xff") * 256
+    for rank, byte in enumerate(symbols.encode()):
+        table[byte] = rank
+    return bytes(table)
+
+
+@lru_cache(maxsize=64)
+def _sorted_points(symbols: str) -> tuple[np.ndarray, np.ndarray]:
+    """The code points of the symbols, sorted, and the index in ``symbols``
+    of each, both read-only."""
+    points = np.frombuffer(symbols.encode("utf-32-le", "surrogatepass"), "<u4")
+    by_point = np.argsort(points).astype(np.int32)
+    sorted_points = points[by_point]
+    by_point.flags.writeable = sorted_points.flags.writeable = False
+    return sorted_points, by_point
+
+
+def _separator(symbols: str) -> str:
+    """The first character not among the symbols: a separator for words
+    over them, which :func:`_ranks` maps to the index after the last symbol
+    when it is appended to ``symbols``."""
+    return next(chr(i) for i in range(len(symbols) + 1) if chr(i) not in symbols)
 
 
 def _decode(code: np.ndarray, alphabet: Alphabet) -> str:

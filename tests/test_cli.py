@@ -112,6 +112,23 @@ class TestWordInput:
         assert code == 0
         assert out.split() == ["aaa", "aba", "bbb", "aabbaa", "babbab"]
 
+    @pytest.mark.parametrize("encoding", ["utf-8", "latin-1"])
+    def test_undecodable_byte_reads_the_same_from_file_and_stdin(
+        self, capsysbinary, monkeypatch, tmp_path, encoding
+    ):
+        # both routes decode UTF-8 under surrogateescape, whatever the
+        # encoding stdin came with: 0xff is the symbol U+DCFF, written back
+        # as the byte
+        raw = b"a\xffaa\xff\n"
+        path = tmp_path / "word.txt"
+        path.write_bytes(raw)
+        from_file = main(["mfw", "--input", str(path)]), capsysbinary.readouterr()
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw), encoding=encoding))
+        from_stdin = main(["mfw", "--input", "-"]), capsysbinary.readouterr()
+        assert from_file == from_stdin
+        assert from_file[0] == 0
+        assert from_file[1].out == b"\xff\xff\naaa\n\xffa\xff\naa\xffa\n"
+
     @pytest.mark.parametrize("command", ["mfw", "automaton"])
     def test_word_and_input_both_or_neither(self, capsys, tmp_path, command):
         path = tmp_path / "word.txt"

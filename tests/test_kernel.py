@@ -1,6 +1,7 @@
 """The compiled kernels against the plain-Python references, and the build
 and guards around them."""
 
+import ctypes
 import itertools
 import random
 import re
@@ -16,6 +17,7 @@ from antidict import (
     CircularWord,
     LimitExceeded,
     MfwSet,
+    ReconstructionError,
     Trie,
     build_factor_automaton,
     build_trie,
@@ -24,6 +26,7 @@ from antidict import (
     l_automaton,
     mfw_circular,
     mfw_linear,
+    reconstruct_word,
     strip_sinks,
 )
 from antidict import _kernel, automata, factor_automaton
@@ -32,7 +35,7 @@ from antidict.factor_automaton import _suffix_automaton_buffer
 from antidict.l_automaton import _mf_automaton
 from antidict.mfw import _forbidden_sites
 from antidict.reconstruction import _walk
-from antidict.words import _encode
+from antidict.words import _encode, _ranks
 
 from .helpers import (
     all_words,
@@ -664,6 +667,141 @@ class TestTrieAndAvoidance:
             build_trie(["aa", "ab", "b"], Alphabet("ab"))
         monkeypatch.setattr(automata, "MAX_STATES", 5)
         assert build_trie(["aa", "ab", "b"], Alphabet("ab")).n_states == 5
+
+
+class TestSeparatorJoinedFill:
+    """trie_size reads the member ends off the sorted members joined by a
+    separator that _ranks codes as the alphabet's size, and trie reuses the
+    bounds it wrote."""
+
+    def test_against_the_reference(self):
+        ab = Alphabet("ab")
+        for words in (
+            [],  # zero members: the lone root
+            ["abba"],  # one member
+            ["ab", "ab", "ba", "ba", "ba"],  # equal neighbours
+            ["a" * 40 + "b", "a" * 41, "bb"],  # long members sharing a long prefix
+        ):
+            assert_same_avoidance(words, ab)
+        # separators other than the first code points
+        assert_same_avoidance(["\x00\x00", "\x00\x02\x00", "\x02\x02"], Alphabet("\x00\x02"))
+        assert_same_avoidance(["γa", "aa", "γγ"], Alphabet("γa"))
+
+    def test_bounds_and_longest_member(self):
+        ab, lib = Alphabet("ab"), _kernel.kernel()
+        for words, size, starts, longest in (
+            ([], 1, [0], 0),
+            (["abba"], 5, [0, 5], 4),
+            (["ab", "ab", "b"], 4, [0, 3, 6, 8], 2),
+        ):
+            code = _ranks("\x00".join(words), "ab\x00").astype(np.int32)
+            bounds = np.full(len(words) + 2, -7, dtype=np.int64)
+            assert lib.trie_size(code, len(code), len(words), 2, bounds) == size, words
+            assert bounds.tolist() == starts + [longest], words
+            assert build_trie(words, ab).n_states == size
+
+    def test_extension_names_the_member(self):
+        ab = Alphabet("ab")
+        for words, extension in (
+            (["a", "ab"], "ab"),
+            (["abb", "ab"], "abb"),
+            (["b", "ba", "a"], "ba"),
+            (["aa", "ab", "aba"], "aba"),
+            (["ab", "ab", "abab"], "abab"),  # after equal neighbours
+        ):
+            message = f"{extension!r} extends another member: the set is not prefix-free"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build_trie(words, ab)
+
+    def test_member_holding_the_separator(self):
+        # the separator is the first character outside the alphabet; a member
+        # holding it splits into more words than were joined, or into an
+        # apparent extension, and raises check_word's stray-symbol message
+        for symbols, sep in (("ab", "\x00"), ("\x00a", "\x01"), ("aβ", "\x00")):
+            alphabet = Alphabet(symbols)
+            a = symbols[-1]
+            for words in (
+                [a + sep + a],
+                [sep + a],
+                [a + sep],
+                [a, a + sep],
+                [a + sep + a + a],  # splits into a and aa: aa extends a
+                [a + a, a + sep + a + a],
+            ):
+                stray = next(w for w in sorted(words, key=alphabet._key) if sep in w)
+                message = f"symbol {sep!r} of {stray!r} is not in alphabet {alphabet}"
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    build_trie(words, alphabet)
+                with pytest.raises(ReconstructionError, match=f"^{re.escape(message)}$"):
+                    reconstruct_word(MfwSet(tuple(words), alphabet))
+
+    def test_a_buffer_of_another_word_count_is_refused(self):
+        # called directly: k words wanted, the buffer holding more or fewer
+        lib, bounds = _kernel.kernel(), np.empty(8, dtype=np.int64)
+        code = np.array([0, 2, 1, 2, 0], dtype=np.int32)  # a, b, a
+        for k in (0, 1, 2, 4, 5):
+            assert lib.trie_size(code, len(code), k, 2, bounds) == -1 - k, k
+        assert lib.trie_size(code, len(code), 3, 2, bounds) == 4
+
+
+class TestArrayArguments:
+    """The kernel's array converters refuse exactly what ndpointer refused,
+    with the same ctypes.ArgumentError, and pass the same address."""
+
+    CONVERTERS = [
+        (_kernel.codes, np.int32, 1, "C_CONTIGUOUS"),
+        (_kernel.bounds, np.int64, 1, ("C_CONTIGUOUS", "WRITEABLE")),
+        (_kernel.table, np.int32, 1, ("C_CONTIGUOUS", "WRITEABLE")),
+        (_kernel.octets, np.uint8, 1, "C_CONTIGUOUS"),
+        (_kernel.bitmap, np.uint8, 1, ("C_CONTIGUOUS", "WRITEABLE")),
+        (_kernel.triples, np.int32, 2, "C_CONTIGUOUS"),
+    ]
+
+    @staticmethod
+    def candidates():
+        for dtype in (np.int32, np.int64, np.uint8):
+            flat = np.arange(12, dtype=dtype)
+            yield from (
+                flat,
+                flat.reshape(4, 3),
+                flat[::2],  # not contiguous
+                flat.reshape(4, 3)[:, :2],
+                flat[:0],  # empty
+                np.frombuffer(flat.tobytes(), dtype),  # read-only
+            )
+        yield [1, 0]  # not an ndarray
+
+    @staticmethod
+    def outcome(converter, array_):
+        try:
+            converter.from_param(array_)
+        except TypeError as exc:
+            return str(exc)
+        return "passed"
+
+    def test_same_refusals_as_ndpointer(self):
+        for converter, dtype, ndim, flags in self.CONVERTERS:
+            reference = np.ctypeslib.ndpointer(dtype, ndim=ndim, flags=flags)
+            for array_ in self.candidates():
+                assert self.outcome(converter, array_) == self.outcome(reference, array_), (converter.dtype, array_)
+
+    def test_calls(self):
+        ours = _kernel.kernel().least_rotation
+        theirs = ctypes.CDLL(_kernel.kernel()._name).least_rotation
+        theirs.argtypes = [np.ctypeslib.ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS"), ctypes.c_int64]
+        theirs.restype = ctypes.c_int64
+        code = np.array([1, 0, 1, 0, 0, 1], dtype=np.int32)
+        for array_ in ([1, 0], code.astype(np.int64), code.reshape(2, 3), code[::2]):
+            with pytest.raises(ctypes.ArgumentError) as expected:
+                theirs(array_, 3)
+            with pytest.raises(ctypes.ArgumentError) as raised:
+                ours(array_, 3)
+            assert str(raised.value) == str(expected.value), array_
+        # a writeable array, a read-only one and a view past the first
+        # element each cross as the address of their own data
+        for array_ in (code, np.frombuffer(code.tobytes(), np.int32), code[1:]):
+            assert ours(array_, len(array_)) == theirs(array_, len(array_)), array_
+        assert ours(code, 6) == 3
 
 
 def walk_outcome(walk, *args, **kwargs) -> str:

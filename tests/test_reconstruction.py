@@ -1,5 +1,8 @@
 import random
+import re
+from array import array
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +21,7 @@ from antidict import (
     reconstruct_circular,
     reconstruct_word,
 )
-from antidict import automata, mfw
+from antidict import automata, mfw, reconstruction
 
 from .helpers import all_words
 
@@ -118,6 +121,44 @@ class TestReconstructCircular:
                 continue
             seen.add(cw)
             assert reconstruct_circular(mfw_circular(cw, AB)) == cw, w
+
+
+class TestCompletionFailures:
+    """The kernel walk completes the avoidance table itself; a completion
+    that fails raises the ReconstructionError it raised as a call of its own."""
+
+    RECONSTRUCTIONS = [reconstruct_word, reconstruct_circular]
+
+    @pytest.mark.parametrize("reconstruct", RECONSTRUCTIONS)
+    def test_not_antifactorial(self, reconstruct):
+        message = "the set is not antifactorial: a member occurs inside another"
+        for words in (["b", "ab"], ["aba", "ba"], ["aa", "bab", "bb", "abb"]):
+            with pytest.raises(ReconstructionError, match=f"^{re.escape(message)}$"):
+                reconstruct(MfwSet.build(words, AB))
+
+    @pytest.mark.parametrize("reconstruct", RECONSTRUCTIONS)
+    def test_not_prefix_free(self, reconstruct):
+        message = "'ab' extends another member: the set is not prefix-free"
+        with pytest.raises(ReconstructionError, match=f"^{re.escape(message)}$"):
+            reconstruct(MfwSet.build(["a", "ab"], AB))
+
+    @pytest.mark.parametrize("reconstruct", RECONSTRUCTIONS)
+    @pytest.mark.parametrize(
+        "flat, finals",
+        [
+            ([1, -1, 2, -1, -1, -1], b"\x00\x01\x00"),  # a member end with an edge
+            ([1, 1, -1, -1], b"\x00\x01"),  # two parents
+            ([2, -1, -1, -1], b"\x00\x01"),  # a state out of range
+            ([1, -1, 0, -1], b"\x00\x01"),  # the root as a child
+        ],
+    )
+    def test_a_table_that_is_no_tree(self, monkeypatch, reconstruct, flat, finals):
+        # a forged trie in place of the one the members would build
+        forged = lambda words, alphabet: (array("i", flat), np.frombuffer(finals, np.uint8).copy())
+        monkeypatch.setattr(reconstruction, "_trie_tables", forged)
+        message = "the transition table is not a tree rooted at state 0"
+        with pytest.raises(ReconstructionError, match=f"^{re.escape(message)}$"):
+            reconstruct(MfwSet.build(["aa"], AB))
 
 
 @pytest.mark.parametrize("symbols", ["\ud800a", "b\udfffa"])
