@@ -17,9 +17,12 @@
  * link (-1 at the root), len[s] the length of its longest word and
  * endpos[s] the smallest 0-based text index at which its words end (0 at
  * the root; a clone copies it from the state it splits, whose occurrences
- * all come earlier).  Returns the number of states. */
-int32_t suffix_automaton(const int32_t *code, int64_t n, int32_t sigma,
-                         int32_t *tables)
+ * all come earlier).  Returns the number of states.  Exported as
+ * suffix_automaton() below and inlined into factor_count(), where a call
+ * to the exported function would go through the library's PLT (see
+ * complete()). */
+static inline int32_t build_suffix_automaton(const int32_t *code, int64_t n, int32_t sigma,
+                                             int32_t *tables)
 {
     int64_t cap = 2 * n + 2;
     int32_t *trans = tables, *link = trans + cap * sigma, *len = link + cap,
@@ -69,6 +72,27 @@ int32_t suffix_automaton(const int32_t *code, int64_t n, int32_t sigma,
         last = cur;
     }
     return size;
+}
+
+int32_t suffix_automaton(const int32_t *code, int64_t n, int32_t sigma,
+                         int32_t *tables)
+{
+    return build_suffix_automaton(code, n, sigma, tables);
+}
+
+/* The number of distinct factors of the word, the empty one included:
+ * builds its suffix automaton in tables, as suffix_automaton() does, and
+ * returns 1 + sum over the states s but the root of len[s] - len[link[s]],
+ * the words each state holds.  At most 1 + n(n+1)/2, which fits int64 for
+ * every n an int32 table can number. */
+int64_t factor_count(const int32_t *code, int64_t n, int32_t sigma, int32_t *tables)
+{
+    int32_t size = build_suffix_automaton(code, n, sigma, tables);
+    int64_t cap = 2 * n + 2, count = 1;
+    const int32_t *link = tables + cap * sigma, *len = link + cap;
+    for (int32_t s = 1; s < size; s++)
+        count += len[s] - len[link[s]];
+    return count;
 }
 
 /* The minimal factor automaton of the word of a suffix automaton, made by
@@ -673,18 +697,22 @@ enum { UNSEEN = -1, ON_STACK = -2 };
  * taken in rank order, an edge into a sink read as a missing edge.  The
  * first edge into a state on the search stack closes a cycle and ends the
  * search.  Otherwise each state, once done, gets its height (the length of
- * the longest word read from it) and whether two such words tie; since
- * every state but the sinks is reachable from the root through trie
- * edges, there is then no cycle at all, and the root's longest word is
- * read forward, each step to the first successor one height lower.
- * scratch holds 4n entries: the search stack, for each state on it one
- * past the rank of the edge last taken out of it, and per state its
- * height and tie flag once done; the height is one of the marks above
- * until then, and a sink's stays UNSEEN.  Writes the ranks of the word or
- * cycle to scratch[0 ..) and returns the word's length, -1 when two
- * longest words tie, a cycle's length complemented (~length, below -1,
- * at least ~n), and AVOIDANCE_FAILED - s when avoidance() fails with
- * status s, the table then left half written. */
+ * the longest word read from it), whether two such words tie and its
+ * path count, the number of words read from it, 1 + the sum of its
+ * successors' counts, saturating at INT64_MAX; since every state but the
+ * sinks is reachable from the root through trie edges, there is then no
+ * cycle at all, the root's count is the number of words avoiding the
+ * members, and its longest word is read forward, each step to the first
+ * successor one height lower.  scratch holds 6n int32 entries: the search
+ * stack, for each state on it one past the rank of the edge last taken
+ * out of it, and per state its height and tie flag once done (the height
+ * is one of the marks above until then, and a sink's stays UNSEEN), then
+ * from entry 4n on the path counts, one int64 a state over two entries,
+ * so that the root's, written last, is the int64 at entry 4n.  Writes the
+ * ranks of the word or cycle to scratch[0 ..) and returns the word's
+ * length, -1 when two longest words tie, a cycle's length complemented
+ * (~length, below -1, at least ~n), and AVOIDANCE_FAILED - s when
+ * avoidance() fails with status s, the table then left half written. */
 int64_t walk(int32_t *flat, int64_t n, int32_t sigma, const uint8_t *end,
              int32_t *scratch)
 {
@@ -693,7 +721,7 @@ int64_t walk(int32_t *flat, int64_t n, int32_t sigma, const uint8_t *end,
         return AVOIDANCE_FAILED - status;
     int32_t *stack = scratch, *next_rank = stack + n, *height = next_rank + n;
     int32_t *tie = height + n;
-    int64_t top = 0;
+    int64_t *paths = (int64_t *)(tie + n), top = 0;
     for (int64_t s = 1; s < n; s++)
         height[s] = UNSEEN;
     stack[0] = 0;
@@ -722,10 +750,12 @@ int64_t walk(int32_t *flat, int64_t n, int32_t sigma, const uint8_t *end,
         }
         /* every successor of s is done or a sink */
         int32_t best = 0, tied = 0;
+        int64_t words = 1;
         for (c = 0; c < sigma; c++) {
             int32_t t = row[c];
             if (height[t] < 0)
                 continue;
+            words = paths[t] > INT64_MAX - words ? INT64_MAX : words + paths[t];
             if (height[t] + 1 > best) {
                 best = height[t] + 1;
                 tied = tie[t];
@@ -735,6 +765,7 @@ int64_t walk(int32_t *flat, int64_t n, int32_t sigma, const uint8_t *end,
         }
         height[s] = best;
         tie[s] = tied;
+        paths[s] = words;
         top--;
     }
     if (tie[0])

@@ -15,8 +15,10 @@ Every ndarray argument crosses through one checked converter,
 :class:`Array`, which makes the checks ``np.ctypeslib.ndpointer`` made and
 passes the array's address.  On short inputs the crossings weigh more
 than the kernel work, so the reconstructions cross few times:
-``trie_size`` reads the members' ends off one separator-joined buffer, and
-``walk`` completes the avoidance table itself before walking it.
+``trie_size`` reads the members' ends off one separator-joined buffer,
+``walk`` completes the avoidance table itself before walking it and counts
+the words avoiding the members as it goes, and ``factor_count`` builds a
+word's suffix automaton and counts its factors in the same call.
 """
 
 from __future__ import annotations
@@ -88,6 +90,7 @@ int32, int64 = ctypes.c_int32, ctypes.c_int64
 # Every function _kernel.c exports, with its argument and result types.
 SIGNATURES = (
     ("suffix_automaton", [codes, int64, int32, table], int32),
+    ("factor_count", [codes, int64, int32, table], int64),
     ("factor_classes", [table, int64, int32, int64, int32, table], int32),
     ("forbidden_sites", [codes, int64, int32, int32, int64, table], int64),
     ("spell_sites", [octets, int64, triples, int64, octets, int32, bitmap], None),

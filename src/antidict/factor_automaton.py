@@ -38,22 +38,28 @@ from .automata import Dfa, _int_table
 from .words import Alphabet, LimitExceeded, _encode
 
 
+def _suffix_automaton_room(n: int, sigma: int) -> tuple[np.ndarray, int]:
+    """An unfilled int32 buffer for the kernel's suffix automaton of a word
+    of ``n`` symbols and the row capacity ``cap`` = 2n+2 of its four tables.
+    Raises ``LimitExceeded`` before allocating when the state bound would
+    not fit the int32 tables."""
+    cap = 2 * n + 2
+    if cap > MAX_STATES:
+        raise LimitExceeded(
+            f"a suffix automaton of {n} symbols could need {cap} states, "
+            f"more than the {MAX_STATES} its tables can number"
+        )
+    return np.empty(cap * (sigma + 3), dtype=np.int32), cap
+
+
 def _suffix_automaton_buffer(code: np.ndarray, sigma: int) -> tuple[np.ndarray, int, int]:
     """The kernel's suffix automaton of a rank-coded word, as the one int32
     buffer it fills, the row capacity ``cap`` = 2n+2 of its four tables and
     the state count.
 
-    ``code`` is the int32 array of :func:`~antidict.words._encode`.  Raises
-    ``LimitExceeded`` before allocating when the state bound would not fit
-    the int32 tables.
+    ``code`` is the int32 array of :func:`~antidict.words._encode`.
     """
-    cap = 2 * code.size + 2
-    if cap > MAX_STATES:
-        raise LimitExceeded(
-            f"a suffix automaton of {code.size} symbols could need {cap} states, "
-            f"more than the {MAX_STATES} its tables can number"
-        )
-    tables = np.empty(cap * (sigma + 3), dtype=np.int32)
+    tables, cap = _suffix_automaton_room(code.size, sigma)
     return tables, cap, kernel().suffix_automaton(code, code.size, sigma, tables)
 
 

@@ -7,11 +7,19 @@ trie's own table in place, and read the word off the completed table, both
 in one call of the compiled kernel, by one depth-first walk that reads an
 edge into a member end (a final state of the trie, and a sink of the table)
 as a missing edge: the first cycle it closes spells a circular word and,
-when it closes none, the unique longest path spells a linear word.  Every successful return is
-post-verified by recomputing the antidictionary of the result and comparing
-it with the given set (by their sites when both come from the kernel, else
-by their members), so a set that is not of the expected form fails loudly
-instead of corrupting.
+when it closes none, the unique longest path spells a linear word.  Every
+successful return is certified, so a set that is not of the expected form
+fails loudly instead of corrupting.
+
+A linear word u is certified by two counts.  The completion has shown the
+set M antifactorial, and an antifactorial set is the antidictionary of the
+language L(M) of the words avoiding it (Crochemore, Mignosi and Restivo,
+IPL 67, 1998); the walk has shown that u avoids M, so every factor of u is
+in L(M).  Hence M = M(u) exactly when L(M) and the factors of u are as
+many: the walk counts the first, the paths from the root, and the kernel
+counts the second on the suffix automaton of u's rank codes.  A circular
+word's avoiding language is infinite, so no count applies: its
+antidictionary is recomputed and compared with the given set.
 """
 
 from __future__ import annotations
@@ -20,7 +28,8 @@ import numpy as np
 
 from ._kernel import kernel
 from .automata import _check_avoidance, _trie_tables
-from .mfw import MfwSet, mfw_circular, mfw_linear
+from .factor_automaton import _suffix_automaton_room
+from .mfw import MfwSet, mfw_circular
 from .words import CircularWord, LimitExceeded, _decode
 
 # What the kernel walk returns when two longest words tie; a word's length
@@ -36,11 +45,14 @@ class ReconstructionError(ValueError):
     """The given set is not the antidictionary of the requested kind of word."""
 
 
-def _walk(mfws: MfwSet, circular: bool) -> str:
+def _walk(mfws: MfwSet, circular: bool) -> tuple[str, np.ndarray, int]:
     """The word the kernel walk reads off the completed avoidance table of
     the set's trie, unverified: the labels of the first cycle a depth-first
-    search closes when ``circular``, else the unique longest word.  A set
-    too large to spell or to hold in a trie raises ``LimitExceeded``."""
+    search closes when ``circular``, else the unique longest word.  Returns
+    the word, its rank codes (a view of the walk's scratch) and, for a
+    linear word, the number of words avoiding the set (0 for a circular
+    one).  A set too large to spell or to hold in a trie raises
+    ``LimitExceeded``."""
     sigma = len(mfws.alphabet)
     # one kernel call completes the trie's own table in place, no copy of
     # it made, and walks it; the failure links and queue borrow the walk's
@@ -48,7 +60,7 @@ def _walk(mfws: MfwSet, circular: bool) -> str:
     try:
         flat, end = _trie_tables(mfws.words, mfws.alphabet)
         n = len(end)
-        scratch = np.empty(4 * n, dtype=np.int32)
+        scratch = np.empty(6 * n, dtype=np.int32)
         code = kernel().walk(np.frombuffer(flat, np.int32), n, sigma, end, scratch)
         if code < AVOIDANCE_FAILED + 3:
             _check_avoidance(AVOIDANCE_FAILED - code)
@@ -69,7 +81,10 @@ def _walk(mfws: MfwSet, circular: bool) -> str:
         raise ReconstructionError(
             "longest avoiding word is not unique: not the antidictionary of a single word"
         )
-    return _decode(scratch[: ~code if circular else code], mfws.alphabet)
+    ranks = scratch[: ~code if circular else code]
+    # the root's path count is the int64 at entry 4n
+    words = 0 if circular else int(scratch[4 * n : 4 * n + 2].view(np.int64)[0])
+    return _decode(ranks, mfws.alphabet), ranks, words
 
 
 def reconstruct_word(mfws: MfwSet) -> str:
@@ -77,13 +92,18 @@ def reconstruct_word(mfws: MfwSet) -> str:
 
     The word is the longest path from the initial state of the stripped
     avoidance automaton.  A cycle means the avoiding language is infinite
-    and no finite word fits; a tie for the longest path, or a verification
-    mismatch, means the set belongs to no single word.
+    and no finite word fits; a tie for the longest path means the set
+    belongs to no single word.  The word is certified by counting: the set
+    is its antidictionary exactly when as many words avoid the set as the
+    word has factors, and a mismatch fails verification.
     """
-    word = _walk(mfws, circular=False)
-    # a set the kernel computed from the same word compares its sites, so
-    # the fresh set is not spelled
-    if mfw_linear(word, mfws.alphabet) != mfws:
+    word, ranks, avoiding = _walk(mfws, circular=False)
+    # copied out so that the walk's scratch is freed before the suffix
+    # automaton's buffer is allocated
+    ranks = ranks.copy()
+    tables, _ = _suffix_automaton_room(ranks.size, len(mfws.alphabet))
+    # the kernel counts the word's distinct factors, the empty one included
+    if kernel().factor_count(ranks, ranks.size, len(mfws.alphabet), tables) != avoiding:
         raise ReconstructionError(
             f"verification failed: {word!r} has a different antidictionary"
         )
@@ -97,7 +117,7 @@ def reconstruct_circular(mfws: MfwSet) -> CircularWord:
     rotation of the word, and a depth-first search finds one; the result is
     canonicalized and verified.
     """
-    labels = _walk(mfws, circular=True)
+    labels = _walk(mfws, circular=True)[0]
     try:
         cw = CircularWord(labels, mfws.alphabet)
     except ValueError as exc:

@@ -555,3 +555,106 @@ def unsound_members(members, text: str) -> list[str]:
             | ~occur(suffix[of_length], length - 1)
         )
     return [members[i] for i in np.flatnonzero(bad).tolist()]
+
+
+def avoiding_count(members, symbols: str, max_len: int) -> int:
+    """The number of words over ``symbols`` that contain no member, by
+    extending the avoiding words one letter at a time; the avoiding words
+    are closed under factors, so only a new suffix can hold a member.
+    Asserts that no avoiding word is longer than ``max_len``."""
+    members = list(members)
+    level, total = [""], 0
+    while level:
+        assert len(level[0]) <= max_len, "the avoiding language is infinite"
+        total += len(level)
+        level = [w + a for w in level for a in symbols if not any((w + a).endswith(m) for m in members)]
+    return total
+
+
+def de_bruijn_sequence(k: int) -> list[int]:
+    """A binary de Bruijn sequence of order k (Fredricksen, Kessler and
+    Maiorana): its 2**k cyclic windows of length k are the 2**k words."""
+    a, seq = [0] * (k + 1), []
+
+    def extend(t: int, p: int) -> None:
+        if t > k:
+            if k % p == 0:
+                seq.extend(a[1 : p + 1])
+            return
+        a[t] = a[t - p]
+        extend(t + 1, p)
+        for bit in range(a[t - p] + 1, 2):
+            a[t] = bit
+            extend(t + 1, t)
+
+    extend(1, 1)
+    return seq
+
+
+def de_bruijn_ordered_set(k: int) -> tuple[list[str], int, str]:
+    """A binary antifactorial set of words of length k whose avoiding
+    language is finite and large, with its size and its unique longest word.
+
+    The words of length k - 1 are numbered by their position on a de Bruijn
+    cycle, and a word of length k is a member exactly when its suffix of
+    length k - 1 comes no later than its prefix.  Every word shorter than k
+    avoids the set, and a longer one exactly when its windows of length
+    k - 1 come in increasing order, so the avoiding words are counted by
+    paths in that acyclic graph, in Python's integers.  The longest visits
+    every window: the cycle as a linear word.  The count exceeds 2**63 from
+    k = 11 on, with 514 members.
+    """
+    seq = de_bruijn_sequence(k - 1)
+    n = len(seq)
+    windows = [tuple(seq[(i + j) % n] for j in range(k - 1)) for i in range(n)]
+    position = {window: i for i, window in enumerate(windows)}
+    members, paths = [], [1] * n  # paths[i]: the words read from window i
+    for i in reversed(range(n)):
+        for bit in (0, 1):
+            j = position[windows[i][1:] + (bit,)]
+            if j > i:
+                paths[i] += paths[j]
+            else:
+                members.append("".join("ab"[x] for x in windows[i] + (bit,)))
+    count = 2 ** (k - 1) - 1 + sum(paths)
+    return members, count, "".join("ab"[x] for x in seq + seq[: k - 2])
+
+
+def distinct_factor_count(text: str) -> int:
+    """The number of distinct factors of ``text``, the empty word included:
+    1 + n(n+1)/2 minus the sum of the longest common prefixes of suffixes
+    that neighbour in sorted order.
+
+    The suffix array is sorted by prefix doubling in numpy (Manber and
+    Myers), each round ranking the suffixes by their first 2h symbols as
+    pairs of ranks of h, and the common prefixes come from Kasai et al.'s
+    scan in text order (CPM 2001), each one at least the one before less
+    one.  Nothing here reads an automaton.
+    """
+    code = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), "<u4")
+    n = len(code)
+    rank = np.unique(code, return_inverse=True)[1].astype(np.int64)
+    h = 1
+    while True:
+        second = np.zeros(n, dtype=np.int64)  # 0 past the end of the text
+        second[: max(n - h, 0)] = rank[h:] + 1
+        key = rank * (n + 1) + second
+        order = np.argsort(key, kind="stable")
+        ordered = key[order]
+        rank[order] = np.concatenate(([0], np.cumsum(ordered[1:] != ordered[:-1])))
+        if n == 0 or rank[order[-1]] == n - 1 or h >= n:
+            break
+        h *= 2
+    suffixes, ranks, symbols = order.tolist(), rank.tolist(), code.tolist()
+    common = total = 0
+    for i in range(n):
+        r = ranks[i]
+        if r == 0:
+            common = 0
+            continue
+        j = suffixes[r - 1]
+        while i + common < n and j + common < n and symbols[i + common] == symbols[j + common]:
+            common += 1
+        total += common
+        common = max(common - 1, 0)
+    return 1 + n * (n + 1) // 2 - total

@@ -41,7 +41,9 @@ from .helpers import (
     all_words,
     assemble_reference,
     avoidance_reference,
+    avoiding_count,
     circular_factor_dfa_reference,
+    de_bruijn_ordered_set,
     find_cycle_reference,
     forbidden_sites_reference,
     longest_path_reference,
@@ -805,11 +807,14 @@ class TestArrayArguments:
 
 
 def walk_outcome(walk, *args, **kwargs) -> str:
-    """The word a walk reads, or the class of the error it raises."""
+    """The word a walk reads (the first of the kernel walk's three values),
+    or the class of the error it raises."""
     try:
         word = walk(*args, **kwargs)
     except ValueError as exc:
         return next(kind for kind in ("infinite", "not unique", "acyclic") if kind in str(exc))
+    if isinstance(word, tuple):
+        word = word[0]
     return "acyclic" if word is None else word
 
 
@@ -881,3 +886,52 @@ class TestWalks:
         symbols = data.draw(st.permutations("abcdé"))[: data.draw(st.integers(1, 5))]
         words = data.draw(st.lists(st.text("".join(symbols), min_size=1, max_size=8), max_size=12))
         assert_same_walks(antifactorial_core(words), Alphabet(symbols))
+
+
+def path_count(words, alphabet: Alphabet) -> tuple[int, int]:
+    """The kernel walk's return on the completed avoidance table of the
+    words' trie and the path count it leaves for the root, the int64 at
+    entry 4n of its scratch."""
+    flat, end = automata._trie_tables(words, alphabet)
+    n = len(end)
+    scratch = np.empty(6 * n, dtype=np.int32)
+    code = _kernel.kernel().walk(np.frombuffer(flat, np.int32), n, len(alphabet), end, scratch)
+    return code, int(scratch[4 * n : 4 * n + 2].view(np.int64)[0])
+
+
+class TestPathCount:
+    """The walk counts the words avoiding the members, |L(M)|, in its
+    post-order; whenever the avoiding language is finite (the walk returns
+    a word's length or a tie, -1) the root's count is that language's size."""
+
+    @pytest.mark.parametrize("symbols, max_len", [("ab", 3), ("abc", 2), ("ba", 3)])
+    def test_every_small_set_against_enumeration(self, symbols, max_len):
+        alphabet, finite = Alphabet(symbols), 0
+        for k in range(5):
+            for words in itertools.combinations(all_words(symbols, max_len), k):
+                if not antifactorial(words):
+                    continue
+                code, count = path_count(words, alphabet)
+                if code >= -1:
+                    finite += 1
+                    assert count == avoiding_count(words, symbols, sum(map(len, words))), words
+        assert finite > 0
+
+    @pytest.mark.parametrize("symbols, bound", [("ab", 8), ("abc", 5), ("acgt", 4)])
+    def test_antidictionaries_of_small_words(self, symbols, bound):
+        alphabet = Alphabet(symbols)
+        for word in all_words(symbols, bound, min_len=0):
+            members = mfw_linear(word, alphabet).words
+            code, count = path_count(members, alphabet)
+            assert code == len(word), word
+            assert count == avoiding_count(members, symbols, len(word)), word
+
+    @pytest.mark.parametrize("k", range(3, 13))
+    def test_large_counts_saturate(self, k):
+        # up to 2**156 words avoid these sets of at most 1026 members; the
+        # count is exact below INT64_MAX and stays there above it
+        words, count, longest = de_bruijn_ordered_set(k)
+        code, walked = path_count(words, Alphabet("ab"))
+        assert code == len(longest)
+        assert walked == min(count, 2**63 - 1)
+        assert (count >= 2**63) is (k >= 11)

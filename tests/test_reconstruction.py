@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from array import array
@@ -23,7 +24,7 @@ from antidict import (
 )
 from antidict import automata, mfw, reconstruction
 
-from .helpers import all_words
+from .helpers import all_words, de_bruijn_ordered_set, distinct_factor_count
 
 AB = Alphabet("ab")
 
@@ -76,6 +77,43 @@ class TestReconstructWord:
             assert reconstruct_word(mfw_linear(w, AB)) == w, w
         for w in all_words("abc", 5):
             assert reconstruct_word(mfw_linear(w)) == w, w
+
+
+class TestCountCertificate:
+    """reconstruct_word certifies its word u by counting: the set M is M(u)
+    exactly when as many words avoid M as u has factors.  On small sets the
+    count test is compared with recomputing M(u)."""
+
+    @pytest.mark.parametrize("symbols, max_len, accepted, rejected", [("ab", 4, 57, 86), ("abc", 3, 37, 6)])
+    def test_agrees_with_recomputation(self, symbols, max_len, accepted, rejected):
+        # every antifactorial set of up to four words whose avoiding
+        # language is finite with a unique longest word u
+        alphabet, outcomes = Alphabet(symbols), []
+        for k in range(5):
+            for words in itertools.combinations(all_words(symbols, max_len), k):
+                if any(u != v and u in v for u in words for v in words):
+                    continue
+                mfws = MfwSet(words, alphabet)
+                try:
+                    u = reconstruction._walk(mfws, circular=False)[0]
+                except ReconstructionError:
+                    continue
+                try:
+                    certified = reconstruct_word(mfws) == u
+                except ReconstructionError as exc:
+                    assert str(exc) == f"verification failed: {u!r} has a different antidictionary"
+                    certified = False
+                assert certified is (mfw_linear(u, alphabet) == mfws), words
+                outcomes.append(certified)
+        assert (outcomes.count(True), outcomes.count(False)) == (accepted, rejected)
+
+    def test_a_count_past_int64_is_rejected(self):
+        # 2**94 words avoid these 514 words of length 11; the unique longest
+        # is the de Bruijn word of order 10, whose factors are far fewer
+        words, count, longest = de_bruijn_ordered_set(11)
+        assert count > 2**63
+        with pytest.raises(ReconstructionError, match=f"^verification failed: '{longest}' has"):
+            reconstruct_word(MfwSet(words, AB))
 
 
 class TestReconstructCircular:
@@ -221,10 +259,32 @@ class TestRoundTripAtScale:
         assert reconstruct_word(mfw_linear(word, alphabet)) == word
 
     def test_random_word_of_a_million_symbols(self):
-        # untimed; about 2 s, the verifying mfw_linear included
+        # untimed; about 1 s, the count certificate included
         rng = random.Random(10**6)
         word = "".join(rng.choices("ab", k=10**6))
         assert reconstruct_word(mfw_linear(word, AB)) == word
+
+
+class TestCompletenessAtScale:
+    """The walk's count of the words avoiding mfw_linear(w) equals the
+    number of distinct factors of w, counted from a suffix array and LCP
+    array that share no code with the suffix automaton.  The soundness
+    certificate of tests/test_mfw.py::TestSoundnessAtScale, on the same
+    words, shows every member a minimal forbidden factor of w, so every
+    factor of w avoids the members; equal counts then make the avoiding
+    language w's factor language, and mfw_linear(w) is exactly M(w).  Only
+    the oracle is independent: the count comes from the walk, which shares
+    its kernels (trie fill, completion and walk) with reconstruct_word."""
+
+    @pytest.mark.parametrize("symbols", ["ab", "acgt"])
+    def test_random_words(self, symbols):
+        rng = random.Random(symbols)
+        w = "".join(rng.choice(symbols) for _ in range(10**5))
+        assert reconstruction._walk(mfw_linear(w), circular=False)[2] == distinct_factor_count(w)
+
+    def test_fibonacci_word(self):
+        w = fibonacci_word(25)
+        assert reconstruction._walk(mfw_linear(w), circular=False)[2] == distinct_factor_count(w)
 
 
 @st.composite
