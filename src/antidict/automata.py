@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from ._kernel import MAX_STATES, kernel
-from .words import Alphabet, LimitExceeded, _ranks, _separator
+from .words import Alphabet, LimitExceeded, _member_ranks, _stray
 
 # Cap on the number of words one language enumeration may touch.
 ENUMERATION_LIMIT = 1_000_000
@@ -367,35 +367,27 @@ def _trie_tables(words: Iterable[str], alphabet: Alphabet) -> tuple[array, np.nd
     :func:`build_trie` makes, which a caller that completes the table
     itself need not copy.
 
-    The sorted members are joined by a separator that :func:`_ranks` codes
-    as the alphabet's size, and the kernel reads their ends off that one
-    buffer.  A member holding the separator splits into more words than
-    were joined, which ``trie_size`` reports, and raises the stray-symbol
-    error like any other symbol outside the alphabet.
+    The kernel reads the sorted members' ends off :func:`_member_ranks`'s
+    one buffer.  A member holding its separator splits into more words than
+    were joined, which ``trie_size`` reports, or into a false extension;
+    either raises the stray-symbol error, as any symbol outside would.
     """
     members = list(words)
     alphabet.sort(members)
     if members and not members[0]:
         raise ValueError("the empty word cannot be a trie member")
-    symbols, k, sigma = "".join(alphabet.symbols), len(members), len(alphabet)
-    sep = _separator(symbols)
-    ranks = _ranks(sep.join(members), symbols + sep)
-    if ranks is None:
-        _name_stray(members, alphabet)
+    k, sigma = len(members), len(alphabet)
     # neither the joined text nor its byte ranks outlive the encoding
-    code = ranks.astype(np.int32, copy=False)
-    del ranks
+    code = _member_ranks(members, alphabet).astype(np.int32, copy=False)
     # the start of each member, one past the last, then the longest length
     bounds = np.empty(k + 2, dtype=np.int64)
     lib = kernel()
     size = lib.trie_size(code, len(code), k, sigma, bounds)
     if size < 0:
-        if any(sep in word for word in members):
-            _name_stray(members, alphabet)
-        # member -1 - size extends its sorted predecessor
-        raise ValueError(
-            f"{members[-1 - size]!r} extends another member: the set is not prefix-free"
-        )
+        bad = -1 - size  # extends its sorted predecessor, if both are members
+        if bad == k or not members[bad].startswith(members[bad - 1]):
+            raise _stray(members, alphabet)
+        raise ValueError(f"{members[bad]!r} extends another member: the set is not prefix-free")
     if size > MAX_STATES:
         raise LimitExceeded(
             f"a trie of {size} states is more than the {MAX_STATES} its tables can number"
@@ -407,14 +399,6 @@ def _trie_tables(words: Iterable[str], alphabet: Alphabet) -> tuple[array, np.nd
     path = np.empty(bounds[k + 1] + 1, dtype=np.int32)
     lib.trie(code, bounds, k, sigma, np.frombuffer(flat, np.int32), finals, path)
     return flat, finals
-
-
-def _name_stray(members: list[str], alphabet: Alphabet) -> None:
-    """Raise :meth:`Alphabet.check_word`'s error for the first of the
-    members that holds a symbol outside the alphabet; there must be one."""
-    for word in members:
-        alphabet.check_word(word)
-    raise AssertionError("no member holds a stray symbol")
 
 
 def _avoidance_tables(trie: Trie) -> tuple[array, array]:

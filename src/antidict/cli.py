@@ -47,23 +47,28 @@ def _alphabet_for(word: str, symbols: str | None) -> Alphabet:
     return Alphabet(symbols) if symbols else Alphabet.of_word(word)
 
 
+def _read_utf8(path: str, errors: str = "strict") -> str:
+    """The text of a file, or of stdin for ``-``, decoded as UTF-8 whatever
+    the locale, so that the same bytes read the same on both routes."""
+    if path == "-":
+        if isinstance(sys.stdin, io.TextIOWrapper):
+            sys.stdin.reconfigure(encoding="utf-8", errors=errors)
+        return sys.stdin.read()
+    with open(path, encoding="utf-8", errors=errors) as handle:
+        return handle.read()
+
+
 def _word_of(args) -> str:
     """The word given as the argument or, with ``--input``, read from a file
     or from stdin for ``-``, trailing line breaks dropped; exactly one of the
-    two must be given.  Both routes decode UTF-8 under surrogateescape,
-    whatever the locale, so the same bytes read the same: an undecodable
-    byte becomes a lone surrogate, a symbol like any other, which the
-    output writes back as that byte."""
+    two must be given.  Both routes decode UTF-8 under surrogateescape, so
+    an undecodable byte becomes a lone surrogate, a symbol like any other,
+    which the output writes back as that byte."""
     if (args.word is None) == (args.input is None):
         raise ValueError("give the word either as an argument or with --input, not both")
     if args.input is None:
         return args.word
-    if args.input == "-":
-        if isinstance(sys.stdin, io.TextIOWrapper):
-            sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
-        return sys.stdin.read().rstrip("\r\n")
-    with open(args.input, encoding="utf-8", errors="surrogateescape") as handle:
-        return handle.read().rstrip("\r\n")
+    return _read_utf8(args.input, "surrogateescape").rstrip("\r\n")
 
 
 def _cmd_mfw(args) -> int:
@@ -103,13 +108,10 @@ def _cmd_automaton(args) -> int:
 
 
 def _read_json(path: str):
-    """JSON from a file, or from stdin for ``-``; nesting too deep for the
-    parser is bad input like any other malformed JSON."""
+    """UTF-8 JSON (RFC 8259) from a file, or from stdin for ``-``; nesting
+    too deep for the parser is bad input like any other malformed JSON."""
     try:
-        if path == "-":
-            return json.load(sys.stdin)
-        with open(path) as handle:
-            return json.load(handle)
+        return json.loads(_read_utf8(path))
     except RecursionError:
         raise ValueError(f"JSON in {path!r} is nested too deeply") from None
 
@@ -233,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if isinstance(sys.stdout, io.TextIOWrapper):
         codecs.register_error("antidict.surrogates", _surrogates)
-        sys.stdout.reconfigure(errors="antidict.surrogates")
+        sys.stdout.reconfigure(encoding="utf-8", errors="antidict.surrogates")
     try:
         return args.func(args)
     except (ReconstructionError, LimitExceeded, ValueError, OSError, json.JSONDecodeError) as exc:

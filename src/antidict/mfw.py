@@ -40,8 +40,9 @@ from .words import (
     LimitExceeded,
     _circular_input,
     _encode,
-    _ranks,
+    _member_ranks,
     _separator,
+    _stray,
     circular_factor_set,
     factor_set,
 )
@@ -79,7 +80,8 @@ class MfwSet:
     alphabet order, each once: the constructor takes them in any order and
     possibly repeated, and sorts and deduplicates them unless one kernel
     pass finds them in that order already, each once and none empty, as
-    those of :meth:`to_json` are.  :func:`mfw_linear` and
+    those of :meth:`to_json` are; an empty or stray member raises ``ValueError``.
+    :func:`mfw_linear` and
     :func:`mfw_circular` return a set held as the kernel's sites instead,
     in that order: a ``(count, 3)`` int32 array of triples
     ``(start, stop, letter)``, each the member ``text[start:stop]`` followed
@@ -103,6 +105,8 @@ class MfwSet:
         words = tuple(words)
         if not _in_order(words, alphabet):
             words = _sort(words, alphabet)
+            if words[:1] == ("",):  # the shortest member comes first
+                raise ValueError("the empty word '' cannot be a minimal forbidden factor")
         self._fill(words, None, alphabet, kind, source)
 
     @classmethod
@@ -171,17 +175,16 @@ class MfwSet:
     @classmethod
     def from_json(cls, data) -> "MfwSet":
         """Inverse of :meth:`to_json`; malformed data (a ``"circular"``
-        that is not a bool or null among them), a member holding a symbol
-        outside the alphabet and the empty member raise ``ValueError``.
+        that is not a bool or null among them) raise ``ValueError``.
 
         The members go through the constructor, so any order and repeats
-        are accepted; members in the order :meth:`to_json` writes are
+        are accepted, a stray symbol and the empty member raise its
+        ``ValueError``, and members in the order :meth:`to_json` writes are
         checked in one kernel pass and not sorted.
         """
         try:
             alphabet = Alphabet(data["alphabet"])
             words, circular, source = data["mfw"], data.get("circular"), data.get("word")
-            joined = "".join(words)  # TypeError unless every member is a string
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed antidictionary JSON: {exc!r}") from None
         if not isinstance(words, list):
@@ -191,16 +194,9 @@ class MfwSet:
         if not (circular is None or isinstance(circular, bool)):
             raise ValueError(f"'circular' must be true, false or null, got {circular!r}")
         try:
-            alphabet.check_word(joined)
-        except ValueError:
-            for word in words:  # name the first member holding a stray symbol
-                alphabet.check_word(word)
-            raise
-        del joined  # not held across the order check, which joins them again
-        mfws = cls(words, alphabet, "circular" if circular else "linear", source)
-        if mfws.words[:1] == ("",):  # the shortest member comes first
-            raise ValueError("the empty word '' cannot be a minimal forbidden factor")
-        return mfws
+            return cls(words, alphabet, "circular" if circular else "linear", source)
+        except TypeError as exc:  # the join of a member that is not a string
+            raise ValueError(f"malformed antidictionary JSON: {exc!r}") from None
 
     def __iter__(self):
         return iter(self.words)
@@ -249,35 +245,18 @@ def _byte_form(symbols: str) -> tuple[str, str, int]:
 
 def _in_order(words: tuple[str, ...], alphabet: Alphabet) -> bool:
     """Whether the words are in :class:`MfwSet` order, each once and none
-    empty: decided by the kernel's one pass over them joined by a separator.
-
-    An alphabet whose order is not code-point order is compared by rank:
-    the joined text is mapped to rank units by :func:`words._ranks`, the
-    separator to the unit after the last rank.  Words holding a symbol
-    outside the alphabet may be sent to the sort needlessly but never pass
-    wrongly: such a symbol fails the rank lookup or the ASCII encoding, or
-    is the separator, and the kernel counts the separators it meets against
-    the words.
-    """
-    symbols = "".join(alphabet.symbols)
-    sep, encoding, width = _byte_form(symbols)
-    text = sep.join(words)
-    if alphabet._key is not None:
-        ranks = _ranks(text, symbols + sep)
-        if ranks is None:  # a symbol outside the alphabet
-            return False
-        unit = np.dtype(np.uint8 if len(symbols) < 256 else ">u4")
-        data, width = ranks.astype(unit).tobytes(), unit.itemsize
-        sep_unit = np.array([len(symbols)], unit).tobytes()
-    else:
-        try:
-            # surrogatepass: a lone surrogate is a symbol like any other
-            data = text.encode(encoding, "surrogatepass")
-        except UnicodeEncodeError:  # a symbol outside an ASCII alphabet
-            return False
-        sep_unit = sep.encode(encoding)
-    count = len(words)
-    return kernel().shortlex_run(data, len(data), width, sep_unit, count) == count
+    empty: one kernel pass over :func:`words._member_ranks`, one byte a
+    rank, or four big-endian past 255 symbols.  A stray symbol raises
+    ``check_word``'s error; the separator does once the pass fails and the
+    separators outnumber the joins."""
+    sigma, count = len(alphabet), len(words)
+    ranks = _member_ranks(words, alphabet)
+    width = 1 if sigma < 256 else 4
+    data, sep = ranks.astype(f">u{width}", copy=False).tobytes(), sigma.to_bytes(width, "big")
+    in_order = kernel().shortlex_run(data, len(data), width, sep, count) == count
+    if not in_order and np.count_nonzero(ranks == sigma) >= count:
+        raise _stray(words, alphabet)
+    return in_order
 
 
 def _forbidden_sites(code: np.ndarray, sigma: int, max_len: int) -> np.ndarray:

@@ -5,8 +5,8 @@ symbols and, crucially, their order: the order drives every lexicographic
 comparison in the package (least rotations, sorted antidictionaries).  A word
 reaches the compiled kernel only as the ranks of :func:`_ranks`: through
 :func:`_encode`, which refuses a symbol outside the alphabet itself, or, as a
-trie member, joined to the others by a separator ranked after the alphabet,
-which the kernel counts.  The enumeration oracles in this module
+list member, by :func:`_member_ranks`, joined to the others by a separator
+ranked after the alphabet, which the kernel counts.  The enumeration oracles
 are deliberately naive; they exist so that the automaton-based algorithms
 elsewhere can be checked against something that is obviously correct, and
 they refuse inputs large enough to hang.
@@ -63,6 +63,10 @@ class Alphabet:
             if syms == tuple(sorted(syms))
             else methodcaller("translate", str.maketrans({s: chr(i) for i, s in enumerate(syms)}))
         )
+        # build the member-list rank table now: cached amid a large first
+        # input, it would pin that input's memory
+        members = "".join(syms) + _separator("".join(syms))
+        (_ascii_ranks if members.isascii() else _sorted_points)(members)
 
     @classmethod
     def of_word(cls, word: str) -> "Alphabet":
@@ -89,16 +93,9 @@ class Alphabet:
 
     def check_word(self, word: str) -> None:
         """Raise ``ValueError`` naming the first symbol of the word outside
-        this alphabet, if there is one.  An ASCII word passes when deleting
-        the alphabet's bytes from it leaves nothing, any other when
-        :func:`_ranks` finds its symbols; :func:`_encode` needs no such call."""
-        symbols = "".join(self.symbols)
-        if word.isascii():
-            if not word.encode().translate(None, symbols.encode("utf-8", "surrogatepass")):
-                return
-        elif _ranks(word, symbols) is not None:
-            return
-        raise _stray(word, self)
+        this alphabet, if :func:`_ranks` finds one."""
+        if _ranks(word, "".join(self.symbols)) is None:
+            raise _stray([word], self)
 
     def __contains__(self, symbol: str) -> bool:
         return symbol in self._rank
@@ -119,21 +116,33 @@ class Alphabet:
         return f"Alphabet({''.join(self.symbols)!r})"
 
 
-def _stray(word: str, alphabet: Alphabet) -> ValueError:
-    """The error naming the first symbol of the word outside the alphabet."""
-    stray = next(c for c in word if c not in alphabet)
+def _stray(words: Iterable[str], alphabet: Alphabet) -> ValueError:
+    """The error naming the first symbol outside the alphabet in the words."""
+    word, stray = next((w, c) for w in words for c in w if c not in alphabet)
     return ValueError(f"symbol {stray!r} of {word!r} is not in alphabet {alphabet}")
+
+
+def _member_ranks(words, alphabet: Alphabet) -> np.ndarray:
+    """The gate of a member list: the ranks of the words joined by
+    :func:`_separator`, ranked as the alphabet's size.  A stray symbol raises
+    :func:`_stray`'s error here, the separator once the kernel miscounts."""
+    symbols = "".join(alphabet.symbols)
+    sep = _separator(symbols)
+    ranks = _ranks(sep.join(words), symbols + sep)
+    if ranks is None:
+        raise _stray(words, alphabet)
+    return ranks
 
 
 def _encode(word: str, alphabet: Alphabet) -> np.ndarray:
     """Rank codes of a word, as an int32 array, by :func:`_ranks`: the
     route from a string to the kernel, and its symbol gate, for every word
-    but the members of a trie.  A symbol outside
+    but a member list, which :func:`_member_ranks` ranks.  A symbol outside
     the alphabet raises :meth:`Alphabet.check_word`'s ``ValueError``, so no
     code reaches the alphabet's size and indexes past a kernel table row."""
     ranks = _ranks(word, "".join(alphabet.symbols))
     if ranks is None:
-        raise _stray(word, alphabet)
+        raise _stray([word], alphabet)
     return ranks.astype(np.int32, copy=False)
 
 
@@ -147,7 +156,8 @@ def _ranks(word: str, symbols: str) -> np.ndarray | None:
     if symbols.isascii():
         if not word.isascii():
             return None
-        ranks = word.encode().translate(_ascii_ranks(symbols))
+        ranks, word = word.encode(), None  # frees a joined text no caller holds
+        ranks = ranks.translate(_ascii_ranks(symbols))
         return None if 255 in ranks else np.frombuffer(ranks, np.uint8)
     sorted_points, by_point = _sorted_points(symbols)
     code = np.frombuffer(word.encode("utf-32-le", "surrogatepass"), "<u4")

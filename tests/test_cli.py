@@ -1,10 +1,23 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from antidict import Alphabet, build_factor_automaton, build_trie, mfw, mfw_linear
+import antidict
+from antidict import (
+    Alphabet,
+    build_factor_automaton,
+    build_trie,
+    l_automaton,
+    mfw,
+    mfw_circular,
+    mfw_linear,
+)
 from antidict.cli import main
 
 AB = Alphabet("ab")
@@ -272,6 +285,43 @@ class TestReconstructCommand:
         path.write_text(json.dumps({"alphabet": "ab", "circular": False, "mfw": ["aa", "ba"]}))
         code, _, err = run(capsys, "reconstruct", "--mfw", str(path))
         assert code == 2 and "infinite" in err
+
+
+class TestJsonInput:
+    """``reconstruct --mfw`` and ``l-automaton --from-trie`` read their JSON
+    as UTF-8 whatever the locale, from a file and from stdin alike."""
+
+    @pytest.mark.parametrize("route", ["file", "stdin"])
+    def test_raw_utf8_under_an_ascii_locale(self, tmp_path, route):
+        word, alphabet = "aββaβa", Alphabet("aβ")
+        linear, circular = mfw_linear(word, alphabet), mfw_circular(word, alphabet)
+        trie = build_trie(linear.words, alphabet)
+        runs = [
+            (["reconstruct", "--mfw"], linear.to_json(), word),
+            (["reconstruct", "--mfw"], circular.to_json(), circular.source),
+            (["l-automaton", "--stats", "--from-trie"], trie.to_json(), f"states={l_automaton(trie).n_states}"),
+        ]
+        env = os.environ | {
+            "LC_ALL": "C",
+            "PYTHONCOERCECLOCALE": "0",
+            "PYTHONUTF8": "0",
+            "PYTHONPATH": str(Path(antidict.__file__).parents[1]),
+        }
+        env.pop("PYTHONIOENCODING", None)
+        for argv, document, expected in runs:
+            raw = json.dumps(document, ensure_ascii=False).encode("utf-8")
+            path = tmp_path / "document.json"
+            path.write_bytes(raw)
+            source = "-" if route == "stdin" else str(path)
+            done = subprocess.run(
+                [sys.executable, "-m", "antidict.cli", *argv, source],
+                input=raw if route == "stdin" else None,
+                capture_output=True,
+                env=env,
+                timeout=120,
+            )
+            assert (done.returncode, done.stderr) == (0, b""), argv
+            assert done.stdout == (expected + "\n").encode("utf-8"), argv
 
 
 class TestFibCheckCommand:

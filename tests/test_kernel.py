@@ -17,7 +17,6 @@ from antidict import (
     CircularWord,
     LimitExceeded,
     MfwSet,
-    ReconstructionError,
     Trie,
     build_factor_automaton,
     build_trie,
@@ -26,7 +25,6 @@ from antidict import (
     l_automaton,
     mfw_circular,
     mfw_linear,
-    reconstruct_word,
     strip_sinks,
 )
 from antidict import _kernel, automata, factor_automaton
@@ -718,7 +716,8 @@ class TestSeparatorJoinedFill:
     def test_member_holding_the_separator(self):
         # the separator is the first character outside the alphabet; a member
         # holding it splits into more words than were joined, or into an
-        # apparent extension, and raises check_word's stray-symbol message
+        # apparent extension, and raises check_word's stray-symbol message;
+        # MfwSet's constructor refuses such a set before any reconstruction
         for symbols, sep in (("ab", "\x00"), ("\x00a", "\x01"), ("aβ", "\x00")):
             alphabet = Alphabet(symbols)
             a = symbols[-1]
@@ -734,8 +733,9 @@ class TestSeparatorJoinedFill:
                 message = f"symbol {sep!r} of {stray!r} is not in alphabet {alphabet}"
                 with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                     build_trie(words, alphabet)
-                with pytest.raises(ReconstructionError, match=f"^{re.escape(message)}$"):
-                    reconstruct_word(MfwSet(tuple(words), alphabet))
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as refused:
+                    MfwSet(tuple(words), alphabet)
+                assert type(refused.value) is ValueError
 
     def test_a_buffer_of_another_word_count_is_refused(self):
         # called directly: k words wanted, the buffer holding more or fewer

@@ -26,7 +26,6 @@ from antidict import (
     rotations,
 )
 from antidict import mfw
-from antidict.words import _ranks
 
 from .helpers import all_words, unsound_members, words_avoiding
 
@@ -44,6 +43,20 @@ def key_sort(words, symbols: str) -> tuple[str, ...]:
     return tuple(sorted(set(words), key=lambda w: (len(w), [symbols.index(c) for c in w])))
 
 
+EMPTY_MEMBER = "the empty word '' cannot be a minimal forbidden factor"
+
+
+def refusal(words, alphabet: Alphabet) -> str | None:
+    """The message a member list is refused with, or None: the first
+    member holding a symbol outside the alphabet is named, else the empty
+    member is."""
+    for word in words:
+        for symbol in word:
+            if symbol not in alphabet:
+                return f"symbol {symbol!r} of {word!r} is not in alphabet {alphabet}"
+    return EMPTY_MEMBER if "" in words else None
+
+
 class TestMfwSet:
     def test_sorted_by_length_then_lexicographic(self):
         s = MfwSet.build(["babba", "bbb", "aaa", "baa", "aba"], AB)
@@ -59,6 +72,11 @@ class TestMfwSet:
         symbols = "".join(data.draw(st.permutations("abcé")))
         alphabet = Alphabet(symbols)
         words = data.draw(st.lists(st.text(symbols, max_size=6), max_size=40))
+        if "" in words:  # refused in any order, then left out
+            for members in (words, key_sort(words, symbols)):
+                with pytest.raises(ValueError, match=f"^{re.escape(EMPTY_MEMBER)}$"):
+                    MfwSet.build(members, alphabet)
+            words = [w for w in words if w]
         expected = key_sort(words, symbols)
         assert MfwSet.build(words, alphabet).words == expected
         assert MfwSet.build(expected, alphabet).words == expected
@@ -183,31 +201,48 @@ class TestOrderCheck:
         with pytest.raises(ValueError, match=re.escape(repr(member))):
             MfwSet.from_json({"alphabet": symbols, "mfw": [symbols[0], member, symbols[1] * 3]})
 
-    def test_words_holding_the_separator_are_sorted(self):
+    def test_words_holding_the_separator_are_refused(self):
         # split at the separator, these would read as b, c, a: in order for
-        # two members, though "a" comes first
-        assert MfwSet.build(["b\x00c", "a"], ABC).words == ("a", "b\x00c")
-        assert MfwSet.build(["a", "b\x00"], ABC).words == ("a", "b\x00")
-        # an ASCII alphabet given a non-ASCII word falls back to the sort
-        assert MfwSet.build(["é", "a"], ABC).words == ("a", "é")
+        # two members, though "a" comes first; an ASCII alphabet given a
+        # non-ASCII word refuses it too
+        for words in (["b\x00c", "a"], ["a", "b\x00"], ["é", "a"]):
+            with pytest.raises(ValueError, match=f"^{re.escape(refusal(words, ABC))}$"):
+                MfwSet.build(words, ABC)
 
-    @settings(max_examples=200, deadline=None)
+    @pytest.mark.parametrize(
+        "words, symbols", [(["é", "a"], "abc"), (["a\x00b"], "ab"), (["", "a"], "ab")]
+    )
+    def test_constructor_refuses_as_from_json_does(self, words, symbols):
+        message = refusal(words, Alphabet(symbols))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MfwSet(words, Alphabet(symbols))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MfwSet.from_json({"alphabet": symbols, "mfw": words})
+
+    @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_rank_units_agree_with_the_sort(self, data):
-        # an alphabet out of code-point order, ASCII or not, maps its
-        # members to rank units; stray symbols, the separator among them,
-        # never pass; the last alphabet has too many ranks for one byte a unit
-        symbols = data.draw(st.sampled_from(["tgca", "ba", "δγβa", "γaβ", "βa", CJK_300]))
+        # every alphabet maps its members to rank units, the last one too
+        # many ranks for one byte a unit; a list holding a stray symbol, the
+        # separator among them, or the empty word is refused alike by the
+        # constructor and by from_json; the valid members round-trip
+        symbols = data.draw(st.sampled_from([*self.ALPHABETS, "γaβ", "βa", CJK_300]))
         alphabet = Alphabet(symbols)
         strays = ["", "\x00", "\x01", "b", "z", "é", "\ud800", "\U0001f600", "\U0010ffff"]
         letters = symbols + data.draw(st.sampled_from(strays))
         words = data.draw(st.lists(st.text(letters, max_size=6), max_size=12))
+        message = refusal(words, alphabet)
+        if message is not None:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                MfwSet(words, alphabet)
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                MfwSet.from_json({"alphabet": symbols, "mfw": words})
+            words = [w for w in words if refusal([w], alphabet) is None]
+        mfws = MfwSet(words, alphabet)
+        back = MfwSet.from_json(json.loads(json.dumps(mfws.to_json())))
+        assert back == mfws and back.words == mfws.words == key_sort(words, symbols)
         for members in (words, list(mfw._sort(words, alphabet))):
-            expected = (
-                _ranks("".join(members), symbols) is not None
-                and "" not in members
-                and tuple(members) == mfw._sort(members, alphabet)
-            )
+            expected = tuple(members) == key_sort(members, symbols)
             assert mfw._in_order(tuple(members), alphabet) == expected, members
 
 
