@@ -1,8 +1,9 @@
 /* Compiled kernels of antidict, loaded through ctypes by _kernel.py.
  *
  * Words arrive as rank codes: code[i] is the rank of the i-th symbol in the
- * alphabet order, 0 <= code[i] < sigma.  The caller checks sizes and dtypes
- * and allocates every table; nothing here allocates.
+ * alphabet order, 0 <= code[i] < sigma; a member list arrives as one buffer
+ * of rank units (see trie_size()).  The caller checks sizes and dtypes and
+ * allocates every table; nothing here allocates.
  */
 
 #include <stdint.h>
@@ -311,52 +312,6 @@ void spell_sites(const uint8_t *text, int64_t width, const int32_t *sites,
     }
 }
 
-/* The first separator unit at or after p before end, or NULL. */
-static const uint8_t *find_unit(const uint8_t *p, const uint8_t *end,
-                                const uint8_t *sep, int64_t width)
-{
-    if (width == 1)
-        return memchr(p, *sep, (size_t)(end - p));
-    for (; p < end; p += width)
-        if (memcmp(p, sep, (size_t)width) == 0)
-            return p;
-    return NULL;
-}
-
-/* Checks count members, written one after another into text (size bytes)
- * with one separator unit between neighbours, for shortlex order: each
- * member nonempty and longer than its predecessor, or as long and greater
- * bytewise.  Symbols are width bytes each, encoded so that byte order is
- * the alphabet order (ASCII, or big-endian UTF-32), and the order is then
- * the MfwSet order with no member repeated.  A member holding a separator
- * leaves one in the last member, which then counts as out of order, so
- * count must be the number of members joined.  Returns the index of the
- * first member out of order, else count. */
-int64_t shortlex_run(const uint8_t *text, int64_t size, int64_t width,
-                     const uint8_t *sep, int64_t count)
-{
-    const uint8_t *end = text + size, *at = text, *prev = text;
-    int64_t prev_size = 0;
-    for (int64_t i = 0; i < count; i++) {
-        /* every member but the last ends at a separator */
-        const uint8_t *stop = find_unit(at, end, sep, width);
-        if ((stop == NULL) != (i + 1 == count))
-            return i;
-        if (stop == NULL)
-            stop = end;
-        /* an empty first member is as long as, and equal to, the empty
-         * word before it; a later one is shorter than its predecessor */
-        int64_t member = stop - at;
-        if (member < prev_size ||
-            (member == prev_size && memcmp(prev, at, (size_t)member) >= 0))
-            return i;
-        prev = at;
-        prev_size = member;
-        at = stop + width;
-    }
-    return count;
-}
-
 /* Appends a childless node to the table flat, which holds *nodes rows of
  * sigma entries, and returns its number. */
 static int32_t new_node(int32_t *flat, int32_t sigma, int64_t *nodes)
@@ -505,111 +460,161 @@ int64_t least_rotation(const int32_t *code, int64_t n)
     return k == n ? -1 - start : start;
 }
 
-/* Length of the common prefix of word i > 0 and word i - 1, the i-th word
- * being code[bounds[i] .. bounds[i+1] - 1).  Inline: as one call a member
- * it made trie_size about 10% slower on random texts' many short members. */
-static inline int64_t common_prefix(const int32_t *code, const int64_t *bounds, int64_t i)
+/* A member list reaches trie_size() and trie() as one buffer of rank
+ * units: the members one after another, the rank sigma, the separator,
+ * between neighbours, so that no per-member lengths are built for them.
+ * A unit is one byte when every rank, sigma's included, fits in one
+ * (sigma < 256), else four bytes, big-endian. */
+
+/* The rank of unit i of a buffer of width-byte units. */
+static inline int32_t unit_at(const uint8_t *units, int64_t width, int64_t i)
 {
-    const int32_t *prev = code + bounds[i - 1], *word = code + bounds[i];
-    int64_t prev_len = bounds[i] - bounds[i - 1] - 1, len = bounds[i + 1] - bounds[i] - 1;
-    int64_t longest = prev_len < len ? prev_len : len, common = 0;
-    while (common < longest && prev[common] == word[common])
+    if (width == 1)
+        return units[i];
+    const uint8_t *u = units + 4 * i;
+    return (int32_t)((uint32_t)u[0] << 24 | (uint32_t)u[1] << 16 | (uint32_t)u[2] << 8 | u[3]);
+}
+
+/* The index of the first separator at or after unit i, else n.  One-byte
+ * units are searched by memchr: the members of the rank-24 Fibonacci word
+ * share no prefix with their shortlex predecessors, so this search is the
+ * whole scan there. */
+static inline int64_t next_separator(const uint8_t *units, int64_t width, int64_t i, int64_t n,
+                                     int32_t sigma)
+{
+    if (width == 1) {
+        const uint8_t *at = memchr(units + i, sigma, (size_t)(n - i));
+        return at != NULL ? at - units : n;
+    }
+    while (i < n && unit_at(units, width, i) != sigma)
+        i++;
+    return i;
+}
+
+/* The length of the common prefix, at most limit units, of the words
+ * starting at units a < b of a buffer of n units.  One-byte units are
+ * compared eight at a time while eight are left before n, the first
+ * difference found by its lowest set bit (the loads are little-endian;
+ * a big-endian host compares one unit a step): neighbours in MfwSet order
+ * often share most of their symbols, and one byte a step took 240 against
+ * 120 us for the whole scan of trie_size() below. */
+static inline int64_t common_prefix(const uint8_t *units, int64_t width, int64_t n, int64_t a,
+                                    int64_t b, int64_t limit)
+{
+    int64_t common = 0;
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+    if (width == 1) {
+        for (; common < limit && b + common + 8 <= n; common += 8) {
+            uint64_t x, y;
+            memcpy(&x, units + a + common, 8);
+            memcpy(&y, units + b + common, 8);
+            if (x != y) {
+                common += __builtin_ctzll(x ^ y) >> 3;
+                break;
+            }
+        }
+        if (common >= limit)
+            return limit;
+    }
+#endif
+    while (common < limit && unit_at(units, width, a + common) == unit_at(units, width, b + common))
         common++;
     return common;
 }
 
-/* Node count of the trie of k words sorted in alphabet order and joined by
- * separators: code holds n ranks, the words one after another with the
- * rank sigma between neighbours, so that the words' ends are read off the
- * one buffer the caller encoded, with no per-word lengths built for them.
- * The count is 1 + sum of |m_i| - lcp(m_{i-1}, m_i), since in sorted order
- * each word shares with the trie built so far exactly its common prefix
- * with its predecessor.  An equal neighbour adds nothing.  Each word is
- * compared with its predecessor first, whose end is known, and only the
- * symbols after their common prefix are searched for the separator, so
- * no symbol is tested for both.  Writes to bounds, k + 2 entries, the
- * start of each word, then the start a word after the last would have
- * (n + 1, or 0 with no word), then the longest word's length: trie()
- * reads the words' ends off the same bounds, with no separator test, and
- * its path is sized by the longest word.  Building per-word lengths in
- * Python instead cost more than the kernel work on short members (25 us
- * for the 689 members of a dna necklace in np.fromiter alone), and each array
- * argument costs a call about 1 us through _kernel.Array (2.7 us through
- * ndpointer), so one bounds array carries all three.
- * Returns -1 - i when word i properly extends word i - 1: the set is not
- * prefix-free (in sorted order every extension of a word follows it
- * directly, so neighbours are all that need testing).  Returns -1 - k when
- * code does not hold exactly k words, as when a word held the separator;
- * a stray separator may instead split a word into an extension of its
- * neighbour, so the caller looks for one before naming an extension. */
-int64_t trie_size(const int32_t *code, int64_t n, int64_t k, int32_t sigma, int64_t *bounds)
+/* The one scan of a member list: k members in a buffer of nbytes bytes of
+ * rank units, every member read whatever the scan finds.  Writes k + 4
+ * entries to bounds: each member's start (in units), the start a member
+ * after the last would have (n + 1 for n units, 0 with no member), the
+ * longest member's length, the first member out of MfwSet order (shortlex,
+ * each member once, none empty) and the first that extends the one before
+ * it, the last two k for none.  Returns 1 + the sum of |m_i| -
+ * lcp(m_{i-1}, m_i): the size of the members' trie when they are sorted in
+ * alphabet order, since each then shares with the trie built so far just
+ * its common prefix with its predecessor, and every extension of a member
+ * directly follows it.  Each member's end is found before it is compared
+ * with its predecessor, so that neither waits on the other: searching only
+ * past the common prefix took 180 against 120 us in MfwSet order and 180
+ * against 110 us sorted, on the 12,394 members of a random binary text of
+ * 2^14 symbols (best of 300, x86-64, -O2).  Returns -1 - k, bounds half
+ * written, exactly when the buffer does not hold k members, as when one
+ * holds the separator: k members joined hold k - 1 separators. */
+int64_t trie_size(const uint8_t *units, int64_t nbytes, int64_t k, int32_t sigma, int64_t *bounds)
 {
-    int64_t size = 1, start = 0, prev_len = 0, longest = 0;
-    for (int64_t i = 0; i < k; i++) {
-        if (start > n)
-            return -1 - k;
-        const int32_t *word = code + start;
-        int64_t common = 0;
-        if (i > 0) {
-            /* prev holds no separator, so the loop stops at word's end */
-            const int32_t *prev = word - prev_len - 1;
-            int64_t limit = prev_len < n - start ? prev_len : n - start;
-            while (common < limit && prev[common] == word[common])
-                common++;
-        }
-        int64_t length = common;
-        while (start + length < n && word[length] != sigma)
-            length++;
-        if (i > 0 && common == prev_len && length > common)
-            return -1 - i;
+    int64_t width = sigma < 256 ? 1 : 4, n = nbytes / width;
+    int64_t size = 1, start = 0, prev = 0, prev_len = 0, longest = 0;
+    int64_t unordered = k, extension = k, i = 0;
+    for (; i < k && start <= n; i++) {
+        int64_t length = next_separator(units, width, start, n, sigma) - start;
+        int64_t common = common_prefix(units, width, n, prev, start,
+                                       prev_len < length ? prev_len : length);
+        /* in MfwSet order: longer than the previous member (the empty word
+         * before the first), or as long and greater where they differ */
+        if (unordered == k &&
+            (length < prev_len ||
+             (length == prev_len &&
+              (common == length ||
+               unit_at(units, width, start + common) < unit_at(units, width, prev + common)))))
+            unordered = i;
+        if (extension == k && i > 0 && common == prev_len && length > common)
+            extension = i;
         size += length - common;
         if (length > longest)
             longest = length;
         bounds[i] = start;
-        start += length + 1;
+        prev = start;
         prev_len = length;
+        start += length + 1;
     }
-    /* every rank read: the last word ended at n, or there was none */
-    if (k > 0 ? start != n + 1 : n > 0)
+    /* k members read, the last ending at n, or none and no unit */
+    if (i < k || (k > 0 ? start != n + 1 : n > 0))
         return -1 - k;
     bounds[k] = start;
     bounds[k + 1] = longest;
+    bounds[k + 2] = unordered;
+    bounds[k + 3] = extension;
     return size;
 }
 
-/* Inserts the k sorted, prefix-free words that trie_size measured into
- * flat, a table of as many rows as it counted, sigma entries a row:
- * flat[s*sigma + c] is the child of state s on rank c, or -1.  code and
- * bounds are trie_size's, word i being code[bounds[i] .. bounds[i+1] - 1).
- * State 0 is the root and states are numbered in insertion order.  flat
- * arrives filled with -1, and only the edges are written here: writing
- * each new row's -1s again, as the fill once did, took half its time on
- * the rank-24 Fibonacci members (0.26 against 0.13 ms a call, best of
- * 400, x86-64 Xeon).  finals, zeroed by the caller, receives a 1 at the
- * state each word ends at (one state for equal words): the member ends,
- * which avoidance() makes the sinks.
+/* Inserts the k members of a buffer that trie_size() found sorted in
+ * alphabet order and prefix-free into flat, a table of as many rows as it
+ * counted, sigma entries a row: flat[s*sigma + c] is the child of state s
+ * on rank c, or -1.  units and bounds are trie_size()'s, member i being
+ * units bounds[i] .. bounds[i+1] - 2.  State 0 is the root and states are
+ * numbered in insertion order.  flat arrives filled with -1 and only the
+ * edges are written: writing each new row's -1s as well took half the
+ * fill's time on the rank-24 Fibonacci members (0.26 against 0.13 ms a
+ * call, best of 400, x86-64 Xeon).  finals, zeroed by the caller, receives
+ * a 1 at the state each member ends at (one state for equal members): the
+ * member ends, which avoidance() makes the sinks.
  *
- * In sorted order word i leaves the trie built so far exactly where its
- * common prefix with word i - 1 ends, on a rank no earlier word took there,
- * so it needs no walk from the root: path[d] holds the state at depth d on
- * the previous word's path, the new word resumes at path[lcp] and appends
- * its remaining symbols as a chain of new states.  path is scratch room
- * for the longest word's length + 1 states, bounds[k + 1] + 1.  On the 23
- * circular members of the rank-24 Fibonacci word (167,758 symbols, 92,758
- * states) resuming took 0.18 ms against 0.74 ms walking each word down
- * from the root, one dependent load a symbol (process time, best of 40,
- * x86-64, -O2).  The separators are never compared here: the common
- * prefix and the chain stop at the ends trie_size wrote. */
-void trie(const int32_t *code, const int64_t *bounds, int64_t k, int32_t sigma,
+ * In sorted order member i leaves the trie built so far exactly where its
+ * common prefix with member i - 1 ends, on a rank no earlier member took
+ * there, so it needs no walk from the root: path[d] holds the state at
+ * depth d on the previous member's path, the new member resumes at
+ * path[lcp] and appends its remaining units as a chain of new states.
+ * path is scratch room for the longest member's length + 1 states,
+ * bounds[k + 1] + 1.  On the 23 circular members of the rank-24 Fibonacci
+ * word (167,758 symbols, 92,758 states) resuming took 0.18 ms against
+ * 0.74 ms walking each member down from the root, one dependent load a
+ * symbol (process time, best of 40, x86-64, -O2).  No separator is taken
+ * for a rank: the common prefix and the chain stop at the ends trie_size()
+ * wrote. */
+void trie(const uint8_t *units, const int64_t *bounds, int64_t k, int32_t sigma,
           int32_t *flat, uint8_t *finals, int32_t *path)
 {
+    int64_t width = sigma < 256 ? 1 : 4;
     int32_t nodes = 1;
     path[0] = 0;
     for (int64_t i = 0; i < k; i++) {
-        int64_t start = bounds[i], length = bounds[i + 1] - start - 1;
-        int64_t depth = i > 0 ? common_prefix(code, bounds, i) : 0;
+        int64_t start = bounds[i], length = bounds[i + 1] - start - 1, depth = 0;
+        if (i > 0) {
+            int64_t prev = bounds[i - 1], prev_len = start - prev - 1;
+            depth = common_prefix(units, width, bounds[k] - 1, prev, start,
+                                  prev_len < length ? prev_len : length);
+        }
         for (; depth < length; depth++) {
-            flat[(int64_t)path[depth] * sigma + code[start + depth]] = nodes;
+            flat[(int64_t)path[depth] * sigma + unit_at(units, width, start + depth)] = nodes;
             path[depth + 1] = nodes++;
         }
         finals[path[length]] = 1;

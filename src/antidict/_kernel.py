@@ -13,12 +13,15 @@ message.
 
 Every ndarray argument crosses through one checked converter,
 :class:`Array`, which makes the checks ``np.ctypeslib.ndpointer`` made and
-passes the array's address.  On short inputs the crossings weigh more
-than the kernel work, so the reconstructions cross few times:
-``trie_size`` reads the members' ends off one separator-joined buffer,
-``walk`` completes the avoidance table itself before walking it and counts
-the words avoiding the members as it goes, and ``factor_count`` builds a
-word's suffix automaton and counts its factors in the same call.
+passes the array's address.  A member list crosses as one buffer of rank
+units, one byte a rank or four big-endian bytes past 255 symbols, which
+``trie_size`` scans once for the ``MfwSet`` order check and the trie alike.
+On short inputs the crossings weigh more than the kernel work, so the
+reconstructions cross few times: ``trie_size`` reads the members' ends off
+that one buffer, ``walk`` completes the avoidance table itself before
+walking it and counts the words avoiding the members as it goes, and
+``factor_count`` builds a word's suffix automaton and counts its factors in
+the same call.
 """
 
 from __future__ import annotations
@@ -80,12 +83,6 @@ table = Array(np.int32, writeable=True)
 octets = Array(np.uint8)
 bitmap = Array(np.uint8, writeable=True)
 triples = Array(np.int32, ndim=2)
-# A bytes object goes in as c_char_p, a pointer to its own buffer.  An
-# np.frombuffer view of it through ndpointer instead, in MfwSet.from_json,
-# raised perfbench's dna peak_rss_mb (--rss-only child, seeds 101-106)
-# to 5.59-6.25 MiB on four seeds of six, against 4.83-5.25 with c_char_p
-# and 4.85-5.42 before shortlex_run existed.
-text = ctypes.c_char_p
 int32, int64 = ctypes.c_int32, ctypes.c_int64
 # Every function _kernel.c exports, with its argument and result types.
 SIGNATURES = (
@@ -94,11 +91,10 @@ SIGNATURES = (
     ("factor_classes", [table, int64, int32, int64, int32, table], int32),
     ("forbidden_sites", [codes, int64, int32, int32, int64, table], int64),
     ("spell_sites", [octets, int64, triples, int64, octets, int32, bitmap], None),
-    ("shortlex_run", [text, int64, int64, text, int64], int64),
     ("mf_automaton", [table, int64, int32, int64, table], int64),
     ("least_rotation", [codes, int64], int64),
-    ("trie_size", [codes, int64, int64, int32, bounds], int64),
-    ("trie", [codes, bounds, int64, int32, table, bitmap, table], None),
+    ("trie_size", [octets, int64, int64, int32, bounds], int64),
+    ("trie", [octets, bounds, int64, int32, table, bitmap, table], None),
     ("avoidance", [table, int64, int32, octets, table, table], int32),
     ("walk", [table, int64, int32, octets, table], int64),
 )

@@ -15,6 +15,7 @@ import codecs
 import dataclasses
 import io
 import json
+import os
 import sys
 
 from .automata import Trie, export_dot, strip_sinks
@@ -58,12 +59,23 @@ def _read_utf8(path: str, errors: str = "strict") -> str:
         return handle.read()
 
 
+def _utf8_arg(arg: str) -> str:
+    """A word or alphabet argument read as ``--input`` reads a file, UTF-8
+    under surrogateescape, whatever locale argv was decoded in; a string
+    argv could not hold, as :func:`main` may be given, is kept."""
+    try:
+        return os.fsencode(arg).decode("utf-8", "surrogateescape")
+    except UnicodeEncodeError:
+        return arg
+
+
 def _word_of(args) -> str:
     """The word given as the argument or, with ``--input``, read from a file
     or from stdin for ``-``, trailing line breaks dropped; exactly one of the
-    two must be given.  Both routes decode UTF-8 under surrogateescape, so
-    an undecodable byte becomes a lone surrogate, a symbol like any other,
-    which the output writes back as that byte."""
+    two must be given.  Both routes decode UTF-8 under surrogateescape (the
+    argument through :func:`_utf8_arg`), so an undecodable byte becomes a
+    lone surrogate, a symbol like any other, which the output writes back as
+    that byte."""
     if (args.word is None) == (args.input is None):
         raise ValueError("give the word either as an argument or with --input, not both")
     if args.input is None:
@@ -184,17 +196,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mfw", help="antidictionary of a word")
-    p.add_argument("word", nargs="?")
+    p.add_argument("word", nargs="?", type=_utf8_arg)
     p.add_argument("--input", metavar="PATH", help=INPUT_HELP)
-    p.add_argument("--alphabet", help="alphabet symbols in order (default: letters of the word)")
+    p.add_argument(
+        "--alphabet", type=_utf8_arg, help="alphabet symbols in order (default: letters of the word)"
+    )
     p.add_argument("--circular", action="store_true", help="treat the word as circular")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_mfw)
 
     p = sub.add_parser("automaton", help="factor automaton of a word")
-    p.add_argument("word", nargs="?")
+    p.add_argument("word", nargs="?", type=_utf8_arg)
     p.add_argument("--input", metavar="PATH", help=INPUT_HELP)
-    p.add_argument("--alphabet")
+    p.add_argument("--alphabet", type=_utf8_arg)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--linear", action="store_true", help="linear word (default)")
     mode.add_argument("--circular", action="store_true", help="circular word")

@@ -42,7 +42,6 @@ from .words import (
     _encode,
     _member_ranks,
     _separator,
-    _stray,
     circular_factor_set,
     factor_set,
 )
@@ -103,7 +102,8 @@ class MfwSet:
 
     def __init__(self, words, alphabet: Alphabet, kind: str = "linear", source: str | None = None):
         words = tuple(words)
-        if not _in_order(words, alphabet):
+        # sorted unless the kernel's scan finds them in order, each once, none empty
+        if _member_ranks(words, alphabet)[1][len(words) + 2] < len(words):
             words = _sort(words, alphabet)
             if words[:1] == ("",):  # the shortest member comes first
                 raise ValueError("the empty word '' cannot be a minimal forbidden factor")
@@ -234,31 +234,6 @@ def _sort(words, alphabet: Alphabet) -> tuple[str, ...]:
     return tuple(compress(ordered, chain((True,), map(ne, islice(ordered, 1, None), ordered))))
 
 
-def _byte_form(symbols: str) -> tuple[str, str, int]:
-    """A separator, the first character not among ``symbols``, then the
-    encoding and the bytes a symbol in which the symbols and the separator
-    compare bytewise in code-point order: ASCII when all of them are ASCII,
-    else big-endian UTF-32."""
-    sep = _separator(symbols)
-    return (sep, "ascii", 1) if (symbols + sep).isascii() else (sep, "utf-32-be", 4)
-
-
-def _in_order(words: tuple[str, ...], alphabet: Alphabet) -> bool:
-    """Whether the words are in :class:`MfwSet` order, each once and none
-    empty: one kernel pass over :func:`words._member_ranks`, one byte a
-    rank, or four big-endian past 255 symbols.  A stray symbol raises
-    ``check_word``'s error; the separator does once the pass fails and the
-    separators outnumber the joins."""
-    sigma, count = len(alphabet), len(words)
-    ranks = _member_ranks(words, alphabet)
-    width = 1 if sigma < 256 else 4
-    data, sep = ranks.astype(f">u{width}", copy=False).tobytes(), sigma.to_bytes(width, "big")
-    in_order = kernel().shortlex_run(data, len(data), width, sep, count) == count
-    if not in_order and np.count_nonzero(ranks == sigma) >= count:
-        raise _stray(words, alphabet)
-    return in_order
-
-
 def _forbidden_sites(code: np.ndarray, sigma: int, max_len: int) -> np.ndarray:
     """Sites of the minimal forbidden factors of length at most ``max_len``
     of a rank-coded word, in :class:`MfwSet` order, found by the kernel's
@@ -307,8 +282,9 @@ def _spell(sites: np.ndarray, text: str, alphabet: Alphabet) -> tuple[str, ...]:
     if not count:
         return ()  # "".split(sep) would be [""]
     # no member holds a symbol outside the alphabet, so none holds sep
-    sep, encoding, width = _byte_form("".join(symbols))
+    sep = _separator("".join(symbols))
     units = "".join(symbols) + sep
+    encoding, width = ("ascii", 1) if units.isascii() else ("utf-32-be", 4)
     # surrogatepass: a lone surrogate is a symbol like any other
     spelled = np.empty((total + count) * width, dtype=np.uint8)
     kernel().spell_sites(

@@ -4,12 +4,13 @@ Words are plain Python strings.  An :class:`Alphabet` fixes the set of legal
 symbols and, crucially, their order: the order drives every lexicographic
 comparison in the package (least rotations, sorted antidictionaries).  A word
 reaches the compiled kernel only as the ranks of :func:`_ranks`: through
-:func:`_encode`, which refuses a symbol outside the alphabet itself, or, as a
-list member, by :func:`_member_ranks`, joined to the others by a separator
-ranked after the alphabet, which the kernel counts.  The enumeration oracles
-are deliberately naive; they exist so that the automaton-based algorithms
-elsewhere can be checked against something that is obviously correct, and
-they refuse inputs large enough to hang.
+:func:`_encode`, which refuses a symbol outside the alphabet itself, as int32
+codes, or, as a list member, by :func:`_member_ranks`, joined to the others
+by a separator ranked after the alphabet, one byte a rank (four past 255
+symbols), which the kernel's one scan of the list counts.  The enumeration
+oracles are deliberately naive; they exist so that the automaton-based
+algorithms elsewhere can be checked against something that is obviously
+correct, and they refuse inputs large enough to hang.
 """
 
 from __future__ import annotations
@@ -122,16 +123,23 @@ def _stray(words: Iterable[str], alphabet: Alphabet) -> ValueError:
     return ValueError(f"symbol {stray!r} of {word!r} is not in alphabet {alphabet}")
 
 
-def _member_ranks(words, alphabet: Alphabet) -> np.ndarray:
-    """The gate of a member list: the ranks of the words joined by
-    :func:`_separator`, ranked as the alphabet's size.  A stray symbol raises
-    :func:`_stray`'s error here, the separator once the kernel miscounts."""
-    symbols = "".join(alphabet.symbols)
+def _member_ranks(words, alphabet: Alphabet) -> tuple[np.ndarray, np.ndarray, int]:
+    """The gate of a member list: the words joined by :func:`_separator`,
+    ranked as the alphabet's size, as rank units (one byte a rank, four
+    big-endian past 255 symbols), then the bounds and the trie size that the
+    kernel's one scan of them, ``trie_size``, gives.  A symbol outside the
+    alphabet, the separator included, raises :func:`_stray`'s error."""
+    symbols, k = "".join(alphabet.symbols), len(words)
     sep = _separator(symbols)
     ranks = _ranks(sep.join(words), symbols + sep)
-    if ranks is None:
-        raise _stray(words, alphabet)
-    return ranks
+    if ranks is not None:
+        units = ranks.astype(np.uint8 if len(symbols) < 256 else ">u4", copy=False).view(np.uint8)
+        bounds = np.empty(k + 4, dtype=np.int64)
+        size = kernel().trie_size(units, len(units), k, len(symbols), bounds)
+        # the scan reads every word, so it finds k of them unless one holds sep
+        if size >= 0:
+            return units, bounds, size
+    raise _stray(words, alphabet)
 
 
 def _encode(word: str, alphabet: Alphabet) -> np.ndarray:

@@ -22,6 +22,10 @@ from antidict.automata import _int_table
 from antidict.factor_automaton import _suffix_automaton_buffer
 from antidict.words import _encode
 
+# 300 symbols in reverse code-point order: ranks past 255, which member
+# lists carry as four bytes a rank, under an order that is not code-point order
+CJK_300 = "".join(map(chr, range(0x4E00 + 299, 0x4E00 - 1, -1)))
+
 
 def all_words(symbols: str, max_len: int, min_len: int = 1):
     """Every word over ``symbols`` with length in [min_len, max_len]."""

@@ -142,6 +142,36 @@ class TestWordInput:
         assert from_file[0] == 0
         assert from_file[1].out == b"\xff\xff\naaa\n\xffa\xff\naa\xffa\n"
 
+    def test_arguments_read_as_input_does_under_an_ascii_locale(self, tmp_path):
+        # Python decodes argv as ASCII under this locale, each byte of β a
+        # lone surrogate; the word and --alphabet are decoded as UTF-8, as
+        # --input is
+        word = "aββaβa"
+        path = tmp_path / "word.txt"
+        path.write_bytes(word.encode("utf-8") + b"\n")
+        env = os.environ | {
+            "LC_ALL": "C",
+            "PYTHONCOERCECLOCALE": "0",
+            "PYTHONUTF8": "0",
+            "PYTHONPATH": str(Path(antidict.__file__).parents[1]),
+        }
+        env.pop("PYTHONIOENCODING", None)
+
+        def cli(*argv):
+            done = subprocess.run(
+                [sys.executable, "-m", "antidict.cli", *argv], capture_output=True, env=env, timeout=120
+            )
+            return done.returncode, done.stdout, done.stderr
+
+        def lines(*values):
+            return (0, "".join(f"{v}\n" for v in values).encode("utf-8"), b"")
+
+        expected = lines(json.dumps(mfw_linear(word).to_json()))
+        assert cli("mfw", word, "--json") == cli("mfw", "--input", str(path), "--json") == expected
+        assert cli("mfw", "--input", str(path), "--alphabet", "aβ") == lines(*mfw_linear(word).words)
+        assert cli("mfw", word, "--alphabet", "βa") == lines(*mfw_linear(word, Alphabet("βa")).words)
+        assert cli("automaton", word, "--stats") == lines(f"states={build_factor_automaton(word).n_states}")
+
     @pytest.mark.parametrize("command", ["mfw", "automaton"])
     def test_word_and_input_both_or_neither(self, capsys, tmp_path, command):
         path = tmp_path / "word.txt"

@@ -3,6 +3,7 @@ and guards around them."""
 
 import ctypes
 import itertools
+import json
 import random
 import re
 import sys
@@ -25,6 +26,8 @@ from antidict import (
     l_automaton,
     mfw_circular,
     mfw_linear,
+    reconstruct_circular,
+    reconstruct_word,
     strip_sinks,
 )
 from antidict import _kernel, automata, factor_automaton
@@ -33,9 +36,10 @@ from antidict.factor_automaton import _suffix_automaton_buffer
 from antidict.l_automaton import _mf_automaton
 from antidict.mfw import _forbidden_sites
 from antidict.reconstruction import _walk
-from antidict.words import _encode, _ranks
+from antidict.words import _encode
 
 from .helpers import (
+    CJK_300,
     all_words,
     assemble_reference,
     avoidance_reference,
@@ -404,19 +408,37 @@ class TestSpellSites:
         assert out[len(expected) * width :].tolist() == [0xEE] * width
 
 
+def member_units(members, sigma: int) -> np.ndarray:
+    """A member buffer as trie_size reads it, built without words._ranks:
+    the members, each a string over "ab" (ranks 0 and 1) and "|" for the
+    separator, or a list of ranks, joined by the separator, rank sigma; one
+    byte a rank below 256 symbols, else four big-endian."""
+    ranks = []
+    for i, member in enumerate(members):
+        ranks += [sigma] * (i > 0)
+        ranks += [sigma if c == "|" else "ab".index(c) for c in member] if isinstance(member, str) else member
+    return np.array(ranks, dtype=np.uint8 if sigma < 256 else ">u4").view(np.uint8)
+
+
+def scan(units: np.ndarray, k: int, sigma: int) -> tuple[int, list[int]]:
+    """trie_size's result and the k + 4 bounds it wrote."""
+    bounds = np.full(k + 4, -7, dtype=np.int64)
+    return _kernel.kernel().trie_size(units, len(units), k, sigma, bounds), bounds.tolist()
+
+
 class TestShortlexRun:
-    """The kernel's order check on members joined by a separator: the
-    index of the first member out of order, else the member count."""
+    """The MfwSet order verdict of the member scan: the index of the first
+    member out of shortlex order (each member once, none empty), else the
+    member count, at one byte a unit (2 symbols) and four (300 symbols)."""
 
     @staticmethod
-    def run(members, encoding="ascii", sep="\n", count=None):
-        data = sep.join(members).encode(encoding)
-        count = len(members) if count is None else count
-        width = 4 if encoding == "utf-32-be" else 1
-        return _kernel.kernel().shortlex_run(data, len(data), width, sep.encode(encoding), count)
+    def run(members, sigma=2):
+        size, bounds = scan(member_units(members, sigma), len(members), sigma)
+        assert size >= 0, members
+        return bounds[len(members) + 2]
 
-    @pytest.mark.parametrize("encoding", ["ascii", "utf-32-be"])
-    def test_neighbours(self, encoding):
+    @pytest.mark.parametrize("sigma", [2, 300], ids=["one-byte", "four-byte"])
+    def test_neighbours(self, sigma):
         cases = [
             ([], 0),
             (["a"], 1),
@@ -433,23 +455,25 @@ class TestShortlexRun:
             (["a", "b", ""], 2),
         ]
         for members, expected in cases:
-            assert self.run(members, encoding) == expected, members
+            assert self.run(members, sigma) == expected, members
 
     def test_big_endian_units(self):
-        # chr(1) < chr(0x100) in code-point order; little-endian bytes would
-        # compare them the other way round
-        assert self.run(["\x01", "\u0100"], "utf-32-be", "\x00") == 2
-        assert self.run(["\u0100", "\x01"], "utf-32-be", "\x00") == 1
-        # a unit whose bytes hold the separator's byte is no separator
-        assert self.run(["\u0a00", "\u0a0a"], "utf-32-be", "\n") == 2
+        # ranks 1 and 256: read little-endian their units would compare the
+        # other way round
+        assert self.run([[1], [256]], 300) == 2
+        assert self.run([[256], [1]], 300) == 1
+        # units whose bytes hold the separator's (300 = 0x12c) are no
+        # separators: two members found, a trie of three nodes
+        assert self.run([[0x2C], [0x101]], 300) == 2
+        assert scan(member_units([[0x2C], [0x101]], 300), 2, 300)[0] == 3
 
     def test_separators_are_counted(self):
-        # a separator inside a member is one too many: the last member holds it
-        assert self.run(["b\nc", "a"]) == 1
-        assert self.run(["a", "b\n"]) == 1
-        assert self.run(["a", "b", "c"], count=2) == 1
-        # one too few: the member that should end at it does not
-        assert self.run(["a", "b"], count=3) == 1
+        # a separator inside a member is one member too many, anywhere; one
+        # member too few or too many wanted: the scan reports -1 - k
+        cases = [(["b|b", "a"], 2), (["a", "b|"], 2), (["|a"], 1), (["a", "b", "a"], 2), (["a", "b"], 3)]
+        for sigma in (2, 300):
+            for members, k in cases:
+                assert scan(member_units(members, sigma), k, sigma)[0] == -1 - k, (members, sigma)
 
 
 def assert_same_mf_automaton(text: str, alphabet: Alphabet, max_len: int, members) -> None:
@@ -688,17 +712,23 @@ class TestSeparatorJoinedFill:
         assert_same_avoidance(["γa", "aa", "γγ"], Alphabet("γa"))
 
     def test_bounds_and_longest_member(self):
-        ab, lib = Alphabet("ab"), _kernel.kernel()
-        for words, size, starts, longest in (
-            ([], 1, [0], 0),
-            (["abba"], 5, [0, 5], 4),
-            (["ab", "ab", "b"], 4, [0, 3, 6, 8], 2),
-        ):
-            code = _ranks("\x00".join(words), "ab\x00").astype(np.int32)
-            bounds = np.full(len(words) + 2, -7, dtype=np.int64)
-            assert lib.trie_size(code, len(code), len(words), 2, bounds) == size, words
-            assert bounds.tolist() == starts + [longest], words
-            assert build_trie(words, ab).n_states == size
+        # the starts, the end, the longest length, the first member out of
+        # MfwSet order and the first extension, k for none
+        cases = [
+            ([], 1, [0], 0, 0, 0),
+            (["abba"], 5, [0, 5], 4, 1, 1),
+            (["ab", "ab", "b"], 4, [0, 3, 6, 8], 2, 1, 3),
+            (["a", "ab", "b", "ba"], 5, [0, 2, 5, 7, 10], 2, 2, 1),
+            (["a", "b", "ab"], 5, [0, 2, 4, 7], 2, 3, 3),  # shortlex: in order, no extension
+            (["ab", "a"], 3, [0, 3, 5], 2, 1, 2),  # a prefix after its extension extends nothing
+        ]
+        for sigma in (2, 300):
+            for words, size, starts, longest, unordered, extension in cases:
+                result = scan(member_units(words, sigma), len(words), sigma)
+                assert result == (size, starts + [longest, unordered, extension]), (words, sigma)
+        for words, size, _, _, _, extension in cases:
+            if words == sorted(words) and extension == len(words):  # the trie's own order
+                assert build_trie(words, Alphabet("ab")).n_states == size, words
 
     def test_extension_names_the_member(self):
         ab = Alphabet("ab")
@@ -728,6 +758,7 @@ class TestSeparatorJoinedFill:
                 [a, a + sep],
                 [a + sep + a + a],  # splits into a and aa: aa extends a
                 [a + a, a + sep + a + a],
+                [a, a + a, a + a + sep],  # after a true extension: the scan reads on
             ):
                 stray = next(w for w in sorted(words, key=alphabet._key) if sep in w)
                 message = f"symbol {sep!r} of {stray!r} is not in alphabet {alphabet}"
@@ -739,11 +770,58 @@ class TestSeparatorJoinedFill:
 
     def test_a_buffer_of_another_word_count_is_refused(self):
         # called directly: k words wanted, the buffer holding more or fewer
-        lib, bounds = _kernel.kernel(), np.empty(8, dtype=np.int64)
-        code = np.array([0, 2, 1, 2, 0], dtype=np.int32)  # a, b, a
-        for k in (0, 1, 2, 4, 5):
-            assert lib.trie_size(code, len(code), k, 2, bounds) == -1 - k, k
-        assert lib.trie_size(code, len(code), 3, 2, bounds) == 4
+        for sigma in (2, 300):
+            units = member_units(["a", "b", "a"], sigma)
+            for k in (0, 1, 2, 4, 5):
+                assert scan(units, k, sigma)[0] == -1 - k, (k, sigma)
+            assert scan(units, 3, sigma)[0] == 4
+
+
+class TestFourByteUnits:
+    """Member lists over 300 symbols reach trie_size and trie as four
+    big-endian bytes a rank."""
+
+    CJK = Alphabet(CJK_300)
+
+    def test_against_the_reference(self):
+        # words over ranks 0, 1, 254, 255, 256 and 299, whose units differ
+        # in one byte or in two: every other symbol is a member of length 1
+        rng = random.Random(300)
+        r = {rank: CJK_300[rank] for rank in (0, 1, 254, 255, 256, 299)}
+        for n in (40, 400, 3000):
+            word = "".join(rng.choices(list(r.values()), k=n))
+            assert_same_avoidance(mfw_linear(word, self.CJK).words, self.CJK)
+            assert_same_avoidance(mfw_circular(word, self.CJK).words, self.CJK)
+        # members sharing prefixes of those ranks
+        words = [r[255] + r[256], r[256] + r[255], r[256] + r[0] + r[299], r[256] + r[0] + r[0], r[1], r[299] * 2]
+        assert_same_avoidance(words, self.CJK)
+
+    def test_messages(self):
+        first, second, sep = CJK_300[0], CJK_300[256], "\x00"
+        for words, extension in (
+            ([first, first + second], first + second),
+            ([second + first + first, second + first], second + first + first),
+        ):
+            message = f"{extension!r} extends another member: the set is not prefix-free"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build_trie(words, self.CJK)
+        for words in ([first + sep + second], [second, first + sep], [first, first + second, second + sep]):
+            stray = next(w for w in words if sep in w)
+            message = f"symbol {sep!r} of {stray!r} is not in alphabet {self.CJK}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build_trie(words, self.CJK)
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                MfwSet(words, self.CJK)
+
+    def test_reconstructions_through_json(self):
+        rng = random.Random(301)
+        word = "".join(rng.choice(CJK_300) for _ in range(5000))
+        for compute, reconstruct, expected in (
+            (mfw_linear, reconstruct_word, word),
+            (mfw_circular, reconstruct_circular, CircularWord(word, self.CJK)),
+        ):
+            document = json.loads(json.dumps(compute(word, self.CJK).to_json()))
+            assert reconstruct(MfwSet.from_json(document)) == expected
 
 
 class TestArrayArguments:

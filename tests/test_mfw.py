@@ -5,6 +5,7 @@ import random
 import re
 import sys
 import threading
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,15 +27,12 @@ from antidict import (
     rotations,
 )
 from antidict import mfw
+from antidict.words import _member_ranks
 
-from .helpers import all_words, unsound_members, words_avoiding
+from .helpers import CJK_300, all_words, unsound_members, words_avoiding
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
-
-
-# 300 symbols in reverse code-point order
-CJK_300 = "".join(map(chr, range(0x4E00 + 299, 0x4E00 - 1, -1)))
 
 
 def key_sort(words, symbols: str) -> tuple[str, ...]:
@@ -243,7 +241,44 @@ class TestOrderCheck:
         assert back == mfws and back.words == mfws.words == key_sort(words, symbols)
         for members in (words, list(mfw._sort(words, alphabet))):
             expected = tuple(members) == key_sort(members, symbols)
-            assert mfw._in_order(tuple(members), alphabet) == expected, members
+            # the kernel's verdict: the first member out of MfwSet order
+            first_out = _member_ranks(members, alphabet)[1][len(members) + 2]
+            assert (first_out == len(members)) == expected, members
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_in_order_verdict_against_the_sort(self, data):
+        # the constructor keeps a list exactly when it equals its own sort
+        # and holds no empty member, and refuses a stray or the empty member
+        # with from_json's message; lists of actual members, shuffled or not,
+        # with repeats, the empty member or a member holding the separator
+        symbols = data.draw(st.sampled_from(["ab", "δγβa", CJK_300]))
+        alphabet = Alphabet(symbols)
+        word = data.draw(st.text(symbols[:5], min_size=1, max_size=30))
+        words = list(data.draw(st.sampled_from([mfw_linear, mfw_circular]))(word, alphabet).words)
+        words += data.draw(st.lists(st.sampled_from(words), max_size=3)) if words else []
+        if data.draw(st.booleans()):
+            words = data.draw(st.permutations(words))
+        else:
+            words = list(mfw._sort(words, alphabet))
+        sep = "\x00"  # the separator of all three alphabets
+        extras = st.sampled_from(["", sep, "a" + sep, symbols[0] + sep + symbols[-1]])
+        for extra in data.draw(st.lists(extras, max_size=2)):
+            words.insert(data.draw(st.integers(0, len(words))), extra)
+        message, ordered = refusal(words, alphabet), mfw._sort(words, alphabet)
+        document = {"alphabet": symbols, "mfw": words}
+        for build in (lambda: MfwSet(words, alphabet), lambda: MfwSet.from_json(document)):
+            with mock.patch.object(mfw, "_sort", wraps=mfw._sort) as spy:
+                if message is None:
+                    assert build().words == ordered
+                else:
+                    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                        build()
+            if message is None or message == EMPTY_MEMBER:
+                # the sort runs exactly when the kernel's verdict is no
+                assert spy.call_count == (tuple(words) != ordered or "" in words), words
+            else:
+                assert spy.call_count == 0, words  # a stray is refused before any sort
 
 
 class TestSiteForm:
