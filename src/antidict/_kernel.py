@@ -19,9 +19,10 @@ units, one byte a rank or four big-endian bytes past 255 symbols, which
 On short inputs the crossings weigh more than the kernel work, so the
 reconstructions cross few times: ``trie_size`` reads the members' ends off
 that one buffer, ``walk`` completes the avoidance table itself before
-walking it and counts the words avoiding the members as it goes, and
-``factor_count`` builds a word's suffix automaton and counts its factors in
-the same call.
+walking it and counts as it goes what certifies the word it reads (the
+words avoiding the members, or in its circular mode the paths into the
+cycle it keeps), and ``factor_count`` builds a word's suffix automaton and
+counts its factors in the same call.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ SIGNATURES = (
     ("trie_size", [octets, int64, int64, int32, bounds], int64),
     ("trie", [octets, bounds, int64, int32, table, bitmap, table], None),
     ("avoidance", [table, int64, int32, octets, table, table], int32),
-    ("walk", [table, int64, int32, octets, table], int64),
+    ("walk", [table, int64, int32, octets, table, int32], int64),
 )
 
 

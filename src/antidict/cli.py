@@ -255,6 +255,12 @@ def main(argv: list[str] | None = None) -> int:
     except (ReconstructionError, LimitExceeded, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # an input too large for the memory at hand, such as a trie table
+        # of more bytes than can be allocated; numpy names the size, array
+        # and list raise it bare
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -17,9 +17,20 @@ language L(M) of the words avoiding it (Crochemore, Mignosi and Restivo,
 IPL 67, 1998); the walk has shown that u avoids M, so every factor of u is
 in L(M).  Hence M = M(u) exactly when L(M) and the factors of u are as
 many: the walk counts the first, the paths from the root, and the kernel
-counts the second on the suffix automaton of u's rank codes.  A circular
-word's avoiding language is infinite, so no count applies: its
-antidictionary is recomputed and compared with the given set.
+counts the second on the suffix automaton of u's rank codes.
+
+A circular word u is certified by one count.  The stripped avoidance
+automaton of M(u) is the minimal factor automaton of u: one cycle of |u|
+states, one edge out of each, and every other state leading into it.  The
+walk keeps the first cycle it closes, labelled by a rotation of u, so every
+factor of a power of u is in L(M).  It refuses a second cycle, a second
+edge out of a cycle state and a state that leads into no cycle; past that,
+L(M) has as many words of every large length as there are paths from the
+root into the cycle, and the factors of the powers of u have |u| of every
+length from |u| - 1 on.  Hence M = M(u) exactly when that count is |u|.
+The cycle's label needs no primitivity test: a state of the avoidance
+automaton is fixed by the last (longest member) - 1 symbols read, so a
+simple cycle's label is primitive.
 """
 
 from __future__ import annotations
@@ -29,7 +40,7 @@ import numpy as np
 from ._kernel import kernel
 from .automata import _check_avoidance, _trie_tables
 from .factor_automaton import _suffix_automaton_room
-from .mfw import MfwSet, mfw_circular
+from .mfw import MfwSet
 from .words import CircularWord, LimitExceeded, _decode
 
 # What the kernel walk returns when two longest words tie; a word's length
@@ -47,12 +58,15 @@ class ReconstructionError(ValueError):
 
 def _walk(mfws: MfwSet, circular: bool) -> tuple[str, np.ndarray, int]:
     """The word the kernel walk reads off the completed avoidance table of
-    the set's trie, unverified: the labels of the first cycle a depth-first
-    search closes when ``circular``, else the unique longest word.  Returns
-    the word, its rank codes (a view of the walk's scratch) and, for a
-    linear word, the number of words avoiding the set (0 for a circular
-    one).  A set too large to spell or to hold in a trie raises
-    ``LimitExceeded``."""
+    the set's trie, unverified, with the count that certifies it.  When
+    ``circular``, the word is the labels of the first cycle a depth-first
+    search closes, and the count the number of paths from the root into
+    that cycle, 0 when the automaton has another cycle, a second edge out of
+    a cycle state or a state that leads into no cycle.  Otherwise the word
+    is the unique longest one, and the count the number of words avoiding
+    the set.  Returns the word, its rank codes (a view of the walk's
+    scratch) and the count.  A set too large to spell or to hold in a trie
+    raises ``LimitExceeded``."""
     sigma = len(mfws.alphabet)
     # one kernel call completes the trie's own table in place, no copy of
     # it made, and walks it; the failure links and queue borrow the walk's
@@ -61,7 +75,7 @@ def _walk(mfws: MfwSet, circular: bool) -> tuple[str, np.ndarray, int]:
         flat, end = _trie_tables(mfws.words, mfws.alphabet)
         n = len(end)
         scratch = np.empty(6 * n, dtype=np.int32)
-        code = kernel().walk(np.frombuffer(flat, np.int32), n, sigma, end, scratch)
+        code = kernel().walk(np.frombuffer(flat, np.int32), n, sigma, end, scratch, circular)
         if code < AVOIDANCE_FAILED + 3:
             _check_avoidance(AVOIDANCE_FAILED - code)
     except LimitExceeded:
@@ -81,10 +95,11 @@ def _walk(mfws: MfwSet, circular: bool) -> tuple[str, np.ndarray, int]:
         raise ReconstructionError(
             "longest avoiding word is not unique: not the antidictionary of a single word"
         )
-    ranks = scratch[: ~code if circular else code]
-    # the root's path count is the int64 at entry 4n
-    words = 0 if circular else int(scratch[4 * n : 4 * n + 2].view(np.int64)[0])
-    return _decode(ranks, mfws.alphabet), ranks, words
+    # a cycle's labels are in the walk's tie area, from entry 3n on, and
+    # the root's count is the int64 at entry 4n
+    ranks = scratch[3 * n : 3 * n + ~code] if circular else scratch[:code]
+    count = int(scratch[4 * n : 4 * n + 2].view(np.int64)[0])
+    return _decode(ranks, mfws.alphabet), ranks, count
 
 
 def reconstruct_word(mfws: MfwSet) -> str:
@@ -115,14 +130,15 @@ def reconstruct_circular(mfws: MfwSet) -> CircularWord:
 
     Any cycle of the stripped avoidance automaton spells a power of a
     rotation of the word, and a depth-first search finds one; the result is
-    canonicalized and verified.
+    canonicalized.  It is certified by counting: the set is its
+    antidictionary exactly when the automaton has no other cycle, no second
+    edge out of a cycle state and no state leading into no cycle, and as
+    many paths lead from the initial state into the cycle as the cycle has
+    states; a mismatch fails verification.
     """
-    labels = _walk(mfws, circular=True)[0]
-    try:
-        cw = CircularWord(labels, mfws.alphabet)
-    except ValueError as exc:
-        raise ReconstructionError(str(exc)) from exc
-    if mfw_circular(cw, mfws.alphabet) != mfws:
+    labels, ranks, into = _walk(mfws, circular=True)
+    cw = CircularWord(labels, mfws.alphabet)
+    if into != ranks.size:
         raise ReconstructionError(
             f"verification failed: [{cw}] has a different antidictionary"
         )

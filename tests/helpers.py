@@ -13,11 +13,15 @@ from antidict import (
     Alphabet,
     CircularWord,
     Dfa,
+    MfwSet,
+    ReconstructionError,
     build_trie,
     l_automaton,
     mfw_circular,
+    reconstruct_circular,
     strip_sinks,
 )
+from antidict import reconstruction
 from antidict.automata import _int_table
 from antidict.factor_automaton import _suffix_automaton_buffer
 from antidict.words import _encode
@@ -465,6 +469,48 @@ def find_cycle_reference(dfa: Dfa) -> str | None:
             stack.append(target)
             next_rank.append(0)
     return None
+
+
+def antifactorial_core(words) -> list[str]:
+    """The words, shortest first, that contain no shorter word kept before."""
+    kept: list[str] = []
+    for word in sorted(set(words), key=len):
+        if not any(u in word for u in kept):
+            kept.append(word)
+    return kept
+
+
+def christoffel_word(p: int, q: int) -> str:
+    """The lower Christoffel word with p letters b and q letters a: its
+    i-th letter is b exactly when floor((i + 1) p / (p + q)) passes
+    floor(i p / (p + q)).  It is primitive when p and q are coprime."""
+    n = p + q
+    return "".join("b" if (i + 1) * p // n > i * p // n else "a" for i in range(n))
+
+
+def circular_outcome(mfws: MfwSet) -> CircularWord | str:
+    """What ``reconstruct_circular`` returns for the set, or the message of
+    the ``ReconstructionError`` it raises."""
+    try:
+        return reconstruct_circular(mfws)
+    except ReconstructionError as exc:
+        return str(exc)
+
+
+def circular_outcome_by_recomputation(mfws: MfwSet) -> CircularWord | str:
+    """The oracle of ``circular_outcome``: the word the first cycle of the
+    walk spells, accepted exactly when ``mfw_circular`` gives the set back,
+    and otherwise the message ``reconstruct_circular`` fails verification
+    with; the walk's own refusals (acyclic, not antifactorial, ...) pass
+    through."""
+    try:
+        labels = reconstruction._walk(mfws, circular=True)[0]
+    except ReconstructionError as exc:
+        return str(exc)
+    cw = CircularWord(labels, mfws.alphabet)
+    if mfw_circular(cw, mfws.alphabet) != mfws:
+        return f"verification failed: [{cw}] has a different antidictionary"
+    return cw
 
 
 # Two primes below 2**31 and a base for each: a product of two residues

@@ -17,6 +17,7 @@ from antidict import (
     mfw,
     mfw_circular,
     mfw_linear,
+    reconstruction,
 )
 from antidict.cli import main
 
@@ -315,6 +316,25 @@ class TestReconstructCommand:
         path.write_text(json.dumps({"alphabet": "ab", "circular": False, "mfw": ["aa", "ba"]}))
         code, _, err = run(capsys, "reconstruct", "--mfw", str(path))
         assert code == 2 and "infinite" in err
+
+
+    @pytest.mark.parametrize("circular", [False, True])
+    @pytest.mark.parametrize(
+        "exc, message",
+        [
+            (MemoryError(), "error: out of memory\n"),
+            (MemoryError("Unable to allocate 8.00 GiB"), "error: out of memory: Unable to allocate 8.00 GiB\n"),
+        ],
+    )
+    def test_trie_table_too_large_for_memory(self, capsys, monkeypatch, tmp_path, circular, exc, message):
+        # bad input, exit 2, not a failed verification, and no traceback
+        def too_large(words, alphabet):
+            raise exc
+
+        monkeypatch.setattr(reconstruction, "_trie_tables", too_large)
+        path = tmp_path / "mfw.json"
+        path.write_text(json.dumps({"alphabet": "ab", "circular": circular, "mfw": ["aa", "bb"]}))
+        assert run(capsys, "reconstruct", "--mfw", str(path)) == (2, "", message)
 
 
 class TestJsonInput:

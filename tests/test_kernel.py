@@ -41,6 +41,7 @@ from antidict.words import _encode
 from .helpers import (
     CJK_300,
     all_words,
+    antifactorial_core,
     assemble_reference,
     avoidance_reference,
     avoiding_count,
@@ -905,15 +906,6 @@ def assert_same_walks(words, alphabet: Alphabet) -> None:
         assert walk_outcome(_walk, mfws, circular=circular) == walk_outcome(reference, dfa), words
 
 
-def antifactorial_core(words) -> list[str]:
-    """The words, shortest first, that contain no shorter word kept before."""
-    kept: list[str] = []
-    for word in sorted(set(words), key=len):
-        if not any(u in word for u in kept):
-            kept.append(word)
-    return kept
-
-
 class TestWalks:
     """Reading the word back: the kernel's walks on the completed avoidance
     table against the reference walks on the stripped automaton."""
@@ -973,7 +965,7 @@ def path_count(words, alphabet: Alphabet) -> tuple[int, int]:
     flat, end = automata._trie_tables(words, alphabet)
     n = len(end)
     scratch = np.empty(6 * n, dtype=np.int32)
-    code = _kernel.kernel().walk(np.frombuffer(flat, np.int32), n, len(alphabet), end, scratch)
+    code = _kernel.kernel().walk(np.frombuffer(flat, np.int32), n, len(alphabet), end, scratch, 0)
     return code, int(scratch[4 * n : 4 * n + 2].view(np.int64)[0])
 
 

@@ -24,7 +24,15 @@ from antidict import (
 )
 from antidict import automata, mfw, reconstruction
 
-from .helpers import all_words, de_bruijn_ordered_set, distinct_factor_count
+from .helpers import (
+    all_words,
+    antifactorial_core,
+    christoffel_word,
+    circular_outcome,
+    circular_outcome_by_recomputation,
+    de_bruijn_ordered_set,
+    distinct_factor_count,
+)
 
 AB = Alphabet("ab")
 
@@ -161,6 +169,99 @@ class TestReconstructCircular:
             assert reconstruct_circular(mfw_circular(cw, AB)) == cw, w
 
 
+class TestCircularCertificate:
+    """reconstruct_circular certifies the circular word u that the walk's
+    first cycle spells by counting the paths from the root into that cycle,
+    once it has refused a second cycle, a second edge out of a cycle state
+    and a state that leads into no cycle.  On small sets the certificate is
+    compared with recomputing M(u), verdict and message alike."""
+
+    @pytest.mark.parametrize(
+        "symbols, bound, accepted, rejected",
+        [("ab", 11, 412, 7527), ("abc", 7, 508, 7887), ("acgt", 5, 294, 3946)],
+    )
+    def test_antidictionaries_of_small_words(self, symbols, bound, accepted, rejected):
+        # M(w) read circularly, the circular M(w) and the circular M(w)
+        # with each member dropped
+        alphabet, seen, outcomes = Alphabet(symbols), set(), []
+        for w in all_words(symbols, bound):
+            circular = mfw_circular(w, alphabet).words
+            dropped = [circular[:i] + circular[i + 1 :] for i in range(len(circular))]
+            for words in [mfw_linear(w, alphabet).words, circular, *dropped]:
+                if words in seen:
+                    continue
+                seen.add(words)
+                mfws = MfwSet(words, alphabet)
+                outcome = circular_outcome(mfws)
+                assert outcome == circular_outcome_by_recomputation(mfws), (w, words)
+                outcomes.append(isinstance(outcome, CircularWord))
+        # accepted: exactly the antidictionaries of the primitive necklaces
+        assert (outcomes.count(True), outcomes.count(False)) == (accepted, rejected)
+
+    @pytest.mark.parametrize(
+        "symbols, max_len, size, accepted, rejected",
+        [("ab", 4, 4, 8, 7483), ("abc", 3, 3, 6, 6365)],
+    )
+    def test_every_small_set(self, symbols, max_len, size, accepted, rejected):
+        alphabet, outcomes = Alphabet(symbols), []
+        for k in range(size + 1):
+            for words in itertools.combinations(all_words(symbols, max_len), k):
+                if any(u != v and u in v for u in words for v in words):
+                    continue
+                mfws = MfwSet(words, alphabet)
+                outcome = circular_outcome(mfws)
+                assert outcome == circular_outcome_by_recomputation(mfws), words
+                outcomes.append(isinstance(outcome, CircularWord))
+        assert (outcomes.count(True), outcomes.count(False)) == (accepted, rejected)
+
+    @pytest.mark.parametrize(
+        "words, outcome",
+        [
+            # a cycle state with a second edge into a non-sink
+            (["ba"], "[a]"),
+            (["bb"], "[a]"),
+            # a second cycle
+            (["ab"], "[a]"),
+            (["aab"], "[a]"),
+            # a state with no path into the cycle
+            (["aa", "ab", "ba"], "[b]"),
+            (["aa", "ab", "bba"], "[b]"),
+            # a single cycle that too many paths lead into
+            (["aa", "ba"], "[b]"),
+            (["ab", "bb"], "[a]"),
+        ],
+    )
+    def test_each_refusal(self, words, outcome):
+        # each set is refused by one condition, and would be accepted if
+        # that condition were dropped from the walk
+        mfws = MfwSet.build(words, AB)
+        message = f"verification failed: {outcome} has a different antidictionary"
+        assert circular_outcome(mfws) == circular_outcome_by_recomputation(mfws) == message
+
+    def test_a_count_past_int64_is_refused(self):
+        # 2**94 words over ab avoid the 514 de Bruijn members, and after each
+        # the letter c leads into the one cycle, c*, that ca and cb leave
+        words, count, _ = de_bruijn_ordered_set(11)
+        assert count > 2**63
+        mfws = MfwSet.build(words + ["ca", "cb"], Alphabet("abc"))
+        message = "verification failed: [c] has a different antidictionary"
+        assert circular_outcome(mfws) == circular_outcome_by_recomputation(mfws) == message
+        assert reconstruction._walk(mfws, circular=True)[2] == 2**63 - 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_sets_near_antidictionaries(self, data):
+        symbols = "".join(data.draw(st.permutations("abcd"))[: data.draw(st.integers(1, 4))])
+        alphabet = Alphabet(symbols)
+        word = data.draw(st.text(symbols, min_size=1, max_size=20))
+        members = list(mfw_circular(word, alphabet).words)
+        extra = data.draw(st.lists(st.text(symbols, min_size=1, max_size=6), max_size=3))
+        dropped = data.draw(st.sets(st.integers(0, len(members) - 1), max_size=2)) if members else set()
+        words = [m for i, m in enumerate(members) if i not in dropped] + extra
+        mfws = MfwSet(tuple(antifactorial_core(words)), alphabet)
+        assert circular_outcome(mfws) == circular_outcome_by_recomputation(mfws)
+
+
 class TestCompletionFailures:
     """The kernel walk completes the avoidance table itself; a completion
     that fails raises the ReconstructionError it raised as a call of its own."""
@@ -285,6 +386,32 @@ class TestCompletenessAtScale:
     def test_fibonacci_word(self):
         w = fibonacci_word(25)
         assert reconstruction._walk(mfw_linear(w), circular=False)[2] == distinct_factor_count(w)
+
+
+class TestCircularCertificateAtScale:
+    """At 10^5 symbols the circular certificate accepts a necklace's
+    antidictionary, refuses it with its shortest or its longest member
+    dropped, and agrees with recomputing the antidictionary; untimed."""
+
+    NECKLACES = {
+        "binary": lambda: random_primitive_word("ab", 10**5, seed=10**5),
+        "acgt": lambda: random_primitive_word("acgt", 10**5, seed=10**5),
+        "fibonacci": lambda: fibonacci_word(25),
+        "christoffel": lambda: christoffel_word(38_197, 61_803),
+    }
+
+    @pytest.mark.parametrize("name", NECKLACES)
+    def test_accepts_the_antidictionary_and_refuses_a_member_dropped(self, name):
+        word = self.NECKLACES[name]()
+        alphabet = Alphabet("ab" if name != "acgt" else "acgt")
+        cw = CircularWord(word, alphabet)
+        members = mfw_circular(cw, alphabet).words
+        assert circular_outcome(MfwSet(members, alphabet)) == cw
+        for words in (members[1:], members[:-1]):
+            mfws = MfwSet(words, alphabet)
+            outcome = circular_outcome(mfws)
+            assert outcome.startswith("verification failed: ")
+            assert outcome == circular_outcome_by_recomputation(mfws)
 
 
 @st.composite
